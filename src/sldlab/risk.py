@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InsufficientDataError
-from .model import LinearEstimator, ModelParams, SubspaceBasis, optimal_risk, sample_dataset
+from .model import Dataset, LinearEstimator, ModelParams, SubspaceBasis, optimal_risk
 
 
 @dataclass(frozen=True)
@@ -78,23 +78,20 @@ def excess_risk(
     return risk_closed_form(estimator, basis, params) - optimal_risk(params)
 
 
-def risk_monte_carlo(
-    estimator: LinearEstimator,
-    basis: SubspaceBasis,
-    params: ModelParams,
-    n_test: int,
-    seed: int,
-) -> RiskReport:
-    """Estimate the risk on fresh test pairs drawn from the model.
+def risk_monte_carlo(estimator: LinearEstimator, test: Dataset) -> RiskReport:
+    """Estimate the risk on a test set of pairs drawn from the model.
 
-    Per-example loss is ||W y - x||^2 / d; the report carries the sample
-    mean and its standard error (sample std / sqrt(n_test)).
+    ``test`` comes from :func:`~sldlab.model.sample_dataset` with the same
+    basis and params as the estimator's training data, so one draw can be
+    shared by every estimator of a cell.  Per-example loss is
+    ||W y - x||^2 / d; the report carries the sample mean and its standard
+    error (sample std / sqrt(n_test)).
     """
+    n_test = test.n_train
     if n_test < 2:
         raise InsufficientDataError(f"n_test must be >= 2 for a standard error, got {n_test}")
-    test = sample_dataset(params, basis, n_test, seed)
     err = estimator.apply(test.noisy) - test.clean
-    losses = np.sum(err * err, axis=0) / params.d
+    losses = np.sum(err * err, axis=0) / test.params.d
     mean = float(np.mean(losses))
     std_err = float(np.std(losses, ddof=1) / math.sqrt(n_test))
     return RiskReport(mean=mean, std_err=std_err, n_test=n_test)

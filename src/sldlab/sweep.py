@@ -172,7 +172,12 @@ def _evaluate_cell(
     wants_svd = any(e != "OPT" for e in config.estimators)
     cache = svd_of(ds) if wants_svd else None
     mc = config.mc_test_size
-    mc_seed = derive_seed(cell_seed, "mc-test")
+    test = sample_dataset(params, basis, mc, derive_seed(cell_seed, "mc-test")) if mc else None
+    if "ESGD" in config.estimators or "PINV" in config.estimators:
+        # One profile serves both: every grid ends at INFINITY, the PINV risk.
+        eta = 1.0 / float(cache.s_y[0]) ** 2
+        grid = _K_GRID if "ESGD" in config.estimators else (INFINITY,)
+        profile = gd_risk_profile(cache, ds.clean, basis, params, eta, grid)
 
     records: list[tuple[float, float, float]] = []
     for name in config.estimators:
@@ -185,8 +190,6 @@ def _evaluate_cell(
             estimator = pca_estimator(cache, params)
             risk = risk_closed_form(estimator, basis, params)
         elif name == "ESGD":
-            eta = 1.0 / float(cache.s_y[0]) ** 2
-            profile = gd_risk_profile(cache, ds.clean, basis, params, eta, _K_GRID)
             best = int(np.argmin(profile))
             risk = float(profile[best])
             if mc:
@@ -196,12 +199,11 @@ def _evaluate_cell(
                 else:
                     estimator = gd_estimator_closed(cache, ds.clean, GdConfig(eta=eta, k=k_opt))
         else:  # PINV
-            eta = 1.0 / float(cache.s_y[0]) ** 2
-            risk = float(gd_risk_profile(cache, ds.clean, basis, params, eta, (INFINITY,))[0])
+            risk = float(profile[-1])
             if mc:
                 estimator = pinv_estimator(cache, ds.clean)
         if mc:
-            report = risk_monte_carlo(estimator, basis, params, mc, mc_seed)
+            report = risk_monte_carlo(estimator, test)
             records.append((risk, report.mean, report.std_err))
         else:
             records.append((risk, math.nan, math.nan))

@@ -20,6 +20,7 @@ from sldlab.estimators import (
     pca_estimator,
     pinv_estimator,
     svd_of,
+    _direct_svd,
 )
 from sldlab.model import Dataset, ModelParams, sample_basis, sample_dataset
 from sldlab.risk import risk_closed_form
@@ -45,11 +46,11 @@ def test_svd_cache_reconstructs_input():
 
 
 def test_svd_cache_gram_path_matches_direct():
-    # Wide + noisy triggers the Gram-eigendecomposition route; compare its
-    # singular values and subspace against numpy's direct SVD.
+    # Wide + noisy takes the n x n Gram route; compare its singular values
+    # and subspace against numpy's direct SVD.
     _, _, ds = _instance(n=15, d=3, sigma=0.4, n_train=40, seed=2)
-    assert ds.n_train >= 2 * 15
     cache = svd_of(ds)
+    assert cache.route == "gram"
     s_ref = np.linalg.svd(ds.noisy, compute_uv=False)
     assert cache.s_y == pytest.approx(s_ref, rel=1e-9)
     # Same column space: projectors agree even if individual signs differ.
@@ -73,6 +74,67 @@ def test_svd_cache_matmul_v_agrees_with_materialized():
     a = np.random.default_rng(0).standard_normal((4, 30))
     lazy = cache.matmul_v(a)
     assert np.allclose(lazy, a @ cache.v_y, atol=1e-10)
+
+
+def _route_risks(cache, params, basis, ds):
+    eta = 1.0 / float(cache.s_y[0]) ** 2
+    profile = gd_risk_profile(cache, ds.clean, basis, params, eta, default_k_grid())
+    pca = risk_closed_form(pca_estimator(cache, params), basis, params)
+    return np.append(profile, pca)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-7, 1e-5, 1e-3, 0.1, 1.0])
+@pytest.mark.parametrize(
+    "n,n_train", [(100, 50), (100, 99), (100, 100), (100, 200), (1000, 400), (2000, 300)]
+)
+def test_svd_routes_agree_on_risks(n, n_train, sigma):
+    # Whatever route svd_of picks, the GD risk profile and the PCA risk it
+    # feeds must match a direct SVD run through the same risk code.
+    params, basis, ds = _instance(n=n, d=10, sigma=sigma, n_train=n_train, seed=n + n_train)
+    routed = _route_risks(svd_of(ds), params, basis, ds)
+    direct = _route_risks(_direct_svd(ds.noisy), params, basis, ds)
+    np.testing.assert_allclose(routed, direct, rtol=1e-8, atol=0.0)
+
+
+def test_svd_of_small_sigma_wide_falls_back_to_direct():
+    # Regression: at sigma = 1e-7 the n x n Gram of this 100 x 200 matrix has
+    # eps * kappa = 0.28, and decomposing it put a 3e-2 relative error on the
+    # GD risk.  The conditioning check must send it to the direct SVD.
+    params, basis, ds = _instance(n=100, d=10, sigma=1e-7, n_train=200, seed=300)
+    cache = svd_of(ds)
+    assert cache.route == "svd"
+    routed = _route_risks(cache, params, basis, ds)
+    direct = _route_risks(_direct_svd(ds.noisy), params, basis, ds)
+    np.testing.assert_allclose(routed, direct, rtol=1e-8, atol=0.0)
+
+
+def test_svd_of_tall_noisy_takes_small_gram_and_defers_u():
+    params, basis, ds = _instance(n=2000, d=10, sigma=0.1, n_train=300, seed=7)
+    cache = svd_of(ds)
+    assert cache.route == "gram"
+    assert cache.rank == 300
+    eta = 1.0 / float(cache.s_y[0]) ** 2
+    gd_risk_profile(cache, ds.clean, basis, params, eta, default_k_grid())
+    pca_estimator(cache, params)
+    assert cache._u_y is None  # neither consumer materialized n x r U_y
+    a = np.random.default_rng(0).standard_normal((2000, 3))
+    assert np.allclose(cache.ut_matmul(a), cache.u_y.T @ a, atol=1e-10)
+    assert np.allclose(cache.leading_u(10), cache.u_y[:, :10], atol=1e-12)
+    assert np.allclose((cache.u_y * cache.s_y) @ cache.v_y.T, ds.noisy, atol=1e-10)
+
+
+def test_gram_route_pca_basis_orthonormal_when_d_covers_spectrum():
+    # With N = d every column of U_y enters the PCA projector, including the
+    # one for lambda_min, where Y V / S drifts from orthonormal by ~eps * kappa
+    # (5e-10 on this draw, above the projector's 1e-10 check).
+    params = ModelParams(d=30, n=1000, sigma_z=1e-4)
+    basis = sample_basis(1000, 30, seed=5)
+    ds = sample_dataset(params, basis, 30, seed=6)
+    cache = svd_of(ds)
+    assert cache.route == "gram"
+    u = pca_estimator(cache, params).basis
+    assert np.max(np.abs(u.T @ u - np.eye(30))) <= 1e-12
+    assert np.allclose(u @ u.T, cache.u_y @ cache.u_y.T, atol=1e-8)
 
 
 def test_svd_of_zero_matrix_raises():

@@ -84,7 +84,7 @@ def test_monte_carlo_matches_closed_form_within_3_se():
     exact = risk_closed_form(est, basis, params)
     hits = 0
     for rep in range(100):
-        report = risk_monte_carlo(est, basis, params, n_test=400, seed=derive_seed(999, rep))
+        report = risk_monte_carlo(est, sample_dataset(params, basis, 400, derive_seed(999, rep)))
         if abs(report.mean - exact) <= 3.0 * report.std_err:
             hits += 1
     assert hits >= 95
@@ -95,7 +95,7 @@ def test_monte_carlo_zero_noise_is_near_exact():
     # up to floating-point roundoff.
     params = ModelParams(d=2, n=10, sigma_z=0.0)
     basis = sample_basis(10, 2, seed=2)
-    report = risk_monte_carlo(optimal_estimator(basis, params), basis, params, 500, seed=3)
+    report = risk_monte_carlo(optimal_estimator(basis, params), sample_dataset(params, basis, 500, 3))
     assert report.mean < 1e-28
 
 
@@ -103,7 +103,7 @@ def test_monte_carlo_requires_two_test_points():
     params = ModelParams(d=2, n=10, sigma_z=0.1)
     basis = sample_basis(10, 2, seed=2)
     with pytest.raises(InsufficientDataError):
-        risk_monte_carlo(optimal_estimator(basis, params), basis, params, 1, seed=0)
+        risk_monte_carlo(optimal_estimator(basis, params), sample_dataset(params, basis, 1, 0))
 
 
 def test_pca_specialized_equals_generic():
