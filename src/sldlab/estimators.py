@@ -258,24 +258,27 @@ def _gd_filter(s_y: np.ndarray, eta: float, k: int | float) -> np.ndarray:
     return (1.0 - base ** int(k)) / s_y
 
 
+def _checked_clean(cache: SvdCache, clean: np.ndarray) -> np.ndarray:
+    """The training signal matrix X (n x N), shape-checked against the decomposition."""
+    clean = np.asarray(clean, dtype=float)
+    if clean.shape != cache.shape:
+        raise DimensionError(
+            f"clean matrix shape {clean.shape} does not match training data {cache.shape}"
+        )
+    return clean
+
+
 def gd_estimator_closed(cache: SvdCache, clean: np.ndarray, cfg: GdConfig) -> LinearEstimator:
-    """W^k = X V_y D_k U_y^T, materialized dense.
+    """W^k = X V_y D_k U_y^T, stored as the n x r pair (X V_y D_k, U_y).
 
     ``clean`` is the training signal matrix X (n x N) the regression
     targets; it must have as many columns as the cached decomposition.
+    k = 0 gives the zero map and k = INFINITY the pseudoinverse estimator.
     """
-    clean = np.asarray(clean, dtype=float)
-    n, n_train = cache.shape
-    if clean.shape != (n, n_train):
-        raise DimensionError(
-            f"clean matrix shape {clean.shape} does not match training data {(n, n_train)}"
-        )
+    clean = _checked_clean(cache, clean)
     _check_stepsize(cfg.eta, cache.s_y)
-    if (isinstance(cfg.k, (int, np.integer)) and cfg.k == 0) or cache.rank == 0:
-        return LinearEstimator.from_dense(np.zeros((n, n)))
     d_k = _gd_filter(cache.s_y, cfg.eta, cfg.k)
-    g = cache.matmul_v(clean)  # n x r
-    return LinearEstimator.from_dense((g * d_k) @ cache.u_y.T)
+    return LinearEstimator(left=cache.matmul_v(clean) * d_k, basis=cache.u_y)
 
 
 def gd_estimator_iterative(dataset: Dataset, cfg: GdConfig) -> LinearEstimator:
@@ -304,14 +307,8 @@ def gd_estimator_iterative(dataset: Dataset, cfg: GdConfig) -> LinearEstimator:
 
 def pinv_estimator(cache: SvdCache, clean: np.ndarray) -> LinearEstimator:
     """Converged estimator X Y^+ (gradient descent run to k = INFINITY)."""
-    clean = np.asarray(clean, dtype=float)
-    n, n_train = cache.shape
-    if clean.shape != (n, n_train):
-        raise DimensionError(
-            f"clean matrix shape {clean.shape} does not match training data {(n, n_train)}"
-        )
-    g = cache.matmul_v(clean)
-    return LinearEstimator.from_dense((g / cache.s_y) @ cache.u_y.T)
+    eta = 1.0 / float(cache.s_y[0]) ** 2
+    return gd_estimator_closed(cache, clean, GdConfig(eta=eta, k=INFINITY))
 
 
 # =====================================================================
@@ -327,24 +324,21 @@ def gd_risk_profile(
     eta: float,
     k_grid: Sequence[int | float],
 ) -> np.ndarray:
-    """Exact risk of W^k for every k in ``k_grid``, without densifying W^k.
+    """Exact risk of W^k for every k in ``k_grid``, without forming W^k.
 
-    Writing G = X V_y, the three ingredients of the closed-form risk are
-    quadratic forms in the r x r Gram G^T G, the overlaps G^T U, and
-    U_y^T U, each built once; every additional k then costs O(r d^2).
-    When X lies in span(U) -- always true for model-drawn data -- G = U B
-    with the d x r matrix B = (U^T X) V_y, which shrinks the Gram work to
-    O(r^2 d) and never touches an n x r intermediate.
+    With G = X V_y and M = U_y^T U (r x d), W^k U = G D_k M, so the risk is
+    (||G D_k M - U||_F^2 + sigma_z^2 sum_i D_k[i]^2 ||G e_i||^2) / d.  When X
+    lies in span(U) -- always true for model-drawn data -- G = U g with the
+    d x r matrix g = (U^T X) V_y, and the misfit is ||g D_k M - I_d||_F^2:
+    every k then costs O(r d^2) and no n x r intermediate is formed.
+    Otherwise g = G and the target is U itself.  The misfit is summed
+    directly rather than expanded into Gram terms, so it keeps its relative
+    accuracy when the risk sits near the sigma_z^2 floor.
     """
-    clean = np.asarray(clean, dtype=float)
+    clean = _checked_clean(cache, clean)
     u = basis.matrix
-    n, n_train = cache.shape
-    if clean.shape != (n, n_train):
-        raise DimensionError(
-            f"clean matrix shape {clean.shape} does not match training data {(n, n_train)}"
-        )
-    if u.shape[0] != n:
-        raise DimensionError(f"basis has {u.shape[0]} rows, expected {n}")
+    if u.shape[0] != cache.shape[0]:
+        raise DimensionError(f"basis has {u.shape[0]} rows, expected {cache.shape[0]}")
     _check_stepsize(eta, cache.s_y)
 
     d = params.d
@@ -355,23 +349,18 @@ def gd_risk_profile(
     resid = u @ coords
     np.subtract(clean, resid, out=resid)  # in place: one n x N temporary, not two
     if float(np.linalg.norm(resid)) <= 1e-8 * max(float(np.linalg.norm(clean)), 1e-300):
-        b = cache.matmul_v(coords)  # d x r; G = U @ b
-        gram = b.T @ b  # r x r
-        h = b.T  # G^T U = b^T (U^T U) = b^T
+        g, target = cache.matmul_v(coords), np.eye(d)  # G = U @ g
     else:
-        g = clean @ cache.v_y  # general fallback, n x r
-        gram = g.T @ g
-        h = g.T @ u
-    diag_gram = np.diagonal(gram).copy()
+        g, target = cache.matmul_v(clean), u  # general fallback, n x r
+    col_norm2 = np.einsum("ij,ij->j", g, g)  # ||G e_i||^2
 
     risks = np.empty(len(k_grid))
     for i, k in enumerate(k_grid):
         d_k = _gd_filter(cache.s_y, eta, k)
-        e = m * d_k[:, None]
-        fit = float(np.sum(e * (gram @ e)))  # ||G D_k M||_F^2
-        cross = float(np.sum(d_k * np.einsum("ij,ij->i", m, h)))  # <G D_k M, U>
-        w_norm2 = float(np.sum(d_k * d_k * diag_gram))  # ||W^k||_F^2
-        risks[i] = (fit - 2.0 * cross + d) / d + sig2 * w_norm2 / d
+        misfit = g @ (m * d_k[:, None])
+        misfit -= target
+        w_norm2 = float(np.dot(d_k * d_k, col_norm2))  # ||W^k||_F^2
+        risks[i] = (float(np.sum(misfit * misfit)) + sig2 * w_norm2) / d
     return risks
 
 
@@ -409,6 +398,4 @@ def early_stopped_estimator(
         eta = 1.0 / float(cache.s_y[0]) ** 2
     risks = gd_risk_profile(cache, clean, basis, params, eta, grid)
     k_opt = grid[int(np.argmin(risks))]
-    if isinstance(k_opt, float) and math.isinf(k_opt):
-        return pinv_estimator(cache, clean), k_opt
     return gd_estimator_closed(cache, clean, GdConfig(eta=eta, k=k_opt)), k_opt

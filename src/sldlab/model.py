@@ -9,7 +9,7 @@ risk-optimal linear denoiser for that model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,26 +126,29 @@ class Dataset:
 
 @dataclass(eq=False)
 class LinearEstimator:
-    """An n x n linear map W, stored dense or in factored form s * B B^T.
+    """A linear map W = left @ basis^T of rank at most r.
 
-    The factored form keeps the scale s and an orthonormal n x r matrix B;
-    it is preferred whenever the estimator is a scaled projection because
-    risk evaluation and application are then O(n r) per sample instead of
-    O(n^2).
+    left  -- n x r matrix
+    basis -- n x r matrix with orthonormal columns
+
+    Every denoiser here has this form: a scaled projection s B B^T is
+    (s B, B), a gradient-descent iterate is (X V_y D_k, U_y).  Applying W and
+    evaluating its risk then cost O(n r) per sample, and W itself is formed
+    only by :meth:`as_matrix`.
     """
 
-    dense: np.ndarray | None = None
-    scale: float | None = None
-    basis: np.ndarray | None = None
+    left: np.ndarray
+    basis: np.ndarray
 
     # --- constructors -------------------------------------------------
 
     @classmethod
     def from_dense(cls, w: np.ndarray) -> "LinearEstimator":
+        """Wrap an explicit n x n matrix as (w, I_n); for reference maps."""
         w = np.asarray(w, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise DimensionError(f"dense estimator must be square, got shape {w.shape}")
-        return cls(dense=w)
+        return cls(left=w, basis=np.eye(w.shape[0]))
 
     @classmethod
     def scaled_projection(cls, scale: float, basis: np.ndarray) -> "LinearEstimator":
@@ -157,46 +160,38 @@ class LinearEstimator:
         if not np.isfinite(scale):
             raise DimensionError(f"scale must be finite, got {scale}")
         _check_orthonormal(b, "projection basis")
-        return cls(scale=float(scale), basis=b)
+        return cls(left=float(scale) * b, basis=b)
 
     def __post_init__(self) -> None:
-        if (self.dense is None) == (self.scale is None or self.basis is None):
+        if self.left.ndim != 2 or self.left.shape != self.basis.shape:
             raise DimensionError(
-                "estimator must be either dense or (scale, basis), not both/neither"
+                f"left and basis must both be n x r, got {self.left.shape} and {self.basis.shape}"
             )
 
     # --- queries ------------------------------------------------------
 
     @property
-    def is_factored(self) -> bool:
-        return self.dense is None
-
-    @property
     def ambient_dim(self) -> int:
-        return self.basis.shape[0] if self.is_factored else self.dense.shape[0]
+        return self.basis.shape[0]
 
     @property
     def rank(self) -> int:
-        """Rank of the factored form; dense maps report full ambient size."""
-        return self.basis.shape[1] if self.is_factored else self.dense.shape[0]
+        """Number of columns r of the factors, an upper bound on rank(W)."""
+        return self.basis.shape[1]
 
     def as_matrix(self) -> np.ndarray:
         """Materialize W as a dense n x n array."""
-        if not self.is_factored:
-            return self.dense
-        return self.scale * (self.basis @ self.basis.T)
+        return self.left @ self.basis.T
 
     def apply(self, y: np.ndarray) -> np.ndarray:
-        """Compute W @ y without densifying a factored W."""
+        """Compute W @ y as left @ (basis^T y), never forming W."""
         y = np.asarray(y, dtype=float)
         rows = y.shape[0]
         if rows != self.ambient_dim:
             raise DimensionError(
                 f"estimator acts on R^{self.ambient_dim}, got input with {rows} rows"
             )
-        if self.is_factored:
-            return self.scale * (self.basis @ (self.basis.T @ y))
-        return self.dense @ y
+        return self.left @ (self.basis.T @ y)
 
 
 # --- samplers ----------------------------------------------------------

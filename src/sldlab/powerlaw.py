@@ -10,7 +10,7 @@ variant searches every admissible breakpoint for the best two-line fit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -90,6 +90,19 @@ def _check_positive(sizes: np.ndarray, values: np.ndarray, offset: int) -> None:
         raise FitDomainError("duplicate sizes in fit input")
 
 
+def _above_floor(pts: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Points (size, value - floor) that lie above the floor, and the keep mask.
+
+    Points whose excess is within 1e-12 * max(value) of zero carry no usable
+    log-scale information and are dropped.
+    """
+    if not (np.isfinite(floor) and floor >= 0.0):
+        raise FitDomainError(f"floor must be finite and >= 0, got {floor}")
+    excess = pts[:, 1] - floor
+    keep = excess > 1e-12 * float(np.max(pts[:, 1]))
+    return np.column_stack([pts[keep, 0], excess[keep]]), keep
+
+
 # =====================================================================
 # Fits
 # =====================================================================
@@ -148,38 +161,21 @@ def fit_excess_powerlaw(
 ) -> PowerLawFit:
     """Fit value - floor against size, dropping points at or below the floor.
 
-    Points whose excess is within 1e-12 * max(value) of zero carry no
-    usable log-scale information and are dropped; the count is recorded on
+    Points are dropped as in :func:`_above_floor`; the count is recorded on
     the returned fit.
     """
-    if not (np.isfinite(floor) and floor >= 0.0):
-        raise FitDomainError(f"floor must be finite and >= 0, got {floor}")
     pts = _as_points(points)
     lo, hi = _check_region(region, pts.shape[0])
-    sizes, values = pts[lo:hi, 0], pts[lo:hi, 1]
-    if sizes.size < 2:
-        raise InsufficientDataError(f"need at least 2 points to fit, got {sizes.size}")
-    excess = values - floor
-    drop_tol = 1e-12 * float(np.max(values)) if values.size else 0.0
-    keep = excess > drop_tol
-    n_dropped = int(np.count_nonzero(~keep))
-    if np.count_nonzero(keep) < 2:
+    if hi - lo < 2:
+        raise InsufficientDataError(f"need at least 2 points to fit, got {hi - lo}")
+    kept, keep = _above_floor(pts[lo:hi], floor)
+    if kept.shape[0] < 2:
         raise InsufficientDataError(
-            f"only {int(np.count_nonzero(keep))} points remain above the floor {floor:g}"
+            f"only {kept.shape[0]} points remain above the floor {floor:g}"
         )
-    kept = np.column_stack([sizes[keep], excess[keep]])
     w = None if weights is None else np.asarray(weights, dtype=float)[lo:hi][keep]
     base = fit_powerlaw(kept, weights=w)
-    return PowerLawFit(
-        alpha=base.alpha,
-        log_beta=base.log_beta,
-        r_squared=base.r_squared,
-        sse=base.sse,
-        region=(lo, hi),
-        n_points=base.n_points,
-        n_dropped=n_dropped,
-        floor=float(floor),
-    )
+    return replace(base, region=(lo, hi), n_dropped=keep.size - kept.shape[0], floor=float(floor))
 
 
 def fit_segmented(
@@ -199,17 +195,8 @@ def fit_segmented(
     pts = _as_points(points)
     if np.any(np.diff(pts[:, 0]) <= 0):
         raise FitDomainError("points must be sorted by strictly ascending size")
-    n_dropped = 0
-    floor_val: float | None = None
     if floor is not None:
-        if not (np.isfinite(floor) and floor >= 0.0):
-            raise FitDomainError(f"floor must be finite and >= 0, got {floor}")
-        floor_val = float(floor)
-        excess = pts[:, 1] - floor_val
-        drop_tol = 1e-12 * float(np.max(pts[:, 1]))
-        keep = excess > drop_tol
-        n_dropped = int(np.count_nonzero(~keep))
-        pts = np.column_stack([pts[keep, 0], excess[keep]])
+        pts, keep = _above_floor(pts, floor)
     m = pts.shape[0]
     if m < 2 * min_seg:
         raise InsufficientDataError(
@@ -230,9 +217,9 @@ def fit_segmented(
             best_pair = (left, right)
     assert best_pair is not None
     left, right = best_pair
-    if floor_val is not None:
-        left = _with_floor(left, floor_val, n_dropped)
-        right = _with_floor(right, floor_val, n_dropped)
+    if floor is not None:
+        left = replace(left, n_dropped=keep.size - m, floor=float(floor))
+        right = replace(right, n_dropped=keep.size - m, floor=float(floor))
     improvement = 0.0 if single.sse <= 1e-300 else 1.0 - best_sse / single.sse
     return SegmentedFit(
         left=left,
@@ -242,19 +229,6 @@ def fit_segmented(
         total_sse=best_sse,
         single_sse=single.sse,
         breakpoint_evidence=improvement >= 0.05,
-    )
-
-
-def _with_floor(fit: PowerLawFit, floor: float, n_dropped: int) -> PowerLawFit:
-    return PowerLawFit(
-        alpha=fit.alpha,
-        log_beta=fit.log_beta,
-        r_squared=fit.r_squared,
-        sse=fit.sse,
-        region=fit.region,
-        n_points=fit.n_points,
-        n_dropped=n_dropped,
-        floor=floor,
     )
 
 

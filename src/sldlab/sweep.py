@@ -28,7 +28,6 @@ from .estimators import (
     gd_risk_profile,
     normalize_k_grid,
     pca_estimator,
-    pinv_estimator,
     svd_of,
     GdConfig,
 )
@@ -181,7 +180,6 @@ def _evaluate_cell(
 
     records: list[tuple[float, float, float]] = []
     for name in config.estimators:
-        estimator = None
         if name == "OPT":
             risk = optimal_risk(params)
             if mc:
@@ -189,19 +187,11 @@ def _evaluate_cell(
         elif name == "PCA":
             estimator = pca_estimator(cache, params)
             risk = risk_closed_form(estimator, basis, params)
-        elif name == "ESGD":
-            best = int(np.argmin(profile))
+        else:  # ESGD, or PINV at the grid's last entry, INFINITY
+            best = int(np.argmin(profile)) if name == "ESGD" else len(grid) - 1
             risk = float(profile[best])
             if mc:
-                k_opt = _K_GRID[best]
-                if isinstance(k_opt, float) and math.isinf(k_opt):
-                    estimator = pinv_estimator(cache, ds.clean)
-                else:
-                    estimator = gd_estimator_closed(cache, ds.clean, GdConfig(eta=eta, k=k_opt))
-        else:  # PINV
-            risk = float(profile[-1])
-            if mc:
-                estimator = pinv_estimator(cache, ds.clean)
+                estimator = gd_estimator_closed(cache, ds.clean, GdConfig(eta=eta, k=grid[best]))
         if mc:
             report = risk_monte_carlo(estimator, test)
             records.append((risk, report.mean, report.std_err))

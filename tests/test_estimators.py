@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from sldlab.estimators import (
     svd_of,
     _direct_svd,
 )
-from sldlab.model import Dataset, ModelParams, sample_basis, sample_dataset
+from sldlab.model import Dataset, LinearEstimator, ModelParams, sample_basis, sample_dataset
 from sldlab.risk import risk_closed_form
 
 
@@ -152,9 +153,8 @@ def test_svd_of_zero_matrix_raises():
 def test_pca_estimator_rank_and_shrinkage():
     params, basis, ds = _instance(n=25, d=4, sigma=0.5, n_train=30, seed=5)
     est = pca_estimator(svd_of(ds), params)
-    assert est.is_factored
     assert est.rank == 4
-    assert est.scale == pytest.approx(1.0 / 1.25, abs=1e-15)
+    assert np.allclose(est.left, est.basis / 1.25, rtol=0, atol=1e-15)
 
 
 def test_pca_estimator_rank_deficient_when_starved():
@@ -266,8 +266,9 @@ def test_profile_matches_materialized_risks():
     grid = (0, 1, 2, 8, 64, 1024, INFINITY)
     profile = gd_risk_profile(cache, ds.clean, basis, params, eta, grid)
     for k, expected in zip(grid, profile):
-        w = gd_estimator_closed(cache, ds.clean, GdConfig(eta=eta, k=k))
-        assert risk_closed_form(w, basis, params) == pytest.approx(expected, abs=1e-10)
+        w = gd_estimator_closed(cache, ds.clean, GdConfig(eta=eta, k=k)).as_matrix()
+        dense = LinearEstimator.from_dense(w)
+        assert risk_closed_form(dense, basis, params) == pytest.approx(expected, abs=1e-10)
 
 
 def test_profile_general_fallback_matches_fast_path():
@@ -280,8 +281,50 @@ def test_profile_general_fallback_matches_fast_path():
     grid = (1, 16, 256, INFINITY)
     profile = gd_risk_profile(cache, off_span, basis, params, eta, grid)
     for k, expected in zip(grid, profile):
-        w = gd_estimator_closed(cache, off_span, GdConfig(eta=eta, k=k))
-        assert risk_closed_form(w, basis, params) == pytest.approx(expected, abs=1e-10)
+        w = gd_estimator_closed(cache, off_span, GdConfig(eta=eta, k=k)).as_matrix()
+        dense = LinearEstimator.from_dense(w)
+        assert risk_closed_form(dense, basis, params) == pytest.approx(expected, abs=1e-10)
+
+
+@pytest.mark.parametrize("sigma", [1e-7, 1e-6])
+@pytest.mark.parametrize("n, n_train", [(100, 50), (100, 200)])
+def test_profile_accurate_near_noise_floor(n, n_train, sigma):
+    # Regression: expanding the misfit as fit - 2 cross + d cancelled when the
+    # risk sits near the sigma^2 floor (about 1e-2 relative error at
+    # sigma = 1e-7).  The profile must match the risk of the formed
+    # estimator over the whole grid.
+    params, basis, ds = _instance(n=n, d=10, sigma=sigma, n_train=n_train, seed=21)
+    cache = svd_of(ds)
+    eta = 1.0 / float(cache.s_y[0]) ** 2
+    grid = normalize_k_grid(default_k_grid())
+    profile = gd_risk_profile(cache, ds.clean, basis, params, eta, grid)
+    formed = []
+    for k in grid:
+        est = gd_estimator_closed(cache, ds.clean, GdConfig(eta=eta, k=k))
+        formed.append(risk_closed_form(est, basis, params))
+    np.testing.assert_allclose(profile, formed, rtol=1e-8, atol=0.0)
+
+
+def test_gd_estimators_stay_low_rank_at_large_n():
+    # At n = 10^4 a dense W would take 800 MB; the estimators keep n x r
+    # factors, and applying or scoring them allocates a few n x N arrays.
+    n, n_train = 10_000, 50
+    params, basis, ds = _instance(n=n, d=5, sigma=0.1, n_train=n_train, seed=22)
+    cache = svd_of(ds)
+    eta = 1.0 / float(cache.s_y[0]) ** 2
+    profile = gd_risk_profile(cache, ds.clean, basis, params, eta, (8, INFINITY))
+    tracemalloc.start()
+    try:
+        ests = (gd_estimator_closed(cache, ds.clean, GdConfig(eta=eta, k=8)),
+                pinv_estimator(cache, ds.clean))
+        for est, expected in zip(ests, profile):
+            assert est.left.shape == est.basis.shape == (n, cache.rank)
+            assert est.apply(ds.noisy).shape == (n, n_train)
+            assert risk_closed_form(est, basis, params) == pytest.approx(expected, rel=1e-8, abs=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 8 * n * n_train  # 64 MB, against 800 MB for one dense W
 
 
 def test_profile_rejects_mismatched_shapes():

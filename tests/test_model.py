@@ -165,13 +165,15 @@ def test_estimator_factored_matches_dense():
     w = est.as_matrix()
     y = rng.standard_normal((9, 5))
     assert np.allclose(est.apply(y), w @ y, atol=1e-13)
-    assert est.is_factored and est.rank == 3 and est.ambient_dim == 9
+    assert np.array_equal(est.basis, b) and np.array_equal(est.left, 0.8 * b)
+    assert est.rank == 3 and est.ambient_dim == 9
 
 
 def test_estimator_dense_roundtrip():
     w = np.arange(16.0).reshape(4, 4)
     est = LinearEstimator.from_dense(w)
-    assert not est.is_factored
+    assert np.array_equal(est.left, w) and np.array_equal(est.basis, np.eye(4))
+    assert est.rank == 4 and est.ambient_dim == 4
     assert np.array_equal(est.as_matrix(), w)
     y = np.ones(4)
     assert np.allclose(est.apply(y), w @ y)
@@ -187,7 +189,7 @@ def test_estimator_construction_errors():
     with pytest.raises(InvariantError):
         LinearEstimator.scaled_projection(1.0, np.ones((4, 2)))
     with pytest.raises(DimensionError):
-        LinearEstimator()  # neither form given
+        LinearEstimator(left=np.zeros((4, 2)), basis=np.eye(4)[:, :3])  # factors disagree
 
 
 def test_estimator_apply_rejects_wrong_rows():
@@ -209,8 +211,8 @@ def test_optimal_estimator_form():
     params = ModelParams(3, 20, 0.5)
     basis = sample_basis(20, 3, seed=6)
     w = optimal_estimator(basis, params)
-    assert w.is_factored
-    assert w.scale == pytest.approx(1.0 / 1.25, abs=1e-15)
+    assert np.array_equal(w.basis, basis.matrix)
+    assert np.allclose(w.left, basis.matrix / 1.25, rtol=0, atol=1e-15)
     proj = basis.matrix @ basis.matrix.T
     assert np.allclose(w.as_matrix(), proj / 1.25, atol=1e-13)
 

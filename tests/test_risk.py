@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from sldlab.risk import (
     risk_monte_carlo,
     theory_diagnostics,
 )
-from sldlab.estimators import pca_estimator, svd_of
+from sldlab.estimators import early_stopped_estimator, pca_estimator, svd_of
 from sldlab.rng import derive_seed
 
 
@@ -97,6 +99,24 @@ def test_monte_carlo_zero_noise_is_near_exact():
     basis = sample_basis(10, 2, seed=2)
     report = risk_monte_carlo(optimal_estimator(basis, params), sample_dataset(params, basis, 500, 3))
     assert report.mean < 1e-28
+
+
+@pytest.mark.parametrize("n_test", [2, 255, 256, 2000])
+def test_monte_carlo_blocks_match_unblocked(n_test):
+    # Scoring the test columns block by block must give the mean and
+    # standard error of scoring them all at once.
+    params = ModelParams(d=3, n=40, sigma_z=0.3)
+    basis = sample_basis(40, 3, seed=8)
+    ds = sample_dataset(params, basis, n_train=60, seed=8)
+    est, _ = early_stopped_estimator(svd_of(ds), ds.clean, basis, params)
+    test = sample_dataset(params, basis, n_test, seed=9)
+    err = est.apply(test.noisy) - test.clean
+    losses = np.sum(err * err, axis=0) / params.d
+    report = risk_monte_carlo(est, test)
+    assert report.n_test == n_test
+    expected_se = float(np.std(losses, ddof=1)) / math.sqrt(n_test)
+    assert report.mean == pytest.approx(float(np.mean(losses)), rel=1e-12, abs=0)
+    assert report.std_err == pytest.approx(expected_se, rel=1e-12, abs=0)
 
 
 def test_monte_carlo_requires_two_test_points():
