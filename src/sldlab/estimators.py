@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, DivergenceError, InvariantError, StepsizeError
-from .model import Dataset, LinearEstimator, ModelParams, SubspaceBasis
+from .model import Dataset, LinearEstimator, ModelParams, SubspaceBasis, span_residual
 
 #: Distinguished iteration count meaning "run gradient descent to convergence".
 INFINITY: float = math.inf
@@ -346,9 +346,7 @@ def gd_risk_profile(
     m = cache.ut_matmul(u)  # U_y^T U, r x d
 
     coords = u.T @ clean  # d x N
-    resid = u @ coords
-    np.subtract(clean, resid, out=resid)  # in place: one n x N temporary, not two
-    if float(np.linalg.norm(resid)) <= 1e-8 * max(float(np.linalg.norm(clean)), 1e-300):
+    if span_residual(u, clean, coords) <= 1e-8:
         g, target = cache.matmul_v(coords), np.eye(d)  # G = U @ g
     else:
         g, target = cache.matmul_v(clean), u  # general fallback, n x r

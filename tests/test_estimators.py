@@ -327,6 +327,24 @@ def test_gd_estimators_stay_low_rank_at_large_n():
     assert peak < 16 * 8 * n * n_train  # 64 MB, against 800 MB for one dense W
 
 
+def test_profile_memory_does_not_grow_with_n_train():
+    # The in-span check runs over column blocks: quadrupling N must not add
+    # an n x N residual (8 n * 1500 bytes = 36 MB here) to the profile's peak.
+    n = 3000
+    peaks = []
+    for n_train in (500, 2000):
+        params, basis, ds = _instance(n=n, d=10, sigma=0.1, n_train=n_train, seed=25)
+        cache = svd_of(ds)
+        eta = 1.0 / float(cache.s_y[0]) ** 2
+        tracemalloc.start()
+        try:
+            gd_risk_profile(cache, ds.clean, basis, params, eta, default_k_grid())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 0.05 * 8 * n * 1500
+
+
 def test_profile_rejects_mismatched_shapes():
     params, basis, ds = _instance(seed=16)
     cache = svd_of(ds)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,32 @@ def test_sample_dataset_noise_rescales_with_sigma():
     za = (ds_a.noisy - ds_a.clean) / 0.1
     zb = (ds_b.noisy - ds_b.clean) / 0.4
     assert np.allclose(za, zb, atol=1e-12)
+
+
+@pytest.mark.parametrize("sigma", [1e-7, 0.3, 2.5])
+@pytest.mark.parametrize("n, d, n_train", [(25, 4, 40), (100, 10, 7), (8, 3, 1), (300, 5, 300)])
+def test_sample_dataset_is_basis_coeff_plus_scaled_noise(n, d, n_train, sigma):
+    # Y is built in place from the noise draw; it must equal U c + sigma z
+    # rebuilt from the two named streams, bit for bit.
+    basis = sample_basis(n, d, seed=n)
+    ds = sample_dataset(ModelParams(d, n, sigma), basis, n_train, seed=11)
+    clean = basis.matrix @ stream(11, "coeff").standard_normal((d, n_train))
+    noise = stream(11, "noise").standard_normal((n, n_train))
+    assert np.array_equal(ds.clean, clean)
+    assert np.array_equal(ds.noisy, clean + sigma * noise)
+
+
+def test_sample_dataset_holds_only_clean_and_noisy():
+    # X and Y are 8 n N bytes each; no third n x N array may be live at once.
+    n, n_train = 10_000, 500
+    basis = sample_basis(n, 10, seed=3)
+    tracemalloc.start()
+    try:
+        sample_dataset(ModelParams(10, n, 0.1), basis, n_train, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * 8 * n * n_train
 
 
 def test_sample_dataset_zero_noise_copies():
