@@ -12,7 +12,9 @@ admits a closed form after k steps:
 valid for stepsizes with eta * S_y[0]^2 <= 1.  As k -> infinity the filter
 tends to 1 / S_y[i] and W^k converges to the least-squares solution
 X Y^+ (the pseudoinverse estimator); early stopping keeps the filter from
-inverting the small, noise-dominated singular values.
+inverting the small, noise-dominated singular values.  The model's clean
+signal is X = U C, so X V_y = U (C V_y): the estimators take the d x N
+coefficients C with the true basis U and never form X.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, DivergenceError, InvariantError, StepsizeError
-from .model import Dataset, LinearEstimator, ModelParams, SubspaceBasis, span_residual
+from .model import Dataset, LinearEstimator, ModelParams, SubspaceBasis
 
 #: Distinguished iteration count meaning "run gradient descent to convergence".
 INFINITY: float = math.inf
@@ -258,27 +260,32 @@ def _gd_filter(s_y: np.ndarray, eta: float, k: int | float) -> np.ndarray:
     return (1.0 - base ** int(k)) / s_y
 
 
-def _checked_clean(cache: SvdCache, clean: np.ndarray) -> np.ndarray:
-    """The training signal matrix X (n x N), shape-checked against the decomposition."""
-    clean = np.asarray(clean, dtype=float)
-    if clean.shape != cache.shape:
+def _coeff_factor(cache: SvdCache, coeff: np.ndarray, basis: SubspaceBasis) -> np.ndarray:
+    """g = C V_y (d x r), after checking C is d x N for the basis and decomposition."""
+    coeff = np.asarray(coeff, dtype=float)
+    n, n_train = cache.shape
+    if basis.matrix.shape[0] != n:
+        raise DimensionError(f"basis has {basis.matrix.shape[0]} rows, expected {n}")
+    if coeff.shape != (basis.d, n_train):
         raise DimensionError(
-            f"clean matrix shape {clean.shape} does not match training data {cache.shape}"
+            f"coeff must be d x N = {(basis.d, n_train)}, got shape {coeff.shape}"
         )
-    return clean
+    return cache.matmul_v(coeff)
 
 
-def gd_estimator_closed(cache: SvdCache, clean: np.ndarray, cfg: GdConfig) -> LinearEstimator:
-    """W^k = X V_y D_k U_y^T, stored as the n x r pair (X V_y D_k, U_y).
+def gd_estimator_closed(
+    cache: SvdCache, coeff: np.ndarray, basis: SubspaceBasis, cfg: GdConfig
+) -> LinearEstimator:
+    """W^k = U C V_y D_k U_y^T, stored as the n x r pair (U (C V_y D_k), U_y).
 
-    ``clean`` is the training signal matrix X (n x N) the regression
-    targets; it must have as many columns as the cached decomposition.
-    k = 0 gives the zero map and k = INFINITY the pseudoinverse estimator.
+    ``coeff`` is the d x N coefficient matrix C of the training signal
+    X = U C the regression targets, and ``basis`` is U.  k = 0 gives the
+    zero map and k = INFINITY the pseudoinverse estimator.
     """
-    clean = _checked_clean(cache, clean)
+    g = _coeff_factor(cache, coeff, basis)
     _check_stepsize(cfg.eta, cache.s_y)
     d_k = _gd_filter(cache.s_y, cfg.eta, cfg.k)
-    return LinearEstimator(left=cache.matmul_v(clean) * d_k, basis=cache.u_y)
+    return LinearEstimator(left=basis.matrix @ (g * d_k), basis=cache.u_y)
 
 
 def gd_estimator_iterative(dataset: Dataset, cfg: GdConfig) -> LinearEstimator:
@@ -305,10 +312,10 @@ def gd_estimator_iterative(dataset: Dataset, cfg: GdConfig) -> LinearEstimator:
     return LinearEstimator.from_dense(w)
 
 
-def pinv_estimator(cache: SvdCache, clean: np.ndarray) -> LinearEstimator:
+def pinv_estimator(cache: SvdCache, coeff: np.ndarray, basis: SubspaceBasis) -> LinearEstimator:
     """Converged estimator X Y^+ (gradient descent run to k = INFINITY)."""
     eta = 1.0 / float(cache.s_y[0]) ** 2
-    return gd_estimator_closed(cache, clean, GdConfig(eta=eta, k=INFINITY))
+    return gd_estimator_closed(cache, coeff, basis, GdConfig(eta=eta, k=INFINITY))
 
 
 # =====================================================================
@@ -318,7 +325,7 @@ def pinv_estimator(cache: SvdCache, clean: np.ndarray) -> LinearEstimator:
 
 def gd_risk_profile(
     cache: SvdCache,
-    clean: np.ndarray,
+    coeff: np.ndarray,
     basis: SubspaceBasis,
     params: ModelParams,
     eta: float,
@@ -326,37 +333,25 @@ def gd_risk_profile(
 ) -> np.ndarray:
     """Exact risk of W^k for every k in ``k_grid``, without forming W^k.
 
-    With G = X V_y and M = U_y^T U (r x d), W^k U = G D_k M, so the risk is
-    (||G D_k M - U||_F^2 + sigma_z^2 sum_i D_k[i]^2 ||G e_i||^2) / d.  When X
-    lies in span(U) -- always true for model-drawn data -- G = U g with the
-    d x r matrix g = (U^T X) V_y, and the misfit is ||g D_k M - I_d||_F^2:
-    every k then costs O(r d^2) and no n x r intermediate is formed.
-    Otherwise g = G and the target is U itself.  The misfit is summed
-    directly rather than expanded into Gram terms, so it keeps its relative
-    accuracy when the risk sits near the sigma_z^2 floor.
+    With g = C V_y (d x r) and M = U_y^T U (r x d), W^k U = U g D_k M, so the
+    risk is (||g D_k M - I_d||_F^2 + sigma_z^2 sum_i D_k[i]^2 ||g e_i||^2) / d:
+    every k costs O(r d^2) and no n x r intermediate is formed.  The misfit
+    is summed directly rather than expanded into Gram terms, so it keeps its
+    relative accuracy when the risk sits near the sigma_z^2 floor.
     """
-    clean = _checked_clean(cache, clean)
-    u = basis.matrix
-    if u.shape[0] != cache.shape[0]:
-        raise DimensionError(f"basis has {u.shape[0]} rows, expected {cache.shape[0]}")
+    g = _coeff_factor(cache, coeff, basis)
     _check_stepsize(eta, cache.s_y)
 
     d = params.d
     sig2 = params.sigma_z**2
-    m = cache.ut_matmul(u)  # U_y^T U, r x d
-
-    coords = u.T @ clean  # d x N
-    if span_residual(u, clean, coords) <= 1e-8:
-        g, target = cache.matmul_v(coords), np.eye(d)  # G = U @ g
-    else:
-        g, target = cache.matmul_v(clean), u  # general fallback, n x r
-    col_norm2 = np.einsum("ij,ij->j", g, g)  # ||G e_i||^2
+    m = cache.ut_matmul(basis.matrix)  # U_y^T U, r x d
+    col_norm2 = np.einsum("ij,ij->j", g, g)  # ||U g e_i||^2
 
     risks = np.empty(len(k_grid))
     for i, k in enumerate(k_grid):
         d_k = _gd_filter(cache.s_y, eta, k)
         misfit = g @ (m * d_k[:, None])
-        misfit -= target
+        misfit -= np.eye(d)
         w_norm2 = float(np.dot(d_k * d_k, col_norm2))  # ||W^k||_F^2
         risks[i] = (float(np.sum(misfit * misfit)) + sig2 * w_norm2) / d
     return risks
@@ -379,7 +374,7 @@ def normalize_k_grid(k_grid: Sequence[int | float]) -> tuple[int | float, ...]:
 
 def early_stopped_estimator(
     cache: SvdCache,
-    clean: np.ndarray,
+    coeff: np.ndarray,
     basis: SubspaceBasis,
     params: ModelParams,
     k_grid: Sequence[int | float] | None = None,
@@ -394,6 +389,6 @@ def early_stopped_estimator(
     grid = normalize_k_grid(default_k_grid() if k_grid is None else k_grid)
     if eta is None:
         eta = 1.0 / float(cache.s_y[0]) ** 2
-    risks = gd_risk_profile(cache, clean, basis, params, eta, grid)
+    risks = gd_risk_profile(cache, coeff, basis, params, eta, grid)
     k_opt = grid[int(np.argmin(risks))]
-    return gd_estimator_closed(cache, clean, GdConfig(eta=eta, k=k_opt)), k_opt
+    return gd_estimator_closed(cache, coeff, basis, GdConfig(eta=eta, k=k_opt)), k_opt

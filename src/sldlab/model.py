@@ -9,7 +9,6 @@ risk-optimal linear denoiser for that model.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,11 +18,11 @@ from .rng import stream
 
 _ORTHO_TOL = 1e-10
 
-#: Columns per block in :func:`span_residual`.  The residual temporary is then
-#: n x 64 (5 MB at n = 10^4) whatever N is; at this width the blocked check
-#: ran as fast as forming the whole n x N residual, and 256 columns only
-#: added temporaries.
-_SPAN_BLOCK = 64
+#: Columns of U C added to Y per block in :func:`sample_dataset`.  The
+#: temporary is then n x 64 (5 MB at n = 10^4) whatever N is, so the draw
+#: holds Y as its only n x N array; at this width the blocked sum ran as fast
+#: as forming U C whole.
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -78,55 +77,58 @@ class SubspaceBasis:
 
 @dataclass(eq=False)
 class Dataset:
-    """Paired clean/noisy sample matrices, columns are samples.
+    """A model draw: the coefficients of the clean signal and the noisy matrix.
 
-    clean    -- n x N matrix X whose columns lie in the signal subspace
-    noisy    -- n x N matrix Y = X + Z
-    params   -- the ModelParams the data was drawn under
-    basis_id -- identifier of the SubspaceBasis used
-    seed     -- seed the dataset was drawn from
+    coeff  -- d x N coefficients C; the clean matrix is X = U C
+    noisy  -- n x N matrix Y = X + Z, columns are samples
+    params -- the ModelParams the data was drawn under
+    basis  -- the SubspaceBasis U the data was drawn with
+    seed   -- seed the dataset was drawn from
+
+    X lies in span(U) by construction and is formed only by :attr:`clean`.
     """
 
-    clean: np.ndarray
+    coeff: np.ndarray
     noisy: np.ndarray
     params: ModelParams
-    basis_id: str = ""
+    basis: SubspaceBasis
     seed: int = 0
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.clean, dtype=float)
+        c = np.asarray(self.coeff, dtype=float)
         y = np.asarray(self.noisy, dtype=float)
-        if x.ndim != 2 or y.ndim != 2:
-            raise DimensionError(f"clean/noisy must be 2-D, got {x.shape} and {y.shape}")
-        if x.shape != y.shape:
-            raise DimensionError(f"clean and noisy shapes differ: {x.shape} vs {y.shape}")
-        if x.shape[0] != self.params.n:
+        n, d = self.params.n, self.params.d
+        if self.basis.matrix.shape != (n, d):
             raise DimensionError(
-                f"rows must equal params.n={self.params.n}, got {x.shape[0]}"
+                f"basis shape {self.basis.matrix.shape} does not match params (n={n}, d={d})"
             )
-        if x.shape[1] == 0:
+        if y.ndim != 2 or y.shape[0] != n or c.shape != (d, y.shape[1]):
+            raise DimensionError(
+                f"coeff must be d x N and noisy n x N with d={d}, n={n}, "
+                f"got {c.shape} and {y.shape}"
+            )
+        if y.shape[1] == 0:
             raise EmptyDataError("dataset has zero columns (N = 0)")
-        self.clean = x
+        self.coeff = c
         self.noisy = y
 
     @property
     def n_train(self) -> int:
-        return self.clean.shape[1]
+        return self.noisy.shape[1]
 
-    def validate(self, basis: SubspaceBasis) -> None:
-        """Check the clean columns actually lie in span(basis)."""
-        if basis.matrix.shape[0] != self.clean.shape[0]:
-            raise DimensionError(
-                f"basis rows {basis.matrix.shape[0]} != dataset rows {self.clean.shape[0]}"
-            )
-        u = basis.matrix
-        rel = span_residual(u, self.clean, u.T @ self.clean)
-        if rel > 1e-8:
-            raise InvariantError(
-                f"clean columns leave the subspace: relative residual {rel:.3e}"
-            )
-        if not np.all(np.isfinite(self.noisy)):
-            raise InvariantError("noisy matrix contains non-finite entries")
+    @property
+    def basis_id(self) -> str:
+        return self.basis.basis_id
+
+    @property
+    def clean(self) -> np.ndarray:
+        """The clean matrix X = U C (n x N), formed on each access."""
+        return self.basis.matrix @ self.coeff
+
+    def validate(self) -> None:
+        """Check the drawn arrays are finite."""
+        if not (np.all(np.isfinite(self.noisy)) and np.all(np.isfinite(self.coeff))):
+            raise InvariantError("dataset contains non-finite entries")
 
 
 @dataclass(eq=False)
@@ -222,11 +224,13 @@ def sample_basis(n: int, d: int, seed: int) -> SubspaceBasis:
 def sample_dataset(
     params: ModelParams, basis: SubspaceBasis, n_train: int, seed: int
 ) -> Dataset:
-    """Draw N paired (clean, noisy) columns from the model.
+    """Draw N columns from the model: coefficients C and Y = U C + sigma_z Z.
 
     Coefficients and noise come from independent named streams of the same
     seed, so changing sigma_z rescales the identical noise draw rather than
-    producing an unrelated dataset.
+    producing an unrelated dataset.  The noise is drawn into the array that
+    becomes Y and U C is added _BLOCK columns at a time, so Y is the only
+    n x N array the draw holds.
     """
     if basis.matrix.shape != (params.n, params.d):
         raise DimensionError(
@@ -235,17 +239,16 @@ def sample_dataset(
     if n_train < 1:
         raise EmptyDataError(f"n_train must be >= 1, got {n_train}")
     coeff = stream(seed, "coeff").standard_normal((params.d, n_train))
-    clean = basis.matrix @ coeff
     if params.sigma_z > 0:
-        # The noise is drawn into the buffer that becomes Y, so the draw holds
-        # two n x N arrays; sigma * z + x is bit-identical to x + sigma * z.
         noisy = stream(seed, "noise").standard_normal((params.n, n_train))
         noisy *= params.sigma_z
-        noisy += clean
     else:
-        noisy = clean.copy()
-    return Dataset(clean=clean, noisy=noisy, params=params,
-                   basis_id=basis.basis_id, seed=seed)
+        noisy = np.zeros((params.n, n_train))
+    u = basis.matrix
+    for lo in range(0, n_train, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        noisy[:, block] += u @ coeff[:, block]
+    return Dataset(coeff=coeff, noisy=noisy, params=params, basis=basis, seed=seed)
 
 
 # --- the optimal linear denoiser ----------------------------------------
@@ -272,21 +275,6 @@ def optimal_risk(params: ModelParams) -> float:
 
 
 # --- helpers ------------------------------------------------------------
-
-
-def span_residual(u: np.ndarray, x: np.ndarray, coords: np.ndarray) -> float:
-    """Relative distance ||x - u coords||_F / ||x||_F of x from span(u).
-
-    ``coords`` is u^T x (d x N), which callers need anyway.  The residual is
-    summed over blocks of _SPAN_BLOCK columns, so no n x N array is formed.
-    """
-    total = 0.0
-    for lo in range(0, x.shape[1], _SPAN_BLOCK):
-        block = slice(lo, lo + _SPAN_BLOCK)
-        resid = u @ coords[:, block]
-        np.subtract(x[:, block], resid, out=resid)
-        total += float(np.vdot(resid, resid))
-    return math.sqrt(total) / max(float(np.linalg.norm(x)), 1e-300)
 
 
 def _check_orthonormal(m: np.ndarray, what: str) -> None:

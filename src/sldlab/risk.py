@@ -25,8 +25,9 @@ from .errors import DimensionError, InsufficientDataError
 from .model import Dataset, LinearEstimator, ModelParams, SubspaceBasis, optimal_risk
 
 #: Test columns scored per block by :func:`risk_monte_carlo`.  The temporaries
-#: of ``apply`` are then r x 256 and n x 256 (20 MB at n = 10^4) whatever
-#: n_test is; the losses match unblocked scoring up to rounding.
+#: of ``apply`` and of the clean block U C are then r x 256 and n x 256
+#: (20 MB each at n = 10^4) whatever n_test is; the losses match unblocked
+#: scoring up to rounding.
 _MC_BLOCK = 256
 
 
@@ -89,11 +90,12 @@ def risk_monte_carlo(estimator: LinearEstimator, test: Dataset) -> RiskReport:
     n_test = test.n_train
     if n_test < 2:
         raise InsufficientDataError(f"n_test must be >= 2 for a standard error, got {n_test}")
+    u = test.basis.matrix
     losses = np.empty(n_test)
     for lo in range(0, n_test, _MC_BLOCK):
         block = slice(lo, lo + _MC_BLOCK)
         err = estimator.apply(test.noisy[:, block])
-        err -= test.clean[:, block]
+        err -= u @ test.coeff[:, block]
         losses[block] = np.sum(err * err, axis=0)
     losses /= test.params.d
     mean = float(np.mean(losses))

@@ -8,7 +8,6 @@ bytes, which the artifact tests rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 import math
 
@@ -19,6 +18,11 @@ from .errors import EmptyDataError
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64.0, 16.0, 34.0, 46.0
+
+
+def _escape(text: str) -> str:
+    """xml.sax.saxutils.escape, whose import pulls in urllib, http and email."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 @dataclass(eq=False)
@@ -102,7 +106,7 @@ def render_scaling_plot(
     if title:
         out.append(
             f'<text x="{_fmt(width / 2)}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{escape(title)}</text>'
+            f'font-family="sans-serif" font-size="14">{_escape(title)}</text>'
         )
 
     # gridlines and tick labels at decades
@@ -132,12 +136,12 @@ def render_scaling_plot(
     )
     out.append(
         f'<text x="{_fmt(_MARGIN_L + plot_w / 2)}" y="{_fmt(height - 8)}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{escape(xlabel)}</text>'
+        f'font-family="sans-serif" font-size="12">{_escape(xlabel)}</text>'
     )
     out.append(
         f'<text x="14" y="{_fmt(_MARGIN_T + plot_h / 2)}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 14 {_fmt(_MARGIN_T + plot_h / 2)})">{escape(ylabel)}</text>'
+        f'transform="rotate(-90 14 {_fmt(_MARGIN_T + plot_h / 2)})">{_escape(ylabel)}</text>'
     )
 
     y_floor = 10.0**y0  # clip for error bars that would leave the log plot
@@ -193,7 +197,7 @@ def render_scaling_plot(
         )
         out.append(
             f'<text x="{_fmt(lx + 28)}" y="{_fmt(ly + 4)}" font-family="sans-serif" '
-            f'font-size="11">{escape(label)}</text>'
+            f'font-size="11">{_escape(label)}</text>'
         )
         ly += 16
     out.append("</svg>")

@@ -13,10 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-import multiprocessing as mp
 
 import numpy as np
 
@@ -176,7 +173,7 @@ def _evaluate_cell(
         # One profile serves both: every grid ends at INFINITY, the PINV risk.
         eta = 1.0 / float(cache.s_y[0]) ** 2
         grid = _K_GRID if "ESGD" in config.estimators else (INFINITY,)
-        profile = gd_risk_profile(cache, ds.clean, basis, params, eta, grid)
+        profile = gd_risk_profile(cache, ds.coeff, basis, params, eta, grid)
 
     records: list[tuple[float, float, float]] = []
     for name in config.estimators:
@@ -191,7 +188,8 @@ def _evaluate_cell(
             best = int(np.argmin(profile)) if name == "ESGD" else len(grid) - 1
             risk = float(profile[best])
             if mc:
-                estimator = gd_estimator_closed(cache, ds.clean, GdConfig(eta=eta, k=grid[best]))
+                cfg = GdConfig(eta=eta, k=grid[best])
+                estimator = gd_estimator_closed(cache, ds.coeff, basis, cfg)
         if mc:
             report = risk_monte_carlo(estimator, test)
             records.append((risk, report.mean, report.std_err))
@@ -222,6 +220,11 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> RiskCurve:
     if workers == 1 or len(tasks) == 1:
         results = [_run_cell(t) for t in tasks]
     else:
+        # Imported only here, so that a serial command does not pay for them.
+        import multiprocessing as mp
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         try:
             ctx = mp.get_context("fork")  # cheap workers, no main-module re-import
         except ValueError:

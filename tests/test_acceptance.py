@@ -174,7 +174,7 @@ def test_criterion_4_closed_form_matches_iteration():
         data = sample_dataset(params, basis, n_train, seed=int(rng.integers(2**63)))
         cache = svd_of(data)
         cfg = GdConfig(eta=1.0 / float(cache.s_y[0]) ** 2, k=k)
-        closed = gd_estimator_closed(cache, data.clean, cfg).as_matrix()
+        closed = gd_estimator_closed(cache, data.coeff, basis, cfg).as_matrix()
         stepped = gd_estimator_iterative(data, cfg).as_matrix()
         scale = float(np.linalg.norm(closed))
         dist = float(np.linalg.norm(closed - stepped))

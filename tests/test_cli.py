@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +30,25 @@ def _simulate_args(out, **kw):
     for flag, value in kw.items():
         args += [f"--{flag.replace('_', '-')}", str(value)]
     return args
+
+
+# --- import cost ----------------------------------------------------------
+
+
+def test_import_leaves_unused_stdlib_packages_unloaded():
+    # Every command is its own process and pays the import of sldlab.cli.
+    # xml.sax (which pulls in urllib.request, http.client and email) and
+    # concurrent.futures are not needed by a serial command.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = (
+        "import sys, sldlab.cli; "
+        "print(sorted(m for m in ('xml.sax', 'concurrent.futures') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert proc.stdout.strip() == "[]"
 
 
 # --- exit codes -----------------------------------------------------------

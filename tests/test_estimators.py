@@ -79,7 +79,7 @@ def test_svd_cache_matmul_v_agrees_with_materialized():
 
 def _route_risks(cache, params, basis, ds):
     eta = 1.0 / float(cache.s_y[0]) ** 2
-    profile = gd_risk_profile(cache, ds.clean, basis, params, eta, default_k_grid())
+    profile = gd_risk_profile(cache, ds.coeff, basis, params, eta, default_k_grid())
     pca = risk_closed_form(pca_estimator(cache, params), basis, params)
     return np.append(profile, pca)
 
@@ -115,7 +115,7 @@ def test_svd_of_tall_noisy_takes_small_gram_and_defers_u():
     assert cache.route == "gram"
     assert cache.rank == 300
     eta = 1.0 / float(cache.s_y[0]) ** 2
-    gd_risk_profile(cache, ds.clean, basis, params, eta, default_k_grid())
+    gd_risk_profile(cache, ds.coeff, basis, params, eta, default_k_grid())
     pca_estimator(cache, params)
     assert cache._u_y is None  # neither consumer materialized n x r U_y
     a = np.random.default_rng(0).standard_normal((2000, 3))
@@ -141,7 +141,8 @@ def test_gram_route_pca_basis_orthonormal_when_d_covers_spectrum():
 def test_svd_of_zero_matrix_raises():
     params = ModelParams(d=2, n=6, sigma_z=0.0)
     ds = Dataset(
-        clean=np.zeros((6, 4)), noisy=np.zeros((6, 4)), params=params
+        coeff=np.zeros((2, 4)), noisy=np.zeros((6, 4)), params=params,
+        basis=sample_basis(6, 2, seed=0),
     )
     with pytest.raises(InvariantError):
         svd_of(ds)
@@ -180,10 +181,10 @@ def test_gd_filter_limits_via_closed_form():
     params, basis, ds = _instance(seed=8)
     cache = svd_of(ds)
     eta = 1.0 / float(cache.s_y[0]) ** 2
-    w0 = gd_estimator_closed(cache, ds.clean, GdConfig(eta=eta, k=0))
+    w0 = gd_estimator_closed(cache, ds.coeff, basis, GdConfig(eta=eta, k=0))
     assert np.array_equal(w0.as_matrix(), np.zeros((20, 20)))
-    w_inf = gd_estimator_closed(cache, ds.clean, GdConfig(eta=eta, k=INFINITY))
-    assert np.allclose(w_inf.as_matrix(), pinv_estimator(cache, ds.clean).as_matrix(), atol=1e-12)
+    w_inf = gd_estimator_closed(cache, ds.coeff, basis, GdConfig(eta=eta, k=INFINITY))
+    assert np.allclose(w_inf.as_matrix(), pinv_estimator(cache, ds.coeff, basis).as_matrix(), atol=1e-12)
 
 
 def test_gd_risk_decreases_then_increases_along_path():
@@ -193,7 +194,7 @@ def test_gd_risk_decreases_then_increases_along_path():
     cache = svd_of(ds)
     eta = 1.0 / float(cache.s_y[0]) ** 2
     grid = normalize_k_grid(default_k_grid())
-    risks = gd_risk_profile(cache, ds.clean, basis, params, eta, grid)
+    risks = gd_risk_profile(cache, ds.coeff, basis, params, eta, grid)
     best = int(np.argmin(risks))
     assert 0 < best < len(grid) - 1
     assert risks[best] < risks[0] and risks[best] < risks[-1]
@@ -213,7 +214,7 @@ def test_gd_closed_matches_iterative():
         cache = svd_of(ds)
         eta = 1.0 / float(cache.s_y[0]) ** 2
         cfg = GdConfig(eta=eta, k=k)
-        w_closed = gd_estimator_closed(cache, ds.clean, cfg).as_matrix()
+        w_closed = gd_estimator_closed(cache, ds.coeff, basis, cfg).as_matrix()
         w_iter = gd_estimator_iterative(ds, cfg).as_matrix()
         denom = max(np.linalg.norm(w_iter), 1e-300)
         assert np.linalg.norm(w_closed - w_iter) / denom <= 1e-8
@@ -232,10 +233,10 @@ def test_gd_stepsize_bound_enforced():
     cache = svd_of(ds)
     top = float(cache.s_y[0])
     # Saturating the bound is allowed...
-    gd_estimator_closed(cache, ds.clean, GdConfig(eta=1.0 / top**2, k=4))
+    gd_estimator_closed(cache, ds.coeff, basis, GdConfig(eta=1.0 / top**2, k=4))
     # ...exceeding it is not.
     with pytest.raises(StepsizeError):
-        gd_estimator_closed(cache, ds.clean, GdConfig(eta=1.5 / top**2, k=4))
+        gd_estimator_closed(cache, ds.coeff, basis, GdConfig(eta=1.5 / top**2, k=4))
     with pytest.raises(StepsizeError):
         GdConfig(eta=0.0, k=4)
     with pytest.raises(DimensionError):
@@ -264,24 +265,9 @@ def test_profile_matches_materialized_risks():
     cache = svd_of(ds)
     eta = 0.7 / float(cache.s_y[0]) ** 2
     grid = (0, 1, 2, 8, 64, 1024, INFINITY)
-    profile = gd_risk_profile(cache, ds.clean, basis, params, eta, grid)
+    profile = gd_risk_profile(cache, ds.coeff, basis, params, eta, grid)
     for k, expected in zip(grid, profile):
-        w = gd_estimator_closed(cache, ds.clean, GdConfig(eta=eta, k=k)).as_matrix()
-        dense = LinearEstimator.from_dense(w)
-        assert risk_closed_form(dense, basis, params) == pytest.approx(expected, abs=1e-10)
-
-
-def test_profile_general_fallback_matches_fast_path():
-    # Feed a clean matrix that does NOT lie in span(U): only the general
-    # branch applies, and it must agree with densified risk evaluation.
-    params, basis, ds = _instance(n=15, d=2, sigma=0.4, n_train=10, seed=15)
-    cache = svd_of(ds)
-    eta = 1.0 / float(cache.s_y[0]) ** 2
-    off_span = ds.clean + 0.3 * np.random.default_rng(1).standard_normal(ds.clean.shape)
-    grid = (1, 16, 256, INFINITY)
-    profile = gd_risk_profile(cache, off_span, basis, params, eta, grid)
-    for k, expected in zip(grid, profile):
-        w = gd_estimator_closed(cache, off_span, GdConfig(eta=eta, k=k)).as_matrix()
+        w = gd_estimator_closed(cache, ds.coeff, basis, GdConfig(eta=eta, k=k)).as_matrix()
         dense = LinearEstimator.from_dense(w)
         assert risk_closed_form(dense, basis, params) == pytest.approx(expected, abs=1e-10)
 
@@ -297,10 +283,10 @@ def test_profile_accurate_near_noise_floor(n, n_train, sigma):
     cache = svd_of(ds)
     eta = 1.0 / float(cache.s_y[0]) ** 2
     grid = normalize_k_grid(default_k_grid())
-    profile = gd_risk_profile(cache, ds.clean, basis, params, eta, grid)
+    profile = gd_risk_profile(cache, ds.coeff, basis, params, eta, grid)
     formed = []
     for k in grid:
-        est = gd_estimator_closed(cache, ds.clean, GdConfig(eta=eta, k=k))
+        est = gd_estimator_closed(cache, ds.coeff, basis, GdConfig(eta=eta, k=k))
         formed.append(risk_closed_form(est, basis, params))
     np.testing.assert_allclose(profile, formed, rtol=1e-8, atol=0.0)
 
@@ -312,11 +298,11 @@ def test_gd_estimators_stay_low_rank_at_large_n():
     params, basis, ds = _instance(n=n, d=5, sigma=0.1, n_train=n_train, seed=22)
     cache = svd_of(ds)
     eta = 1.0 / float(cache.s_y[0]) ** 2
-    profile = gd_risk_profile(cache, ds.clean, basis, params, eta, (8, INFINITY))
+    profile = gd_risk_profile(cache, ds.coeff, basis, params, eta, (8, INFINITY))
     tracemalloc.start()
     try:
-        ests = (gd_estimator_closed(cache, ds.clean, GdConfig(eta=eta, k=8)),
-                pinv_estimator(cache, ds.clean))
+        ests = (gd_estimator_closed(cache, ds.coeff, basis, GdConfig(eta=eta, k=8)),
+                pinv_estimator(cache, ds.coeff, basis))
         for est, expected in zip(ests, profile):
             assert est.left.shape == est.basis.shape == (n, cache.rank)
             assert est.apply(ds.noisy).shape == (n, n_train)
@@ -328,8 +314,8 @@ def test_gd_estimators_stay_low_rank_at_large_n():
 
 
 def test_profile_memory_does_not_grow_with_n_train():
-    # The in-span check runs over column blocks: quadrupling N must not add
-    # an n x N residual (8 n * 1500 bytes = 36 MB here) to the profile's peak.
+    # The profile works on the d x N coefficients: quadrupling N must not add
+    # an n x N array (8 n * 1500 bytes = 36 MB here) to its peak.
     n = 3000
     peaks = []
     for n_train in (500, 2000):
@@ -338,7 +324,7 @@ def test_profile_memory_does_not_grow_with_n_train():
         eta = 1.0 / float(cache.s_y[0]) ** 2
         tracemalloc.start()
         try:
-            gd_risk_profile(cache, ds.clean, basis, params, eta, default_k_grid())
+            gd_risk_profile(cache, ds.coeff, basis, params, eta, default_k_grid())
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -349,7 +335,27 @@ def test_profile_rejects_mismatched_shapes():
     params, basis, ds = _instance(seed=16)
     cache = svd_of(ds)
     with pytest.raises(DimensionError):
-        gd_risk_profile(cache, ds.clean[:, :-1], basis, params, 1e-3, (1,))
+        gd_risk_profile(cache, ds.coeff[:, :-1], basis, params, 1e-3, (1,))
+    with pytest.raises(DimensionError):  # basis of another ambient dimension
+        gd_risk_profile(cache, ds.coeff, sample_basis(21, 3, seed=0), params, 1e-3, (1,))
+
+
+def test_gd_entry_points_reject_clean_matrix():
+    # The entry points take the d x N coefficients C; the n x N clean matrix
+    # X of the same draw, passed where C belongs, must fail loudly.
+    params, basis, ds = _instance(seed=16)
+    cache = svd_of(ds)
+    eta = 1.0 / float(cache.s_y[0]) ** 2
+    x = ds.clean
+    calls = (
+        lambda: gd_risk_profile(cache, x, basis, params, eta, (1,)),
+        lambda: gd_estimator_closed(cache, x, basis, GdConfig(eta=eta, k=1)),
+        lambda: pinv_estimator(cache, x, basis),
+        lambda: early_stopped_estimator(cache, x, basis, params),
+    )
+    for call in calls:
+        with pytest.raises(DimensionError):
+            call()
 
 
 # --- oracle early stopping ----------------------------------------------
@@ -358,11 +364,11 @@ def test_profile_rejects_mismatched_shapes():
 def test_early_stopping_is_grid_argmin():
     params, basis, ds = _instance(n=35, d=3, sigma=0.4, n_train=30, seed=17)
     cache = svd_of(ds)
-    est, k_opt = early_stopped_estimator(cache, ds.clean, basis, params)
+    est, k_opt = early_stopped_estimator(cache, ds.coeff, basis, params)
     risk_opt = risk_closed_form(est, basis, params)
     grid = normalize_k_grid(default_k_grid())
     profile = gd_risk_profile(
-        cache, ds.clean, basis, params, 1.0 / float(cache.s_y[0]) ** 2, grid
+        cache, ds.coeff, basis, params, 1.0 / float(cache.s_y[0]) ** 2, grid
     )
     assert risk_opt == pytest.approx(float(np.min(profile)), abs=1e-12)
     assert k_opt in grid
@@ -376,11 +382,11 @@ def test_early_stopping_noiseless_reaches_zero_risk():
     # remaining grid entries (including k = INFINITY) tie at zero risk.
     params, basis, ds = _instance(n=25, d=3, sigma=0.0, n_train=12, seed=18)
     cache = svd_of(ds)
-    est, k_opt = early_stopped_estimator(cache, ds.clean, basis, params)
+    est, k_opt = early_stopped_estimator(cache, ds.coeff, basis, params)
     assert risk_closed_form(est, basis, params) <= 1e-12
     eta = 1.0 / float(cache.s_y[0]) ** 2
     grid = normalize_k_grid(default_k_grid())
-    profile = gd_risk_profile(cache, ds.clean, basis, params, eta, grid)
+    profile = gd_risk_profile(cache, ds.coeff, basis, params, eta, grid)
     assert profile[-1] <= 1e-12  # the converged endpoint is (numerically) exact
     assert np.all(np.diff(profile) <= 1e-12)  # and the path only improves
 
@@ -390,12 +396,12 @@ def test_early_stopping_breaks_ties_toward_smaller_k():
     # equal-risk entries resolve to the smaller iteration count.
     params, basis, ds = _instance(n=20, d=2, sigma=0.3, n_train=10, seed=19)
     cache = svd_of(ds)
-    _, k_a = early_stopped_estimator(cache, ds.clean, basis, params, k_grid=(7, 7, 7))
+    _, k_a = early_stopped_estimator(cache, ds.coeff, basis, params, k_grid=(7, 7, 7))
     assert k_a == 7
-    _, k_b = early_stopped_estimator(cache, ds.clean, basis, params, k_grid=(INFINITY, 9, 9))
+    _, k_b = early_stopped_estimator(cache, ds.coeff, basis, params, k_grid=(INFINITY, 9, 9))
     assert k_b in (9, INFINITY)
     profile = gd_risk_profile(
-        cache, ds.clean, basis, params, 1.0 / float(cache.s_y[0]) ** 2, (9, INFINITY)
+        cache, ds.coeff, basis, params, 1.0 / float(cache.s_y[0]) ** 2, (9, INFINITY)
     )
     if profile[0] <= profile[1]:
         assert k_b == 9

@@ -92,9 +92,14 @@ def test_sample_dataset_shapes_and_span():
     params = ModelParams(d=4, n=25, sigma_z=0.3)
     basis = sample_basis(25, 4, seed=1)
     ds = sample_dataset(params, basis, n_train=40, seed=9)
+    assert ds.coeff.shape == (4, 40)
     assert ds.clean.shape == ds.noisy.shape == (25, 40)
     assert ds.n_train == 40
-    ds.validate(basis)  # clean columns must lie in span(U)
+    assert ds.basis is basis and ds.basis_id == basis.basis_id
+    ds.validate()
+    # X = U C lies in span(U) by construction.
+    u = basis.matrix
+    assert np.linalg.norm(ds.clean - u @ (u.T @ ds.clean)) <= 1e-13 * np.linalg.norm(ds.clean)
 
 
 def test_sample_dataset_noise_statistics():
@@ -119,20 +124,26 @@ def test_sample_dataset_noise_rescales_with_sigma():
 
 
 @pytest.mark.parametrize("sigma", [1e-7, 0.3, 2.5])
-@pytest.mark.parametrize("n, d, n_train", [(25, 4, 40), (100, 10, 7), (8, 3, 1), (300, 5, 300)])
+@pytest.mark.parametrize(
+    "n, d, n_train", [(25, 4, 40), (100, 10, 7), (8, 3, 1), (300, 5, 300), (10_000, 10, 500)]
+)
 def test_sample_dataset_is_basis_coeff_plus_scaled_noise(n, d, n_train, sigma):
-    # Y is built in place from the noise draw; it must equal U c + sigma z
-    # rebuilt from the two named streams, bit for bit.
+    # C is the "coeff" stream bit for bit and X is U C.  Y is built in place
+    # from the noise draw with U C added in column blocks, which can round
+    # differently from one whole product (it does at n = 10^4, N = 500).
     basis = sample_basis(n, d, seed=n)
     ds = sample_dataset(ModelParams(d, n, sigma), basis, n_train, seed=11)
-    clean = basis.matrix @ stream(11, "coeff").standard_normal((d, n_train))
+    coeff = stream(11, "coeff").standard_normal((d, n_train))
     noise = stream(11, "noise").standard_normal((n, n_train))
-    assert np.array_equal(ds.clean, clean)
-    assert np.array_equal(ds.noisy, clean + sigma * noise)
+    assert np.array_equal(ds.coeff, coeff)
+    assert np.array_equal(ds.clean, basis.matrix @ ds.coeff)
+    expected = sigma * noise + basis.matrix @ coeff
+    assert np.linalg.norm(ds.noisy - expected) <= 1e-15 * np.linalg.norm(expected)
 
 
 def test_sample_dataset_holds_only_clean_and_noisy():
-    # X and Y are 8 n N bytes each; no third n x N array may be live at once.
+    # The clean signal is held as its d x N coefficients, so Y (8 n N bytes)
+    # is the only n x N array; U C is added in n x 64 blocks.
     n, n_train = 10_000, 500
     basis = sample_basis(n, 10, seed=3)
     tracemalloc.start()
@@ -141,7 +152,7 @@ def test_sample_dataset_holds_only_clean_and_noisy():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.2 * 8 * n * n_train
+    assert peak <= 1.2 * 8 * n * n_train
 
 
 def test_sample_dataset_zero_noise_copies():
@@ -166,21 +177,36 @@ def test_sample_dataset_rejects_mismatched_basis():
 
 def test_dataset_rejects_shape_mismatch():
     params = ModelParams(2, 6, 0.1)
+    basis = sample_basis(6, 2, seed=0)
     with pytest.raises(DimensionError):
-        Dataset(clean=np.zeros((6, 4)), noisy=np.zeros((6, 5)), params=params)
+        Dataset(coeff=np.zeros((2, 4)), noisy=np.zeros((6, 5)), basis=basis, params=params)
     with pytest.raises(DimensionError):
-        Dataset(clean=np.zeros((5, 4)), noisy=np.zeros((5, 4)), params=params)
+        Dataset(coeff=np.zeros((2, 4)), noisy=np.zeros((5, 4)), basis=basis, params=params)
+    with pytest.raises(DimensionError):  # basis of another dimension
+        Dataset(coeff=np.zeros((2, 4)), noisy=np.zeros((6, 4)),
+                basis=sample_basis(6, 3, seed=0), params=params)
     with pytest.raises(EmptyDataError):
-        Dataset(clean=np.zeros((6, 0)), noisy=np.zeros((6, 0)), params=params)
+        Dataset(coeff=np.zeros((2, 0)), noisy=np.zeros((6, 0)), basis=basis, params=params)
 
 
-def test_dataset_validate_detects_out_of_span():
+def test_dataset_rejects_wrong_coeff_shape():
+    # A clean matrix passed where the d x N coefficients belong must not be
+    # taken for them, nor may any other shape but d x N.
     params = ModelParams(2, 10, 0.0)
     basis = sample_basis(10, 2, seed=1)
-    clean = np.ones((10, 3))  # not in span(U) for a random 2-dim subspace
-    ds = Dataset(clean=clean, noisy=clean.copy(), params=params)
+    for shape in [(10, 3), (3, 3), (1, 3), (2, 2), (3,)]:
+        with pytest.raises(DimensionError):
+            Dataset(coeff=np.ones(shape), noisy=np.ones((10, 3)), basis=basis, params=params)
+
+
+def test_dataset_validate_detects_non_finite():
+    params = ModelParams(2, 10, 0.1)
+    basis = sample_basis(10, 2, seed=1)
+    ds = sample_dataset(params, basis, 3, seed=2)
+    ds.validate()
+    ds.noisy[4, 1] = np.nan
     with pytest.raises(InvariantError):
-        ds.validate(basis)
+        ds.validate()
 
 
 # --- linear estimators --------------------------------------------------

@@ -103,12 +103,13 @@ def test_monte_carlo_zero_noise_is_near_exact():
 
 @pytest.mark.parametrize("n_test", [2, 255, 256, 2000])
 def test_monte_carlo_blocks_match_unblocked(n_test):
-    # Scoring the test columns block by block must give the mean and
-    # standard error of scoring them all at once.
+    # Scoring the test columns block by block, with each clean block formed
+    # as U C, must give the mean and standard error of scoring them all at
+    # once against the dense clean matrix X.
     params = ModelParams(d=3, n=40, sigma_z=0.3)
     basis = sample_basis(40, 3, seed=8)
     ds = sample_dataset(params, basis, n_train=60, seed=8)
-    est, _ = early_stopped_estimator(svd_of(ds), ds.clean, basis, params)
+    est, _ = early_stopped_estimator(svd_of(ds), ds.coeff, basis, params)
     test = sample_dataset(params, basis, n_test, seed=9)
     err = est.apply(test.noisy) - test.clean
     losses = np.sum(err * err, axis=0) / params.d

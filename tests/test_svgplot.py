@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
@@ -98,6 +99,17 @@ def test_axis_labels_and_dimensions_are_configurable():
     assert root.attrib["width"] == "400" and root.attrib["height"] == "300"
     texts = [el.text for el in root.iter() if el.tag.endswith("text")]
     assert "N" in texts and "R" in texts
+
+
+def test_markup_characters_are_escaped_as_before():
+    # Title, axis labels and legend entries escape &, < and > exactly as
+    # xml.sax.saxutils.escape does, and parse back to the original text.
+    title, xlabel, ylabel, label = "R & N < 10 > 1", "N <train>", "risk && floor", "a&b<c>"
+    doc = render_scaling_plot([_series(label)], title=title, xlabel=xlabel, ylabel=ylabel)
+    for text in (title, xlabel, ylabel, label):
+        assert f">{escape(text)}</text>" in doc
+    texts = [el.text for el in ET.fromstring(doc).iter() if el.tag.endswith("text")]
+    assert {title, xlabel, ylabel, label} <= set(texts)
 
 
 def test_tick_labels_cover_the_data_decades():
