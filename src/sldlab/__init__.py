@@ -4,103 +4,8 @@ Samples data from a noisy linear-subspace model, evaluates linear denoisers
 (optimal, PCA, gradient descent with oracle early stopping, pseudoinverse)
 by exact closed-form risk, runs seeded risk-vs-train-size sweeps, and fits
 the resulting curves with single, floor-subtracted, or segmented power laws.
+The API lives in the submodules (``sldlab.model``, ``sldlab.sweep``, ...);
+the package itself exports only ``__version__``.
 """
 
-from __future__ import annotations
-
 __version__ = "0.1.0"
-
-from .errors import (
-    CsvFormatError,
-    DimensionError,
-    DivergenceError,
-    EmptyDataError,
-    FitDomainError,
-    GridError,
-    InsufficientDataError,
-    InvariantError,
-    SldlabError,
-    StepsizeError,
-    SweepCellError,
-    UsageError,
-)
-from .model import (
-    Dataset,
-    LinearEstimator,
-    ModelParams,
-    SubspaceBasis,
-    optimal_estimator,
-    optimal_risk,
-    sample_basis,
-    sample_dataset,
-)
-from .risk import (
-    RiskReport,
-    TheoryDiagnostics,
-    excess_risk,
-    pca_risk_specialized,
-    risk_closed_form,
-    risk_monte_carlo,
-    theory_diagnostics,
-)
-from .estimators import (
-    INFINITY,
-    GdConfig,
-    SvdCache,
-    default_k_grid,
-    early_stopped_estimator,
-    gd_estimator_closed,
-    gd_estimator_iterative,
-    gd_risk_profile,
-    pca_estimator,
-    pinv_estimator,
-    svd_of,
-)
-from .sweep import (
-    RiskCurve,
-    SeriesStats,
-    SweepConfig,
-    default_train_grid,
-    read_curve_csv,
-    read_series_csv,
-    run_sweep,
-    write_curve_csv,
-)
-from .powerlaw import (
-    PowerLawFit,
-    SegmentedFit,
-    fit_excess_powerlaw,
-    fit_powerlaw,
-    fit_segmented,
-    predict,
-    solve_for_size,
-)
-from .presets import Preset, list_presets, load_preset
-from .svgplot import FitOverlay, PlotSeries, render_scaling_plot
-
-__all__ = [
-    "__version__",
-    # errors
-    "SldlabError", "DimensionError", "InvariantError", "EmptyDataError",
-    "InsufficientDataError", "StepsizeError", "DivergenceError", "GridError",
-    "FitDomainError", "CsvFormatError", "SweepCellError", "UsageError",
-    # model
-    "ModelParams", "SubspaceBasis", "Dataset", "LinearEstimator",
-    "sample_basis", "sample_dataset", "optimal_estimator", "optimal_risk",
-    # risk
-    "RiskReport", "TheoryDiagnostics", "risk_closed_form", "risk_monte_carlo",
-    "excess_risk", "pca_risk_specialized", "theory_diagnostics",
-    # estimators
-    "INFINITY", "SvdCache", "GdConfig", "svd_of", "pca_estimator",
-    "gd_estimator_closed", "gd_estimator_iterative", "gd_risk_profile",
-    "pinv_estimator", "early_stopped_estimator", "default_k_grid",
-    # sweeps
-    "SweepConfig", "RiskCurve", "SeriesStats", "run_sweep", "default_train_grid",
-    "write_curve_csv", "read_curve_csv", "read_series_csv",
-    # power laws
-    "PowerLawFit", "SegmentedFit", "fit_powerlaw", "fit_excess_powerlaw",
-    "fit_segmented", "predict", "solve_for_size",
-    # presets and plotting
-    "Preset", "load_preset", "list_presets",
-    "PlotSeries", "FitOverlay", "render_scaling_plot",
-]

@@ -9,6 +9,7 @@ of outputs.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import math
@@ -22,18 +23,11 @@ import numpy as np
 from . import __version__
 from .errors import SldlabError, UsageError
 from .model import ModelParams
-from .powerlaw import (
-    PowerLawFit,
-    SegmentedFit,
-    fit_excess_powerlaw,
-    fit_powerlaw,
-    fit_segmented,
-)
-from .presets import Preset, load_preset
+from .powerlaw import PowerLawFit, fit_excess_powerlaw, fit_powerlaw, fit_segmented
+from .presets import load_preset
 from .risk import optimal_risk
 from .svgplot import FitOverlay, PlotSeries, render_scaling_plot
 from .sweep import (
-    RiskCurve,
     SweepConfig,
     default_train_grid,
     read_curve_csv,
@@ -250,26 +244,69 @@ def _fit_row(
 
 
 def _write_fits_csv(path: Path, rows: list[dict[str, str]]) -> None:
-    import csv
-
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=_FITS_HEADER, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
 
 
-def _describe_fit(segment: str, fit: PowerLawFit) -> str:
-    parts = [
-        f"alpha={fit.alpha:.6g}",
-        f"log_beta={fit.log_beta:.6g}",
-        f"r2={fit.r_squared:.6g}",
-        f"points={fit.n_points}",
+def _fit_rows(
+    source: str, series: str, points: np.ndarray, mode: str, floor: float | None,
+    min_seg: int = 3, region: tuple[int, int] | None = None,
+) -> list[dict[str, str]]:
+    """Fit points[region] in ``mode`` and return the fits-table rows.
+
+    The one fit dispatch of ``fit`` and ``reproduce``: a single fit ignores
+    ``floor``, an excess fit needs one, and a segmented fit subtracts it
+    when given.
+    """
+    lo, hi = (0, len(points)) if region is None else region
+    span = (float(points[lo, 0]), float(points[hi - 1, 0]))
+    if mode == "single":
+        return [_fit_row(source, series, mode, "all", fit_powerlaw(points, region), span)]
+    if mode == "excess":
+        if floor is None:
+            raise UsageError("--mode excess requires --floor auto or an explicit value")
+        fit = fit_excess_powerlaw(points, floor, region)
+        return [_fit_row(source, series, mode, "all", fit, span)]
+    seg = fit_segmented(points[lo:hi], min_seg=min_seg, floor=floor)
+    improvement = 0.0 if seg.single_sse <= 1e-300 else 1.0 - seg.total_sse / seg.single_sse
+    extra = (seg.break_size, improvement, seg.breakpoint_evidence)
+    return [
+        _fit_row(source, series, mode, "left", seg.left, (span[0], seg.break_size), *extra),
+        _fit_row(source, series, mode, "right", seg.right, (seg.break_size, span[1]), *extra),
     ]
-    if fit.n_dropped:
-        parts.append(f"dropped={fit.n_dropped}")
-    if fit.floor is not None:
-        parts.append(f"floor={fit.floor:.6g}")
-    return f"  {segment}: " + " ".join(parts)
+
+
+def _describe_row(row: dict[str, str]) -> str:
+    parts = [
+        f"alpha={float(row['alpha']):.6g}",
+        f"log_beta={float(row['log_beta']):.6g}",
+        f"r2={float(row['r_squared']):.6g}",
+        f"points={row['n_points']}",
+    ]
+    if row["n_dropped"] != "0":
+        parts.append(f"dropped={row['n_dropped']}")
+    if row["floor"]:
+        parts.append(f"floor={float(row['floor']):.6g}")
+    return f"  {row['segment']}: " + " ".join(parts)
+
+
+def _fit_overlay(series: str, row: dict[str, str], floor_subtracted: bool = False) -> FitOverlay:
+    """The dashed line of one fits-table row.
+
+    The row's floor is added back, unless the plotted values already have
+    it subtracted.
+    """
+    alpha = float(row["alpha"])
+    segment = row.get("segment") or "all"
+    return FitOverlay(
+        label=f"{series} {'fit' if segment == 'all' else segment}: alpha={alpha:.3g}",
+        alpha=alpha,
+        log_beta=float(row["log_beta"]),
+        size_range=(float(row["size_lo"]), float(row["size_hi"])),
+        offset=float(row["floor"]) if row.get("floor") and not floor_subtracted else 0.0,
+    )
 
 
 # =====================================================================
@@ -279,10 +316,6 @@ def _describe_fit(segment: str, fit: PowerLawFit) -> str:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     started = time.time()
-    if args.d >= args.n:
-        raise UsageError(f"--d must be smaller than --n (got d={args.d}, n={args.n})")
-    if args.mc_test < 0 or args.mc_test == 1:
-        raise UsageError(f"--mc-test must be 0 or >= 2, got {args.mc_test}")
     base_seed = _resolve_base_seed(args.base_seed)
     try:
         config = SweepConfig(
@@ -324,50 +357,27 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     started = time.time()
     sizes, values, column = read_series_csv(args.infile, args.col)
     floor = _resolve_floor(args.floor, args.sigma)
-    points = np.column_stack([sizes, values])
     source = str(args.infile)
-    rows: list[dict[str, str]] = []
-    span = (float(sizes[0]), float(sizes[-1]))
     print(f"{source}: column {column}, {len(sizes)} points, mode {args.mode}")
-    if args.mode == "single":
-        fit = fit_powerlaw(points)
-        rows.append(_fit_row(source, column, "single", "all", fit, span))
-        print(_describe_fit("all", fit))
-    elif args.mode == "excess":
-        if floor is None:
-            raise UsageError("--mode excess requires --floor auto or an explicit value")
-        fit = fit_excess_powerlaw(points, floor)
-        rows.append(_fit_row(source, column, "excess", "all", fit, span))
-        print(_describe_fit("all", fit))
-    else:
-        seg = fit_segmented(points, min_seg=args.min_seg, floor=floor)
-        improvement = (
-            0.0 if seg.single_sse <= 1e-300 else 1.0 - seg.total_sse / seg.single_sse
-        )
-        left_span = (float(sizes[0]), float(seg.break_size))
-        right_span = (float(seg.break_size), float(sizes[-1]))
-        rows.append(
-            _fit_row(source, column, "segmented", "left", seg.left, left_span,
-                     seg.break_size, improvement, seg.breakpoint_evidence)
-        )
-        rows.append(
-            _fit_row(source, column, "segmented", "right", seg.right, right_span,
-                     seg.break_size, improvement, seg.breakpoint_evidence)
-        )
-        print(_describe_fit("left", seg.left))
-        print(_describe_fit("right", seg.right))
-        verdict = "yes" if seg.breakpoint_evidence else "no"
-        print(
-            f"  break at size~{seg.break_size:.6g} (index {seg.break_index}), "
-            f"SSE improvement {improvement:.1%}, breakpoint evidence: {verdict}"
+    rows = _fit_rows(source, column, np.column_stack([sizes, values]), args.mode, floor,
+                     args.min_seg)
+    for row in rows:
+        print(_describe_row(row))
+    if args.mode == "segmented":
+        left = rows[0]
+        verdict = "yes" if left["breakpoint_evidence"] == "true" else "no"
+        print(  # the left segment's points are the points before the break
+            f"  break at size~{float(left['break_size']):.6g} (index {left['n_points']}), "
+            f"SSE improvement {float(left['sse_improvement']):.1%}, "
+            f"breakpoint evidence: {verdict}"
         )
     if args.out:
         out = Path(args.out)
         _write_fits_csv(out, rows)
         _write_manifest(
             out.with_suffix(".manifest.json"), "fit", sys.argv[1:],
-            {"in": source, "col": column, "mode": args.mode,
-             "floor": None if floor is None else floor, "min_seg": args.min_seg},
+            {"in": source, "col": column, "mode": args.mode, "floor": floor,
+             "min_seg": args.min_seg},
             None, [out], started,
         )
         print(f"wrote {out}")
@@ -375,8 +385,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _read_fits_csv(path: str) -> list[dict[str, str]]:
-    import csv
-
     with open(path, "r", newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
 
@@ -388,24 +396,11 @@ def _cmd_plot(args: argparse.Namespace) -> int:
         PlotSeries(label=name, sizes=curve.train_sizes, values=stats.mean, err=stats.std)
         for name, stats in curve.series.items()
     ]
-    overlays: list[FitOverlay] = []
-    if args.fits:
-        for row in _read_fits_csv(args.fits):
-            floor = float(row["floor"]) if row.get("floor") else 0.0
-            label = f"{row['series']} fit: alpha={float(row['alpha']):.3g}"
-            if row.get("segment") and row["segment"] != "all":
-                label = f"{row['series']} {row['segment']}: alpha={float(row['alpha']):.3g}"
-            overlays.append(
-                FitOverlay(
-                    label=label,
-                    alpha=float(row["alpha"]),
-                    log_beta=float(row["log_beta"]),
-                    size_range=(float(row["size_lo"]), float(row["size_hi"])),
-                    offset=floor,
-                )
-            )
+    overlays = tuple(
+        _fit_overlay(row["series"], row) for row in (_read_fits_csv(args.fits) if args.fits else ())
+    )
     svg = render_scaling_plot(
-        series, tuple(overlays), title=args.title, xlabel="train size", ylabel="risk"
+        series, overlays, title=args.title, xlabel="train size", ylabel="risk"
     )
     out = Path(args.out)
     out.write_text(svg, encoding="utf-8")
@@ -418,65 +413,10 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     return 0
 
 
-def _reproduce_fit_rows(
-    preset: Preset, label: str, csv_name: str, curve: RiskCurve, floor: float
-) -> tuple[list[dict[str, str]], list[FitOverlay]]:
-    """Fit every estimator series of one preset sweep per the preset's fit spec."""
-    spec = preset.fit
-    rows: list[dict[str, str]] = []
-    overlays: list[FitOverlay] = []
-    sizes = curve.train_sizes.astype(float)
-    first = int(np.searchsorted(sizes, spec.min_train_size))
-    region = (first, len(sizes))
-    if region[1] - region[0] < 2:
-        raise UsageError(
-            f"preset {preset.name}/{label}: fewer than 2 grid points at or above "
-            f"min_train_size={spec.min_train_size}"
-        )
-    span = (float(sizes[first]), float(sizes[-1]))
-    for name, stats in curve.series.items():
-        points = np.column_stack([sizes, stats.mean])
-        series_id = f"{label}/{name}"
-        if spec.mode == "excess":
-            fit = fit_excess_powerlaw(points, floor, region=region)
-            rows.append(_fit_row(csv_name, series_id, "excess", "all", fit, span))
-            overlays.append(
-                FitOverlay(
-                    label=f"{name} fit: alpha={fit.alpha:.3g}",
-                    alpha=fit.alpha, log_beta=fit.log_beta, size_range=span,
-                )
-            )
-        elif spec.mode == "single":
-            fit = fit_powerlaw(points, region=region)
-            rows.append(_fit_row(csv_name, series_id, "single", "all", fit, span))
-            overlays.append(
-                FitOverlay(
-                    label=f"{name} fit: alpha={fit.alpha:.3g}",
-                    alpha=fit.alpha, log_beta=fit.log_beta, size_range=span,
-                )
-            )
-        else:  # segmented
-            seg = fit_segmented(points[region[0]:region[1]],
-                                floor=floor if spec.floor == "auto" else None)
-            improvement = (
-                0.0 if seg.single_sse <= 1e-300 else 1.0 - seg.total_sse / seg.single_sse
-            )
-            rows.append(
-                _fit_row(csv_name, series_id, "segmented", "left", seg.left,
-                         (span[0], seg.break_size), seg.break_size, improvement,
-                         seg.breakpoint_evidence)
-            )
-            rows.append(
-                _fit_row(csv_name, series_id, "segmented", "right", seg.right,
-                         (seg.break_size, span[1]), seg.break_size, improvement,
-                         seg.breakpoint_evidence)
-            )
-    return rows, overlays
-
-
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     started = time.time()
     preset = load_preset(args.preset)
+    fit = preset.fit
     base_seed = _resolve_base_seed(args.base_seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -493,36 +433,35 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         write_curve_csv(curve, csv_path)
         outputs.append(csv_path)
 
+        floor = optimal_risk(config.params) if fit is not None and fit.floor == "auto" else None
+        # The plot shows values minus the floor exactly when the fit subtracts it.
+        shown_floor = None if fit is None or fit.mode == "single" else floor
+        plot_series: list[PlotSeries] = []
         overlays: list[FitOverlay] = []
-        floor = optimal_risk(config.params)
-        if preset.fit is not None:
-            rows, overlays = _reproduce_fit_rows(
-                preset, spec.label, csv_path.name, curve, floor
+        for name, stats in curve.series.items():
+            if fit is not None:
+                points = np.column_stack([curve.train_sizes.astype(float), stats.mean])
+                rows = _fit_rows(csv_path.name, f"{spec.label}/{name}", points, fit.mode,
+                                 floor, region=fit.region(config.train_sizes))
+                fit_rows.extend(rows)
+                overlays += [_fit_overlay(name, row, shown_floor is not None) for row in rows]
+            label, values = (
+                (name, stats.mean) if shown_floor is None
+                else (f"{name} excess", stats.mean - shown_floor)
             )
-            fit_rows.extend(rows)
-            plot_series = [
-                PlotSeries(label=f"{name} excess", sizes=curve.train_sizes,
-                           values=stats.mean - floor, err=stats.std)
-                for name, stats in curve.series.items()
-            ]
-            ylabel = "excess risk"
-        else:
-            plot_series = [
-                PlotSeries(label=name, sizes=curve.train_sizes,
-                           values=stats.mean, err=stats.std)
-                for name, stats in curve.series.items()
-            ]
-            ylabel = "risk"
+            plot_series.append(
+                PlotSeries(label=label, sizes=curve.train_sizes, values=values, err=stats.std)
+            )
         svg_path = out_dir / f"{preset.name}_{spec.label}.svg"
         svg_path.write_text(
             render_scaling_plot(
-                plot_series, tuple(overlays),
-                title=f"{preset.name} {spec.label}", ylabel=ylabel,
+                plot_series, tuple(overlays), title=f"{preset.name} {spec.label}",
+                ylabel="risk" if shown_floor is None else "excess risk",
             ),
             encoding="utf-8",
         )
         outputs.append(svg_path)
-    if preset.fit is not None:
+    if fit is not None:
         fits_path = out_dir / f"{preset.name}_fits.csv"
         _write_fits_csv(fits_path, fit_rows)
         outputs.append(fits_path)

@@ -312,12 +312,6 @@ def gd_estimator_iterative(dataset: Dataset, cfg: GdConfig) -> LinearEstimator:
     return LinearEstimator.from_dense(w)
 
 
-def pinv_estimator(cache: SvdCache, coeff: np.ndarray, basis: SubspaceBasis) -> LinearEstimator:
-    """Converged estimator X Y^+ (gradient descent run to k = INFINITY)."""
-    eta = 1.0 / float(cache.s_y[0]) ** 2
-    return gd_estimator_closed(cache, coeff, basis, GdConfig(eta=eta, k=INFINITY))
-
-
 # =====================================================================
 # Risk along the gradient-descent path, and oracle early stopping
 # =====================================================================

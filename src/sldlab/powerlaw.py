@@ -108,40 +108,26 @@ def _above_floor(pts: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]
 # =====================================================================
 
 
-def fit_powerlaw(
-    points,
-    region: tuple[int, int] | None = None,
-    weights: np.ndarray | None = None,
-) -> PowerLawFit:
-    """Unweighted (default) OLS power-law fit over points[region].
-
-    ``weights`` optionally weights the squared log-residuals, e.g. by
-    inverse error-bar variance; indices align with the full input.
-    """
+def fit_powerlaw(points, region: tuple[int, int] | None = None) -> PowerLawFit:
+    """Unweighted OLS power-law fit over points[region]."""
     pts = _as_points(points)
     lo, hi = _check_region(region, pts.shape[0])
     sizes, values = pts[lo:hi, 0], pts[lo:hi, 1]
     if sizes.size < 2:
         raise InsufficientDataError(f"need at least 2 points to fit, got {sizes.size}")
     _check_positive(sizes, values, offset=lo)
-    if weights is None:
-        w = np.ones_like(sizes)
-    else:
-        w = np.asarray(weights, dtype=float)[lo:hi]
-        if w.shape != sizes.shape or np.any(~np.isfinite(w) | (w <= 0)):
-            raise FitDomainError("weights must be positive, finite, and aligned with points")
 
     lx, lv = np.log(sizes), np.log(values)
-    x_bar = float(np.average(lx, weights=w))
-    v_bar = float(np.average(lv, weights=w))
-    sxx = float(np.sum(w * (lx - x_bar) ** 2))
+    x_bar = float(np.mean(lx))
+    v_bar = float(np.mean(lv))
+    sxx = float(np.sum((lx - x_bar) ** 2))
     if sxx <= 0.0:
         raise FitDomainError("sizes are not distinct after log transform")
-    alpha = float(np.sum(w * (lx - x_bar) * (lv - v_bar))) / sxx
+    alpha = float(np.sum((lx - x_bar) * (lv - v_bar))) / sxx
     log_beta = v_bar - alpha * x_bar
     resid = lv - (log_beta + alpha * lx)
-    sse = float(np.sum(w * resid**2))
-    sst = float(np.sum(w * (lv - v_bar) ** 2))
+    sse = float(np.sum(resid**2))
+    sst = float(np.sum((lv - v_bar) ** 2))
     r_squared = 1.0 if sst <= 0.0 else max(0.0, min(1.0, 1.0 - sse / sst))
     return PowerLawFit(
         alpha=alpha,
@@ -154,10 +140,7 @@ def fit_powerlaw(
 
 
 def fit_excess_powerlaw(
-    points,
-    floor: float,
-    region: tuple[int, int] | None = None,
-    weights: np.ndarray | None = None,
+    points, floor: float, region: tuple[int, int] | None = None
 ) -> PowerLawFit:
     """Fit value - floor against size, dropping points at or below the floor.
 
@@ -173,8 +156,7 @@ def fit_excess_powerlaw(
         raise InsufficientDataError(
             f"only {kept.shape[0]} points remain above the floor {floor:g}"
         )
-    w = None if weights is None else np.asarray(weights, dtype=float)[lo:hi][keep]
-    base = fit_powerlaw(kept, weights=w)
+    base = fit_powerlaw(kept)
     return replace(base, region=(lo, hi), n_dropped=keep.size - kept.shape[0], floor=float(floor))
 
 

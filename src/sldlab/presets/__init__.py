@@ -9,22 +9,31 @@ reviewable file change.
 
 from __future__ import annotations
 
+import bisect
 import json
 from dataclasses import dataclass
 from importlib import resources
 
-from ..errors import UsageError
+from ..errors import SldlabError, UsageError
 from ..model import ModelParams
-from ..sweep import ESTIMATOR_NAMES, SweepConfig, default_train_grid
+from ..sweep import SweepConfig, default_train_grid
 
 
 @dataclass(frozen=True)
 class FitSpec:
-    """How reproduce should fit each curve: mode, floor policy, fit region."""
+    """How reproduce fits each curve.
+
+    It is ``sldlab fit --mode M --floor F`` over the train sizes >=
+    min_train_size; floor "auto" is sigma_z^2 / (1 + sigma_z^2).
+    """
 
     mode: str  # "single" | "excess" | "segmented"
     floor: str  # "auto" | "none"
     min_train_size: int = 1
+
+    def region(self, sizes) -> tuple[int, int]:
+        """Half-open index range of the ascending ``sizes`` that are >= min_train_size."""
+        return bisect.bisect_left(sizes, self.min_train_size), len(sizes)
 
 
 @dataclass(frozen=True)
@@ -56,6 +65,33 @@ class Preset:
     description: str
     sweeps: tuple[SweepSpec, ...]
     fit: FitSpec | None
+
+    def __post_init__(self) -> None:
+        """Check every sweep and the fit spec, so a bad preset fails before any sweep runs."""
+        where = f"preset {self.name!r}"
+        if not self.sweeps:
+            raise UsageError(f"{where} declares no sweeps")
+        fit = self.fit
+        if fit is not None:
+            if fit.mode not in ("single", "excess", "segmented"):
+                raise UsageError(f"{where} has unknown fit mode {fit.mode!r}")
+            if fit.floor not in ("auto", "none"):
+                raise UsageError(f"{where} has unknown fit floor {fit.floor!r} (auto or none)")
+            if fit.mode == "excess" and fit.floor == "none":
+                raise UsageError(f"{where}: fit mode 'excess' needs floor 'auto'")
+        for spec in self.sweeps:
+            try:
+                sizes = spec.to_config(base_seed=0).train_sizes
+            except SldlabError as exc:
+                raise UsageError(f"{where}, sweep {spec.label!r}: {exc}") from exc
+            if fit is None:
+                continue
+            lo, hi = fit.region(sizes)
+            if hi - lo < 2:
+                raise UsageError(
+                    f"{where}, sweep {spec.label!r}: fewer than 2 grid points at or "
+                    f"above min_train_size={fit.min_train_size}"
+                )
 
 
 def list_presets() -> tuple[str, ...]:
@@ -95,14 +131,8 @@ def load_preset(name: str) -> Preset:
             sweeps=sweeps,
             fit=fit,
         )
+    except UsageError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"preset {name!r} is malformed: {exc}") from exc
-    if not preset.sweeps:
-        raise UsageError(f"preset {name!r} declares no sweeps")
-    if preset.fit is not None and preset.fit.mode not in ("single", "excess", "segmented"):
-        raise UsageError(f"preset {name!r} has unknown fit mode {preset.fit.mode!r}")
-    for s in preset.sweeps:
-        for e in s.estimators:
-            if e not in ESTIMATOR_NAMES:
-                raise UsageError(f"preset {name!r} requests unknown estimator {e!r}")
     return preset

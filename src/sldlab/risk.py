@@ -71,13 +71,6 @@ def risk_closed_form(
     return (float(np.sum(misfit * misfit)) + noise) / params.d
 
 
-def excess_risk(
-    estimator: LinearEstimator, basis: SubspaceBasis, params: ModelParams
-) -> float:
-    """Risk above the optimal floor; >= 0 up to roundoff."""
-    return risk_closed_form(estimator, basis, params) - optimal_risk(params)
-
-
 def risk_monte_carlo(estimator: LinearEstimator, test: Dataset) -> RiskReport:
     """Estimate the risk on a test set of pairs drawn from the model.
 

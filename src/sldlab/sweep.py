@@ -317,8 +317,8 @@ def write_curve_csv(curve: RiskCurve, path) -> None:
             writer.writerow(row)
 
 
-def read_curve_csv(path) -> RiskCurve:
-    """Read a canonical curve table back into a RiskCurve (config unknown)."""
+def _read_table(path) -> tuple[list[str], np.ndarray]:
+    """Header and float rows of a CSV whose first column is train_size."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -326,6 +326,24 @@ def read_curve_csv(path) -> RiskCurve:
     header = rows[0]
     if not header or header[0] != "train_size":
         raise CsvFormatError(f"{path}: first column must be 'train_size', got {header[:1]}")
+    data: list[list[float]] = []
+    for line_no, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise CsvFormatError(
+                f"{path}:{line_no}: expected {len(header)} fields, found {len(row)}"
+            )
+        try:
+            data.append([float(v) for v in row])
+        except ValueError as exc:
+            raise CsvFormatError(f"{path}:{line_no}: {exc}") from None
+    if not data:
+        raise CsvFormatError(f"{path}: no data rows")
+    return header, np.asarray(data)
+
+
+def read_curve_csv(path) -> RiskCurve:
+    """Read a canonical curve table back into a RiskCurve (config unknown)."""
+    header, table = _read_table(path)
     groups: list[tuple[str, bool]] = []  # (estimator, has mc columns)
     cols = header[1:]
     pos = 0
@@ -345,28 +363,14 @@ def read_curve_csv(path) -> RiskCurve:
         groups.append((est, has_mc))
     if not groups:
         raise CsvFormatError(f"{path}: no estimator columns found")
-
-    n_cols = len(header)
-    data: list[list[float]] = []
-    sizes: list[int] = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != n_cols:
-            raise CsvFormatError(
-                f"{path}:{line_no}: expected {n_cols} fields, found {len(row)}"
-            )
-        try:
-            sizes.append(int(row[0]))
-            data.append([float(v) for v in row[1:]])
-        except ValueError as exc:
-            raise CsvFormatError(f"{path}:{line_no}: {exc}") from None
-    if not sizes:
-        raise CsvFormatError(f"{path}: no data rows")
-    if any(b >= a for b, a in zip(sizes, sizes[1:])):
+    sizes = table[:, 0]
+    if not np.all(np.isfinite(sizes) & (sizes == np.round(sizes))):
+        raise CsvFormatError(f"{path}: train_size must hold integers")
+    if np.any(np.diff(sizes) <= 0):
         raise CsvFormatError(f"{path}: train_size must be strictly ascending")
 
-    table = np.asarray(data)
     series: dict[str, SeriesStats] = {}
-    col = 0
+    col = 1
     for est, has_mc in groups:
         stats = SeriesStats(mean=table[:, col].copy(), std=table[:, col + 1].copy())
         col += 2
@@ -375,7 +379,7 @@ def read_curve_csv(path) -> RiskCurve:
             stats.mc_std = table[:, col + 1].copy()
             col += 2
         series[est] = stats
-    return RiskCurve(train_sizes=np.asarray(sizes, dtype=int), series=series, config=None)
+    return RiskCurve(train_sizes=sizes.astype(int), series=series, config=None)
 
 
 def read_series_csv(path, column: str | None = None) -> tuple[np.ndarray, np.ndarray, str]:
@@ -385,13 +389,7 @@ def read_series_csv(path, column: str | None = None) -> tuple[np.ndarray, np.nda
     ``column`` is None the file must have exactly one value column.
     Returns (sizes, values, resolved column name).
     """
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise CsvFormatError(f"{path}: file is empty")
-    header = rows[0]
-    if not header or header[0] != "train_size":
-        raise CsvFormatError(f"{path}: first column must be 'train_size', got {header[:1]}")
+    header, table = _read_table(path)
     value_cols = header[1:]
     if column is None:
         if len(value_cols) != 1:
@@ -404,19 +402,4 @@ def read_series_csv(path, column: str | None = None) -> tuple[np.ndarray, np.nda
         raise CsvFormatError(
             f"{path}: no column named {column!r}; available: " + ", ".join(value_cols)
         )
-    idx = 1 + value_cols.index(column)
-    sizes: list[float] = []
-    values: list[float] = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise CsvFormatError(
-                f"{path}:{line_no}: expected {len(header)} fields, found {len(row)}"
-            )
-        try:
-            sizes.append(float(row[0]))
-            values.append(float(row[idx]))
-        except ValueError as exc:
-            raise CsvFormatError(f"{path}:{line_no}: {exc}") from None
-    if not sizes:
-        raise CsvFormatError(f"{path}: no data rows")
-    return np.asarray(sizes), np.asarray(values), column
+    return table[:, 0], table[:, 1 + value_cols.index(column)], column

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -302,3 +304,80 @@ def test_reproduce_is_deterministic_per_seed(tmp_path, capsys, monkeypatch):
 def test_reproduce_unknown_preset_exits_2(tmp_path, capsys):
     assert main(["reproduce", "fig99", "--out", str(tmp_path / "x")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "sweeps,fit",
+    [
+        # the second sweep has d >= n: nothing may run before it is rejected
+        ((_TINY_PRESET.sweeps[0], dataclasses.replace(_TINY_PRESET.sweeps[0], label="b", d=10)),
+         _TINY_PRESET.fit),
+        # min_train_size above the grid leaves no fit region
+        (_TINY_PRESET.sweeps, FitSpec(mode="excess", floor="auto", min_train_size=1000)),
+    ],
+    ids=["second-sweep-d-ge-n", "min-train-size-above-grid"],
+)
+def test_reproduce_rejects_bad_preset_before_any_sweep(tmp_path, capsys, monkeypatch, sweeps, fit):
+    def load(name):
+        return dataclasses.replace(_TINY_PRESET, sweeps=sweeps, fit=fit)
+
+    monkeypatch.setattr(cli, "load_preset", load)
+    out_dir = tmp_path / "repro"
+    assert main(["reproduce", "tiny", "--out", str(out_dir)]) == 2
+    assert "sldlab: error: preset 'tiny'" in capsys.readouterr().err
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+# sizes (3, 6, 10, 18, 32, 56, 100, 178, 316): enough points for a segmented fit
+_FIT_SWEEP = dataclasses.replace(_TINY_PRESET.sweeps[0], grid=(2, 400, 4))
+
+
+@pytest.mark.parametrize(
+    "mode,floor", [("single", "none"), ("excess", "auto"), ("segmented", "auto"),
+                   ("segmented", "none")],
+)
+def test_reproduce_fits_equal_fit_command_rows(tmp_path, capsys, monkeypatch, mode, floor):
+    preset = dataclasses.replace(_TINY_PRESET, sweeps=(_FIT_SWEEP,),
+                                 fit=FitSpec(mode=mode, floor=floor, min_train_size=3))
+    monkeypatch.setattr(cli, "load_preset", lambda name: preset)
+    out_dir = tmp_path / "repro"
+    assert main(["reproduce", "tiny", "--out", str(out_dir)]) == 0
+    with open(out_dir / "tiny_fits.csv", newline="") as fh:
+        reproduced = list(csv.DictReader(fh))
+    fitted = []
+    for name in _FIT_SWEEP.estimators:
+        fits = tmp_path / f"{name}.csv"
+        assert main(["fit", "--in", str(out_dir / "tiny_main.csv"), "--col", f"{name}_M",
+                     "--mode", mode, "--floor", floor, "--sigma", str(_FIT_SWEEP.sigma_z),
+                     "--out", str(fits)]) == 0
+        with open(fits, newline="") as fh:
+            fitted += list(csv.DictReader(fh))
+    capsys.readouterr()
+    assert len(reproduced) == len(fitted) == (4 if mode == "segmented" else 2)
+    for ours, theirs in zip(reproduced, fitted):
+        assert ours.pop("source") == "tiny_main.csv"
+        assert ours.pop("series") == f"main/{theirs.pop('series')[:-2]}"
+        theirs.pop("source")
+        assert ours == theirs
+
+
+@pytest.mark.parametrize(
+    "mode,floor,ylabel", [("single", "auto", "risk"), ("excess", "auto", "excess risk"),
+                          ("segmented", "auto", "excess risk"), ("segmented", "none", "risk")],
+)
+def test_reproduce_plot_matches_its_fits(tmp_path, capsys, monkeypatch, mode, floor, ylabel):
+    # The plot subtracts the floor exactly when the fit does, and draws every fit row.
+    preset = dataclasses.replace(_TINY_PRESET, sweeps=(_FIT_SWEEP,),
+                                 fit=FitSpec(mode=mode, floor=floor, min_train_size=3))
+    monkeypatch.setattr(cli, "load_preset", lambda name: preset)
+    out_dir = tmp_path / "repro"
+    assert main(["reproduce", "tiny", "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    root = ET.fromstring((out_dir / "tiny_main.svg").read_text())
+    texts = [el.text for el in root.iter() if el.tag.endswith("text")]
+    assert ylabel in texts and ("excess risk" in texts) == (ylabel == "excess risk")
+    segments = ("left", "right") if mode == "segmented" else ("fit",)
+    for name in _FIT_SWEEP.estimators:
+        assert (f"{name} excess" in texts) == (ylabel == "excess risk")
+        for segment in segments:
+            assert any(t and t.startswith(f"{name} {segment}: alpha=") for t in texts)

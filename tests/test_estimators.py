@@ -19,7 +19,6 @@ from sldlab.estimators import (
     gd_risk_profile,
     normalize_k_grid,
     pca_estimator,
-    pinv_estimator,
     svd_of,
     _direct_svd,
 )
@@ -184,7 +183,8 @@ def test_gd_filter_limits_via_closed_form():
     w0 = gd_estimator_closed(cache, ds.coeff, basis, GdConfig(eta=eta, k=0))
     assert np.array_equal(w0.as_matrix(), np.zeros((20, 20)))
     w_inf = gd_estimator_closed(cache, ds.coeff, basis, GdConfig(eta=eta, k=INFINITY))
-    assert np.allclose(w_inf.as_matrix(), pinv_estimator(cache, ds.coeff, basis).as_matrix(), atol=1e-12)
+    # k = INFINITY is the pseudoinverse estimator X Y^+, checked against numpy's pinv.
+    assert np.allclose(w_inf.as_matrix(), ds.clean @ np.linalg.pinv(ds.noisy), atol=1e-10)
 
 
 def test_gd_risk_decreases_then_increases_along_path():
@@ -302,7 +302,7 @@ def test_gd_estimators_stay_low_rank_at_large_n():
     tracemalloc.start()
     try:
         ests = (gd_estimator_closed(cache, ds.coeff, basis, GdConfig(eta=eta, k=8)),
-                pinv_estimator(cache, ds.coeff, basis))
+                gd_estimator_closed(cache, ds.coeff, basis, GdConfig(eta=eta, k=INFINITY)))
         for est, expected in zip(ests, profile):
             assert est.left.shape == est.basis.shape == (n, cache.rank)
             assert est.apply(ds.noisy).shape == (n, n_train)
@@ -350,7 +350,7 @@ def test_gd_entry_points_reject_clean_matrix():
     calls = (
         lambda: gd_risk_profile(cache, x, basis, params, eta, (1,)),
         lambda: gd_estimator_closed(cache, x, basis, GdConfig(eta=eta, k=1)),
-        lambda: pinv_estimator(cache, x, basis),
+        lambda: gd_estimator_closed(cache, x, basis, GdConfig(eta=eta, k=INFINITY)),
         lambda: early_stopped_estimator(cache, x, basis, params),
     )
     for call in calls:

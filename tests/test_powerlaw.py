@@ -88,25 +88,6 @@ def test_rejects_duplicate_sizes_and_tiny_input():
         fit_powerlaw(np.zeros((3, 3)))
 
 
-def test_weights_match_point_duplication():
-    rng = np.random.default_rng(3)
-    pts = _curve(-1.1, 2.0, GRID)
-    pts[:, 1] *= np.exp(rng.normal(0, 0.2, GRID.size))
-    weights = np.ones(GRID.size)
-    weights[5] = 3.0
-    weighted = fit_powerlaw(pts, weights=weights)
-    tripled = np.vstack([pts, pts[5:6], pts[5:6]])
-    order = np.argsort(tripled[:, 0], kind="stable")
-    # Duplicated sizes are rejected by design, so emulate the duplicate by
-    # solving the weighted normal equations directly.
-    lx, lv = np.log(tripled[order, 0]), np.log(tripled[order, 1])
-    slope, intercept = np.polyfit(lx, lv, 1)
-    assert weighted.alpha == pytest.approx(slope, abs=1e-12)
-    assert weighted.log_beta == pytest.approx(intercept, abs=1e-12)
-    with pytest.raises(FitDomainError):
-        fit_powerlaw(pts, weights=np.zeros(GRID.size))
-
-
 # --- excess fits ----------------------------------------------------------
 
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from sldlab.errors import UsageError
-from sldlab.presets import list_presets, load_preset
+from sldlab.presets import FitSpec, Preset, SweepSpec, list_presets, load_preset
 from sldlab.rng import derive_seed
 
 
@@ -56,3 +58,44 @@ def test_preset_sweep_converts_to_config():
 def test_unknown_preset_is_a_usage_error():
     with pytest.raises(UsageError, match="available"):
         load_preset("fig99")
+
+
+_SWEEP = SweepSpec(label="a", d=2, n=10, sigma_z=0.2, grid=(2, 40, 2), n_seeds=1,
+                   estimators=("PCA",))
+
+
+def _preset(sweeps=(_SWEEP,), fit=None):
+    return Preset(name="p", version=1, description="", sweeps=sweeps, fit=fit)
+
+
+def test_excess_fit_without_floor_is_rejected():
+    # An excess fit subtracts the floor; "none" would be silently overridden.
+    with pytest.raises(UsageError, match="excess"):
+        _preset(fit=FitSpec(mode="excess", floor="none"))
+
+
+def test_unknown_fit_floor_is_rejected():
+    with pytest.raises(UsageError, match="'Auto'"):
+        _preset(fit=FitSpec(mode="segmented", floor="Auto"))
+
+
+@pytest.mark.parametrize(
+    "sweep,fragment",
+    [
+        (dataclasses.replace(_SWEEP, d=10), "d < n"),
+        (dataclasses.replace(_SWEEP, grid=(40, 2, 2)), "degenerate"),
+        (dataclasses.replace(_SWEEP, n_seeds=0), "n_seeds"),
+        (dataclasses.replace(_SWEEP, estimators=("PCA", "RIDGE")), "RIDGE"),
+    ],
+)
+def test_every_sweep_is_checked_when_the_preset_is_built(sweep, fragment):
+    with pytest.raises(UsageError, match=fragment):
+        _preset(sweeps=(_SWEEP, dataclasses.replace(sweep, label="b")))
+
+
+def test_fit_region_needs_two_grid_points():
+    # grid (2, 40, 2) is (3, 10, 32): min_train_size 10 leaves two points, 11 leaves one.
+    fit = _preset(fit=FitSpec("single", "none", min_train_size=10)).fit
+    assert fit.region((3, 10, 32)) == (1, 3)
+    with pytest.raises(UsageError, match="min_train_size=11"):
+        _preset(fit=FitSpec("single", "none", min_train_size=11))

@@ -18,7 +18,6 @@ from sldlab.model import (
     sample_dataset,
 )
 from sldlab.risk import (
-    excess_risk,
     pca_risk_specialized,
     risk_closed_form,
     risk_monte_carlo,
@@ -73,7 +72,6 @@ def test_optimal_floor_and_excess():
         w_star = optimal_estimator(basis, params)
         floor = sigma**2 / (1.0 + sigma**2)
         assert risk_closed_form(w_star, basis, params) == pytest.approx(floor, abs=1e-12)
-        assert abs(excess_risk(w_star, basis, params)) < 1e-12
 
 
 def test_monte_carlo_matches_closed_form_within_3_se():

@@ -227,6 +227,7 @@ def test_csv_round_trip_with_monte_carlo_columns(tmp_path):
         ("train_size,PCA_M,PCA_S\n3,1\n", "expected 3 fields"),
         ("train_size,PCA_M,PCA_S\n3,one,0\n", ":2:"),
         ("train_size,PCA_M,PCA_S\n9,1,0\n3,1,0\n", "ascending"),
+        ("train_size,PCA_M,PCA_S\n3.5,1,0\n", "integers"),
     ],
 )
 def test_csv_reader_rejects_malformed(tmp_path, text, fragment):
@@ -234,6 +235,23 @@ def test_csv_reader_rejects_malformed(tmp_path, text, fragment):
     path.write_text(text)
     with pytest.raises(CsvFormatError, match=fragment):
         read_curve_csv(path)
+
+
+@pytest.mark.parametrize(
+    "text,fragment",
+    [
+        ("", "empty"),
+        ("size,risk\n3,1\n", "train_size"),
+        ("train_size,risk\n", "no data rows"),
+        ("train_size,risk\n3\n", "expected 2 fields"),
+        ("train_size,risk\n3,1\n10,one\n", ":3:"),
+    ],
+)
+def test_series_reader_shares_the_row_checks(tmp_path, text, fragment):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(CsvFormatError, match=fragment):
+        read_series_csv(path)
 
 
 def test_read_series_single_column(tmp_path):
