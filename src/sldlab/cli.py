@@ -256,13 +256,15 @@ def _fit_rows(
 ) -> list[dict[str, str]]:
     """Fit points[region] in ``mode`` and return the fits-table rows.
 
-    The one fit dispatch of ``fit`` and ``reproduce``: a single fit ignores
-    ``floor``, an excess fit needs one, and a segmented fit subtracts it
+    The one fit dispatch of ``fit`` and ``reproduce``: a single fit takes
+    no ``floor``, an excess fit needs one, and a segmented fit subtracts it
     when given.
     """
     lo, hi = (0, len(points)) if region is None else region
     span = (float(points[lo, 0]), float(points[hi - 1, 0]))
     if mode == "single":
+        if floor is not None:
+            raise UsageError("--mode single fits the raw values; use --floor none")
         return [_fit_row(source, series, mode, "all", fit_powerlaw(points, region), span)]
     if mode == "excess":
         if floor is None:

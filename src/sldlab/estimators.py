@@ -48,8 +48,9 @@ class SvdCache:
     formed from Y on first access: the direct SVD and the n x n Gram route
     store u_y, the N x N Gram route stores v_y.  Consumers that need only a
     product with the missing factor (:meth:`matmul_v`, :meth:`ut_matmul`,
-    :meth:`leading_u`) get it through Y without materializing that factor,
-    so nothing n x r is built unless a caller reads ``u_y`` itself.
+    :meth:`u_matmul`, :meth:`leading_u`) get it through Y without
+    materializing that factor, so nothing n x r is built unless a caller
+    reads ``u_y`` itself.
 
     s_y      -- r retained singular values, descending, all >= rank_tol
     rank_tol -- truncation threshold max(n, N) * eps * S_y[0]
@@ -107,6 +108,15 @@ class SvdCache:
         if self._u_y is not None:
             return self._u_y.T @ a
         return (self._v_y.T @ (self._noisy.T @ a)) / self.s_y[:, None]
+
+    def u_matmul(self, a: np.ndarray) -> np.ndarray:
+        """Return ``u_y @ a`` without forcing u_y to materialize.
+
+        Uses Y V_y diag(1/S_y) a, O(n N k) for an r x k ``a``.
+        """
+        if self._u_y is not None:
+            return self._u_y @ a
+        return self._noisy @ (self._v_y @ (a / self.s_y[:, None]))
 
     def leading_u(self, k: int) -> np.ndarray:
         """The first ``k`` columns of u_y, orthonormal to working precision.
@@ -276,16 +286,21 @@ def _coeff_factor(cache: SvdCache, coeff: np.ndarray, basis: SubspaceBasis) -> n
 def gd_estimator_closed(
     cache: SvdCache, coeff: np.ndarray, basis: SubspaceBasis, cfg: GdConfig
 ) -> LinearEstimator:
-    """W^k = U C V_y D_k U_y^T, stored as the n x r pair (U (C V_y D_k), U_y).
+    """W^k = U C V_y D_k U_y^T, stored by its rank as the n x d pair (U R^T, Q).
 
     ``coeff`` is the d x N coefficient matrix C of the training signal
-    X = U C the regression targets, and ``basis`` is U.  k = 0 gives the
-    zero map and k = INFINITY the pseudoinverse estimator.
+    X = U C the regression targets, and ``basis`` is U.  With g = C V_y,
+    W^k = U B^T for the n x d matrix B = U_y D_k g^T, and its thin QR
+    B = Q R gives W^k = (U R^T) Q^T.  So the factors are n x d whatever the
+    rank r of Y, applying W^k costs O(n d) per column, and B is formed
+    through Y without the n x r factor U_y.  k = 0 gives the zero map
+    (R = 0) and k = INFINITY the pseudoinverse estimator.
     """
     g = _coeff_factor(cache, coeff, basis)
     _check_stepsize(cfg.eta, cache.s_y)
     d_k = _gd_filter(cache.s_y, cfg.eta, cfg.k)
-    return LinearEstimator(left=basis.matrix @ (g * d_k), basis=cache.u_y)
+    q, r = np.linalg.qr(cache.u_matmul(d_k[:, None] * g.T))
+    return LinearEstimator(left=basis.matrix @ r.T, basis=q)
 
 
 def gd_estimator_iterative(dataset: Dataset, cfg: GdConfig) -> LinearEstimator:

@@ -139,9 +139,10 @@ class LinearEstimator:
     basis -- n x r matrix with orthonormal columns
 
     Every denoiser here has this form: a scaled projection s B B^T is
-    (s B, B), a gradient-descent iterate is (X V_y D_k, U_y).  Applying W and
-    evaluating its risk then cost O(n r) per sample, and W itself is formed
-    only by :meth:`as_matrix`.
+    (s B, B), and a gradient-descent iterate U G^T, with the n x d matrix
+    G = U_y D_k (C V_y)^T, is (U R^T, Q) from the thin QR G = Q R, so r = d.
+    Applying W and evaluating its risk then cost O(n r) per sample, and W
+    itself is formed only by :meth:`as_matrix`.
     """
 
     left: np.ndarray

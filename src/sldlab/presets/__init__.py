@@ -24,7 +24,8 @@ class FitSpec:
     """How reproduce fits each curve.
 
     It is ``sldlab fit --mode M --floor F`` over the train sizes >=
-    min_train_size; floor "auto" is sigma_z^2 / (1 + sigma_z^2).
+    min_train_size; floor "auto" is sigma_z^2 / (1 + sigma_z^2).  An
+    excess fit needs floor "auto" and a single fit takes "none".
     """
 
     mode: str  # "single" | "excess" | "segmented"
@@ -79,6 +80,8 @@ class Preset:
                 raise UsageError(f"{where} has unknown fit floor {fit.floor!r} (auto or none)")
             if fit.mode == "excess" and fit.floor == "none":
                 raise UsageError(f"{where}: fit mode 'excess' needs floor 'auto'")
+            if fit.mode == "single" and fit.floor == "auto":
+                raise UsageError(f"{where}: fit mode 'single' takes floor 'none'")
         for spec in self.sweeps:
             try:
                 sizes = spec.to_config(base_seed=0).train_sizes

@@ -202,6 +202,17 @@ def test_fit_single_reports_and_writes_csv(tmp_path, capsys):
     assert (tmp_path / "fits.manifest.json").exists()
 
 
+@pytest.mark.parametrize("floor", ["auto", "0.01"])
+def test_fit_single_rejects_a_floor(tmp_path, capsys, floor):
+    # A single fit is of the raw values; a floor it would ignore is an error.
+    data, fits = tmp_path / "data.csv", tmp_path / "fits.csv"
+    _write_powerlaw_csv(data, alpha=-1.0, beta=0.5)
+    assert main(["fit", "--in", str(data), "--floor", floor, "--sigma", "0.1",
+                 "--out", str(fits)]) == 2
+    assert "--mode single fits the raw values" in capsys.readouterr().err
+    assert not fits.exists()
+
+
 def test_fit_excess_with_auto_floor(tmp_path, capsys):
     data = tmp_path / "data.csv"
     floor = 0.1**2 / (1 + 0.1**2)
@@ -362,7 +373,7 @@ def test_reproduce_fits_equal_fit_command_rows(tmp_path, capsys, monkeypatch, mo
 
 
 @pytest.mark.parametrize(
-    "mode,floor,ylabel", [("single", "auto", "risk"), ("excess", "auto", "excess risk"),
+    "mode,floor,ylabel", [("single", "none", "risk"), ("excess", "auto", "excess risk"),
                           ("segmented", "auto", "excess risk"), ("segmented", "none", "risk")],
 )
 def test_reproduce_plot_matches_its_fits(tmp_path, capsys, monkeypatch, mode, floor, ylabel):

@@ -116,9 +116,13 @@ def test_svd_of_tall_noisy_takes_small_gram_and_defers_u():
     eta = 1.0 / float(cache.s_y[0]) ** 2
     gd_risk_profile(cache, ds.coeff, basis, params, eta, default_k_grid())
     pca_estimator(cache, params)
-    assert cache._u_y is None  # neither consumer materialized n x r U_y
+    for k in (64, INFINITY):  # an ESGD and the PINV estimator
+        gd_estimator_closed(cache, ds.coeff, basis, GdConfig(eta=eta, k=k))
+    assert cache._u_y is None  # no consumer materialized n x r U_y
     a = np.random.default_rng(0).standard_normal((2000, 3))
     assert np.allclose(cache.ut_matmul(a), cache.u_y.T @ a, atol=1e-10)
+    b = np.random.default_rng(1).standard_normal((300, 3))
+    assert np.allclose(cache.u_matmul(b), cache.u_y @ b, atol=1e-10)
     assert np.allclose(cache.leading_u(10), cache.u_y[:, :10], atol=1e-12)
     assert np.allclose((cache.u_y * cache.s_y) @ cache.v_y.T, ds.noisy, atol=1e-10)
 
@@ -185,6 +189,30 @@ def test_gd_filter_limits_via_closed_form():
     w_inf = gd_estimator_closed(cache, ds.coeff, basis, GdConfig(eta=eta, k=INFINITY))
     # k = INFINITY is the pseudoinverse estimator X Y^+, checked against numpy's pinv.
     assert np.allclose(w_inf.as_matrix(), ds.clean @ np.linalg.pinv(ds.noisy), atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "n,n_train,sigma,route,stores_u",
+    [(200, 50, 0.1, "gram", False), (50, 200, 0.3, "gram", True), (60, 40, 0.0, "svd", True)],
+)
+def test_gd_closed_matches_dense_reference_on_every_route(n, n_train, sigma, route, stores_u):
+    # The n x d factors (U R^T, Q) form the same map as X V_y D_k U_y^T built
+    # densely from the direct SVD, at every k of the default grid, on the tall
+    # Gram, wide Gram and direct routes.
+    params, basis, ds = _instance(n=n, d=4, sigma=sigma, n_train=n_train, seed=n + n_train)
+    cache = svd_of(ds)
+    assert cache.route == route and (cache._u_y is not None) == stores_u
+    ref = _direct_svd(ds.noisy)
+    u_ref, v_ref = ref.u_y, ref.v_y
+    for k in default_k_grid():
+        cfg = GdConfig(eta=1.0 / float(cache.s_y[0]) ** 2, k=k)
+        est = gd_estimator_closed(cache, ds.coeff, basis, cfg)
+        assert est.left.shape == est.basis.shape == (n, params.d)
+        s, eta = ref.s_y, 1.0 / float(ref.s_y[0]) ** 2
+        d_k = 1.0 / s if k == INFINITY else (1.0 - (1.0 - eta * s * s) ** k) / s
+        dense = (ds.clean @ (v_ref * d_k)) @ u_ref.T
+        gap = np.linalg.norm(est.as_matrix() - dense)
+        assert gap <= 1e-8 * np.linalg.norm(dense), (k, gap)
 
 
 def test_gd_risk_decreases_then_increases_along_path():
@@ -292,8 +320,9 @@ def test_profile_accurate_near_noise_floor(n, n_train, sigma):
 
 
 def test_gd_estimators_stay_low_rank_at_large_n():
-    # At n = 10^4 a dense W would take 800 MB; the estimators keep n x r
-    # factors, and applying or scoring them allocates a few n x N arrays.
+    # At n = 10^4 a dense W would take 800 MB; the estimators keep n x d
+    # factors, and building, applying and scoring them allocates the n x N
+    # output of apply plus a few n x d arrays.
     n, n_train = 10_000, 50
     params, basis, ds = _instance(n=n, d=5, sigma=0.1, n_train=n_train, seed=22)
     cache = svd_of(ds)
@@ -304,13 +333,13 @@ def test_gd_estimators_stay_low_rank_at_large_n():
         ests = (gd_estimator_closed(cache, ds.coeff, basis, GdConfig(eta=eta, k=8)),
                 gd_estimator_closed(cache, ds.coeff, basis, GdConfig(eta=eta, k=INFINITY)))
         for est, expected in zip(ests, profile):
-            assert est.left.shape == est.basis.shape == (n, cache.rank)
+            assert est.left.shape == est.basis.shape == (n, params.d)
             assert est.apply(ds.noisy).shape == (n, n_train)
             assert risk_closed_form(est, basis, params) == pytest.approx(expected, rel=1e-8, abs=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 8 * n * n_train  # 64 MB, against 800 MB for one dense W
+    assert peak < 8 * n * (n_train + 10 * params.d)  # 8 MB, against 800 MB for one dense W
 
 
 def test_profile_memory_does_not_grow_with_n_train():

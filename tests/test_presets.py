@@ -74,6 +74,12 @@ def test_excess_fit_without_floor_is_rejected():
         _preset(fit=FitSpec(mode="excess", floor="none"))
 
 
+def test_single_fit_with_floor_is_rejected():
+    # A single fit is of the raw values; "auto" would be silently ignored.
+    with pytest.raises(UsageError, match="'single' takes floor 'none'"):
+        _preset(fit=FitSpec(mode="single", floor="auto"))
+
+
 def test_unknown_fit_floor_is_rejected():
     with pytest.raises(UsageError, match="'Auto'"):
         _preset(fit=FitSpec(mode="segmented", floor="Auto"))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,24 @@ def test_cell_failures_carry_cell_identity(monkeypatch):
     monkeypatch.setattr(sweep_mod, "_evaluate_cell", explode)
     with pytest.raises(SweepCellError, match=r"train_size=3 .*seed index 0"):
         run_sweep(_small_config())
+
+
+def test_monte_carlo_cell_memory_at_large_n():
+    # One n = 10^4, N = 1000 cell scored on 500 test columns: Y takes 80 MB
+    # and the test draw 40 MB.  The ESGD and PINV maps are n x d factors, so
+    # the cell holds no n x r factor (with r = N = 1000 a pair of them, and
+    # the U_y they came from, took the peak to 371 MB).
+    config = _small_config(params=ModelParams(d=10, n=10_000, sigma_z=0.1),
+                           train_sizes=(1000,), n_seeds=1, mc_test_size=500)
+    tracemalloc.start()
+    try:
+        records = sweep_mod._evaluate_cell(config, 1000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 200e6
+    for risk, mc_mean, mc_err in records:
+        assert abs(mc_mean - risk) <= 5 * mc_err
 
 
 def test_curve_below_floor_is_rejected():
