@@ -196,6 +196,12 @@ def build_parser() -> argparse.ArgumentParser:
 # =====================================================================
 
 
+def _make_dirs(directory: Path) -> Path:
+    """``directory``, created with any missing parents, for a command's outputs."""
+    directory.mkdir(parents=True, exist_ok=True)
+    return directory
+
+
 def _write_manifest(
     path: Path, command: str, argv: list[str], config: object, base_seed: int | None,
     outputs: list[Path], started: float,
@@ -333,8 +339,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise UsageError(str(exc)) from exc
     curve = run_sweep(config, workers=args.threads)
     out = Path(args.out)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+    _make_dirs(out.parent)
     write_curve_csv(curve, out)
     manifest = out.with_suffix(".manifest.json")
     _write_manifest(
@@ -375,6 +380,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         )
     if args.out:
         out = Path(args.out)
+        _make_dirs(out.parent)
         _write_fits_csv(out, rows)
         _write_manifest(
             out.with_suffix(".manifest.json"), "fit", sys.argv[1:],
@@ -405,6 +411,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
         series, overlays, title=args.title, xlabel="train size", ylabel="risk"
     )
     out = Path(args.out)
+    _make_dirs(out.parent)
     out.write_text(svg, encoding="utf-8")
     _write_manifest(
         out.with_suffix(".manifest.json"), "plot", sys.argv[1:],
@@ -420,8 +427,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     preset = load_preset(args.preset)
     fit = preset.fit
     base_seed = _resolve_base_seed(args.base_seed)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_dirs(Path(args.out))
     outputs: list[Path] = []
     fit_rows: list[dict[str, str]] = []
     for spec in preset.sweeps:

@@ -166,7 +166,7 @@ def _evaluate_cell(
     basis = sample_basis(params.n, params.d, cell_seed)
     ds = sample_dataset(params, basis, n_train, cell_seed)
     wants_svd = any(e != "OPT" for e in config.estimators)
-    cache = svd_of(ds) if wants_svd else None
+    cache = svd_of(ds, finite_k_only="PINV" not in config.estimators) if wants_svd else None
     mc = config.mc_test_size
     test = sample_dataset(params, basis, mc, derive_seed(cell_seed, "mc-test")) if mc else None
     if "ESGD" in config.estimators or "PINV" in config.estimators:

@@ -202,6 +202,15 @@ def test_fit_single_reports_and_writes_csv(tmp_path, capsys):
     assert (tmp_path / "fits.manifest.json").exists()
 
 
+def test_fit_creates_a_missing_output_directory(tmp_path, capsys):
+    data, fits = tmp_path / "data.csv", tmp_path / "new" / "dir" / "fits.csv"
+    _write_powerlaw_csv(data, alpha=-1.25, beta=3.0)
+    assert main(["fit", "--in", str(data), "--out", str(fits)]) == 0
+    capsys.readouterr()
+    assert fits.read_text().splitlines()[0].split(",") == cli._FITS_HEADER
+    assert (fits.parent / "fits.manifest.json").exists()
+
+
 @pytest.mark.parametrize("floor", ["auto", "0.01"])
 def test_fit_single_rejects_a_floor(tmp_path, capsys, floor):
     # A single fit is of the raw values; a floor it would ignore is an error.
@@ -268,6 +277,15 @@ def test_plot_renders_svg_with_overlays(tmp_path, capsys):
     assert "tiny sweep" in texts
     assert any(t and t.startswith("PCA_M fit:") for t in texts)
     assert (tmp_path / "p.manifest.json").exists()
+
+
+def test_plot_creates_a_missing_output_directory(tmp_path, capsys):
+    curve, svg = tmp_path / "c.csv", tmp_path / "new" / "dir" / "p.svg"
+    assert main(_simulate_args(curve)) == 0
+    assert main(["plot", "--in", str(curve), "--out", str(svg)]) == 0
+    capsys.readouterr()
+    assert ET.fromstring(svg.read_text()).tag.endswith("svg")
+    assert (svg.parent / "p.manifest.json").exists()
 
 
 # --- reproduce -------------------------------------------------------------

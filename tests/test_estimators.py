@@ -21,6 +21,7 @@ from sldlab.estimators import (
     pca_estimator,
     svd_of,
     _direct_svd,
+    _gram_certified,
 )
 from sldlab.model import Dataset, LinearEstimator, ModelParams, sample_basis, sample_dataset
 from sldlab.risk import risk_closed_form
@@ -106,6 +107,69 @@ def test_svd_of_small_sigma_wide_falls_back_to_direct():
     routed = _route_risks(cache, params, basis, ds)
     direct = _route_risks(_direct_svd(ds.noisy), params, basis, ds)
     np.testing.assert_allclose(routed, direct, rtol=1e-8, atol=0.0)
+
+
+# Near-square cells that fail eps * kappa <= 1e-8 (3.5e-8, 8.0e-8, 2.0e-8 and
+# 1.6e-8 on these draws), so plain svd_of sends them to the direct SVD.
+_NEAR_SQUARE = [(100, 100, 0.05, 200), (300, 300, 0.05, 600),
+                (1000, 1000, 0.1, 2000), (1000, 1000, 0.2, 1)]
+
+
+@pytest.mark.parametrize("n,n_train,sigma,seed", _NEAR_SQUARE)
+def test_certified_gram_matches_direct_on_near_square_cells(n, n_train, sigma, seed):
+    # With no k = INFINITY risk reported, the Gram decomposition is kept, and
+    # everything a finite-k sweep reads from it matches the direct SVD.
+    params, basis, ds = _instance(n=n, d=10, sigma=sigma, n_train=n_train, seed=seed)
+    cache = svd_of(ds, finite_k_only=True)
+    assert cache.route == "gram-certified"
+    ref = _direct_svd(ds.noisy)
+    routed, direct = _route_risks(cache, params, basis, ds), _route_risks(ref, params, basis, ds)
+    best = int(np.argmin(routed[:-1]))  # the ESGD argmin over the grid, INFINITY included
+    assert best == int(np.argmin(direct[:-1])) and best < len(default_k_grid()) - 1
+    assert routed[best] == pytest.approx(direct[best], rel=1e-8)
+    assert routed[-1] == pytest.approx(direct[-1], rel=1e-8)  # PCA
+    k_opt = default_k_grid()[best]
+    w_gram, w_ref = (
+        gd_estimator_closed(c, ds.coeff, basis, GdConfig(eta=float(c.s_y[0]) ** -2, k=k_opt))
+        .as_matrix() for c in (cache, ref)
+    )
+    assert np.linalg.norm(w_gram - w_ref) <= 1e-8 * np.linalg.norm(w_ref)
+    # The certificate's lower bound on the PINV risk really is one.
+    certified, risk_inf_floor = _gram_certified(cache, ds)
+    assert certified and 0.0 < risk_inf_floor <= direct[-2]
+
+
+def test_certificate_rejects_small_sigma_wide_cell():
+    # The regression cell of test_svd_of_small_sigma_wide_falls_back_to_direct:
+    # a forced Gram route is off by 1e-2 at k = INFINITY, and its optimal k
+    # sits at 2^16 to 2^20, where the bound exceeds the risk many times over.
+    params, basis, ds = _instance(n=100, d=10, sigma=1e-7, n_train=200, seed=300)
+    assert svd_of(ds, finite_k_only=True).route == "svd"
+
+
+@pytest.mark.parametrize("n_train", [5, 10])
+def test_certificate_needs_a_top_d_gap(n_train):
+    # With N <= d there is no lambda_{d+1}, so Davis-Kahan cannot bound PCA.
+    params, basis, ds = _instance(n=100, d=10, sigma=0.1, n_train=n_train, seed=n_train)
+    cache = svd_of(ds)
+    assert cache.rank == n_train
+    assert _gram_certified(cache, ds) == (False, 0.0)
+
+
+@pytest.mark.parametrize("k", [2, 8, 2**10, 2**20])
+def test_certificate_lipschitz_constants(k):
+    # At eta = 1, p_k(x) = (1 - (1 - x)^k) / x and h_k(x) = x p_k(x)^2 are
+    # Lipschitz on [0, 2] with constants k (k - 1) / 2 and k^2.  The grid is
+    # refined near 0, where both slopes are steepest.
+    x = np.unique(np.concatenate([np.linspace(0.0, 2.0, 200_001),
+                                  np.linspace(0.0, min(2.0, 50.0 / k), 100_001)]))
+    with np.errstate(divide="ignore"):  # log1p(-1) at x = 1
+        rest = np.where(x <= 1.0, -np.expm1(k * np.log1p(-np.minimum(x, 1.0))), 1.0 - (1.0 - x) ** k)
+    p = np.divide(rest, x, out=np.full_like(x, float(k)), where=x > 0)
+    h = x * p * p
+    dx = np.diff(x)
+    assert np.max(np.abs(np.diff(p)) / dx) <= k * (k - 1) / 2 * (1 + 1e-9)
+    assert np.max(np.abs(np.diff(h)) / dx) <= k * k * (1 + 1e-9)
 
 
 def test_svd_of_tall_noisy_takes_small_gram_and_defers_u():

@@ -173,6 +173,32 @@ def test_monte_carlo_cell_memory_at_large_n():
         assert abs(mc_mean - risk) <= 5 * mc_err
 
 
+@pytest.mark.parametrize("estimators,route", [
+    (("ESGD", "PCA"), "gram-certified"),
+    (("ESGD", "PCA", "PINV"), "svd"),
+])
+def test_near_square_cell_keeps_gram_only_without_pinv(monkeypatch, estimators, route):
+    # n = N = 300 at this seed fails the conditioning check; the certificate
+    # covers finite-k risks only, so a cell that reports PINV pays the SVD.
+    routes = []
+
+    def spy(dataset, **kwargs):
+        cache = svd_of(dataset, **kwargs)
+        routes.append(cache.route)
+        return cache
+
+    monkeypatch.setattr(sweep_mod, "svd_of", spy)
+    config = _small_config(params=ModelParams(d=10, n=300, sigma_z=0.05), train_sizes=(300,),
+                           n_seeds=1, estimators=estimators)
+    records = sweep_mod._evaluate_cell(config, 300, 600)
+    assert routes == [route]
+    reference = sweep_mod._evaluate_cell(
+        _small_config(params=config.params, train_sizes=(300,), n_seeds=1,
+                      estimators=("ESGD", "PCA", "PINV")), 300, 600)
+    for (risk, _, _), (expected, _, _) in zip(records, reference):
+        assert risk == pytest.approx(expected, rel=1e-8)
+
+
 def test_curve_below_floor_is_rejected():
     cfg = _small_config(estimators=("OPT",), train_sizes=(3,), n_seeds=2)
     curve = run_sweep(cfg)
