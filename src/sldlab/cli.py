@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import SldlabError, UsageError
+from .errors import CsvFormatError, SldlabError, UsageError
 from .model import ModelParams
 from .powerlaw import PowerLawFit, fit_excess_powerlaw, fit_powerlaw, fit_segmented
 from .presets import load_preset
@@ -169,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--sigma", type=_nonneg_float, default=None,
                      help="noise std used by --floor auto")
     fit.add_argument("--min-seg", type=_positive_int, default=3,
-                     help="minimum points per segment for --mode segmented (default 3)")
+                     help="minimum points (>= 2) per segment for --mode segmented (default 3)")
     fit.add_argument("--out", default=None, help="optional fits CSV path")
     fit.set_defaults(func=_cmd_fit)
 
@@ -362,6 +362,8 @@ def _resolve_floor(floor_arg: str | float, sigma: float | None) -> float | None:
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     started = time.time()
+    if args.min_seg < 2:
+        raise UsageError(f"--min-seg must be >= 2 (a segment needs two points), got {args.min_seg}")
     sizes, values, column = read_series_csv(args.infile, args.col)
     floor = _resolve_floor(args.floor, args.sigma)
     source = str(args.infile)
@@ -393,8 +395,24 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _read_fits_csv(path: str) -> list[dict[str, str]]:
+    """Rows of a fits table, with every number :func:`_fit_overlay` reads checked."""
+    numbers = ("alpha", "log_beta", "size_lo", "size_hi", "floor")  # floor may be empty
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        missing = [c for c in ("series", *numbers) if c not in (reader.fieldnames or ())]
+        if missing:
+            raise CsvFormatError(f"{path}: not a fits table, missing columns {', '.join(missing)}")
+        rows = []
+        for row in reader:
+            for col in numbers:
+                try:
+                    if row[col] or col != "floor":
+                        float(row[col])
+                except (TypeError, ValueError):  # TypeError: a short row holds None
+                    raise CsvFormatError(f"{path}:{reader.line_num}: column {col}: "
+                                         f"expected a number, got {row[col]!r}") from None
+            rows.append(row)
+    return rows
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:

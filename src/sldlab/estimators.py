@@ -2,7 +2,7 @@
 
 Both families are functions of the thin SVD of the noisy training matrix
 Y = U_y diag(S_y) V_y^T, so the decomposition is computed once per dataset
-and shared through :class:`SvdCache`.
+and shared through :class:`SvdCache`, which holds the dataset it decomposed.
 
 Gradient descent on the regression loss L(W) = ||W Y - X||_F^2 from W = 0
 admits a closed form after k steps:
@@ -13,23 +13,29 @@ valid for stepsizes with eta * S_y[0]^2 <= 1.  As k -> infinity the filter
 tends to 1 / S_y[i] and W^k converges to the least-squares solution
 X Y^+ (the pseudoinverse estimator); early stopping keeps the filter from
 inverting the small, noise-dominated singular values.  The model's clean
-signal is X = U C, so X V_y = U (C V_y): the estimators take the d x N
-coefficients C with the true basis U and never form X.
+signal is X = U C, so X V_y = U (C V_y): the estimators read the d x N
+coefficients C and the true basis U from the cache's dataset and never form X.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionError, DivergenceError, InvariantError, StepsizeError
-from .model import Dataset, LinearEstimator, ModelParams, SubspaceBasis
+from .model import Dataset, LinearEstimator
 
 #: Distinguished iteration count meaning "run gradient descent to convergence".
 INFINITY: float = math.inf
+
+#: Iteration grid of oracle early stopping, {0, 1, 2, 4, ..., 2^20, INFINITY}:
+#: geometric spacing brackets any optimal stopping time within a factor of two
+#: at 23 risk evaluations.
+K_GRID: tuple[int | float, ...] = (0, *(2**j for j in range(21)), INFINITY)
 
 _STEPSIZE_SLACK = 1e-12  # fp slack so the default eta = 1/S[0]^2 passes its own check
 _MAX_ITERATIVE_K = 500
@@ -42,27 +48,27 @@ _MAX_ITERATIVE_K = 500
 
 @dataclass(eq=False)
 class SvdCache:
-    """Thin SVD Y = U_y diag(S_y) V_y^T of a noisy training matrix.
+    """Thin SVD Y = U_y diag(S_y) V_y^T of a dataset's noisy training matrix.
 
-    A decomposition route produces one singular factor and the other is
-    formed from Y on first access: the direct SVD and the n x n Gram route
-    store u_y, the N x N Gram route stores v_y.  Consumers that need only a
-    product with the missing factor (:meth:`matmul_v`, :meth:`ut_matmul`,
-    :meth:`u_matmul`, :meth:`leading_u`) get it through Y without
-    materializing that factor, so nothing n x r is built unless a caller
-    reads ``u_y`` itself.
+    The cache holds the :class:`Dataset` it decomposed, and the estimator
+    functions take Y, the coefficients C, the true basis U and the model
+    parameters from it.  A decomposition route produces one singular
+    factor: the direct SVD and the n x n Gram route store u_y, the N x N
+    Gram route stores v_y.  What the estimators need of the missing factor
+    (:attr:`coeff_v`, :attr:`ut_basis`, :meth:`u_matmul`, :meth:`leading_u`)
+    is formed through Y, so no sweep builds anything n x r; :attr:`u_y` and
+    :attr:`v_y` form a missing factor on each access.
 
-    s_y      -- r retained singular values, descending, all >= rank_tol
-    rank_tol -- truncation threshold max(n, N) * eps * S_y[0]
-    route    -- "svd" (direct), "gram" (eigendecomposition of the small Gram,
-                passing the conditioning check) or "gram-certified" (a Gram
-                decomposition whose reported risks passed :func:`_gram_certified`)
+    s_y     -- r retained singular values, descending, all >= max(n, N) * eps * S_y[0]
+    route   -- "svd" (direct), "gram" (eigendecomposition of the small Gram,
+               passing the conditioning check) or "gram-certified" (a Gram
+               decomposition whose reported risks passed :func:`_gram_certified`)
+    dataset -- the Dataset whose noisy matrix Y was decomposed
     """
 
     s_y: np.ndarray
-    rank_tol: float
     route: str
-    _noisy: np.ndarray = field(repr=False)
+    dataset: Dataset = field(repr=False)
     _u_y: np.ndarray | None = field(default=None, repr=False)
     _v_y: np.ndarray | None = field(default=None, repr=False)
 
@@ -75,50 +81,47 @@ class SvdCache:
         return int(self.s_y.size)
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return self._noisy.shape
+    def eta(self) -> float:
+        """The gradient-descent stepsize 1 / S_y[0]^2, which saturates the stability bound."""
+        return 1.0 / float(self.s_y[0]) ** 2
 
     @property
     def u_y(self) -> np.ndarray:
-        """n x r left singular vectors (Y V_y / S_y on first access if not stored)."""
+        """n x r left singular vectors (Y V_y / S_y, formed on each access if not stored)."""
         if self._u_y is None:
-            self._u_y = (self._noisy @ self._v_y) / self.s_y
+            return (self.dataset.noisy @ self._v_y) / self.s_y
         return self._u_y
 
     @property
     def v_y(self) -> np.ndarray:
-        """N x r right singular vectors (Y^T U_y / S_y on first access if not stored)."""
+        """N x r right singular vectors (Y^T U_y / S_y, formed on each access if not stored)."""
         if self._v_y is None:
-            self._v_y = (self._noisy.T @ self._u_y) / self.s_y
+            return (self.dataset.noisy.T @ self._u_y) / self.s_y
         return self._v_y
 
-    def matmul_v(self, a: np.ndarray) -> np.ndarray:
-        """Return ``a @ v_y`` without forcing v_y to materialize.
-
-        Uses a @ Y^T @ U_y / S_y, which for a short-and-wide Y is much
-        cheaper than building the N x r factor first.
-        """
+    @cached_property
+    def coeff_v(self) -> np.ndarray:
+        """g = C V_y (d x r), through (C Y^T) U_y / S_y when V_y is not stored."""
         if self._v_y is not None:
-            return a @ self._v_y
-        return ((a @ self._noisy.T) @ self._u_y) / self.s_y
+            return self.dataset.coeff @ self._v_y
+        return ((self.dataset.coeff @ self.dataset.noisy.T) @ self._u_y) / self.s_y
 
-    def ut_matmul(self, a: np.ndarray) -> np.ndarray:
-        """Return ``u_y.T @ a`` without forcing u_y to materialize.
-
-        Uses diag(1/S_y) V_y^T (Y^T a), O(N n k) for an n x k ``a``.
-        """
+    @cached_property
+    def ut_basis(self) -> np.ndarray:
+        """M = U_y^T U (r x d), through diag(1/S_y) V_y^T (Y^T U) when U_y is not stored."""
+        basis = self.dataset.basis.matrix
         if self._u_y is not None:
-            return self._u_y.T @ a
-        return (self._v_y.T @ (self._noisy.T @ a)) / self.s_y[:, None]
+            return self._u_y.T @ basis
+        return (self._v_y.T @ (self.dataset.noisy.T @ basis)) / self.s_y[:, None]
 
     def u_matmul(self, a: np.ndarray) -> np.ndarray:
-        """Return ``u_y @ a`` without forcing u_y to materialize.
+        """Return ``u_y @ a`` without forming u_y.
 
         Uses Y V_y diag(1/S_y) a, O(n N k) for an r x k ``a``.
         """
         if self._u_y is not None:
             return self._u_y @ a
-        return self._noisy @ (self._v_y @ (a / self.s_y[:, None]))
+        return self.dataset.noisy @ (self._v_y @ (a / self.s_y[:, None]))
 
     def leading_u(self, k: int) -> np.ndarray:
         """The first ``k`` columns of u_y, orthonormal to working precision.
@@ -133,7 +136,7 @@ class SvdCache:
         """
         if self._u_y is not None:
             return self._u_y[:, :k]
-        q, r = np.linalg.qr((self._noisy @ self._v_y[:, :k]) / self.s_y[:k])
+        q, r = np.linalg.qr((self.dataset.noisy @ self._v_y[:, :k]) / self.s_y[:k])
         return q * np.sign(np.diagonal(r))
 
 
@@ -165,16 +168,15 @@ def svd_of(dataset: Dataset, finite_k_only: bool = False) -> SvdCache:
 
     ``finite_k_only=True`` declares that the caller reports only the PCA risk
     and gradient-descent risks at finite k -- the oracle-stopped ESGD risk
-    over :func:`default_k_grid` -- and never the k = INFINITY (PINV) risk.
+    over :data:`K_GRID` -- and never the k = INFINITY (PINV) risk.
     A full-rank Gram decomposition that fails the check is then kept
     ("gram-certified") when :func:`_gram_certified` bounds every one of those
     risks to relative _GRAM_TOL; this is what saves the direct SVD of
     near-square cells.  Otherwise -- near-square Y with PINV reported, tiny
     sigma_z, or any rank deficiency -- the matrix goes to the direct SVD.
     """
-    y = dataset.noisy
     cache = _gram_svd(dataset, finite_k_only) if dataset.params.sigma_z > 0 else None
-    return cache if cache is not None else _direct_svd(y)
+    return cache if cache is not None else _direct_svd(dataset)
 
 
 def _gram_svd(dataset: Dataset, finite_k_only: bool) -> SvdCache | None:
@@ -191,20 +193,23 @@ def _gram_svd(dataset: Dataset, finite_k_only: bool) -> SvdCache | None:
     s = np.sqrt(evals[::-1])
     factor = np.ascontiguousarray(evecs[:, ::-1])
     route = "gram-certified" if ill_conditioned else "gram"
-    cache = _truncated(y, s, route, v=factor) if tall else _truncated(y, s, route, u=factor)
-    if ill_conditioned and not _gram_certified(cache, dataset)[0]:
+    u, v = (None, factor) if tall else (factor, None)
+    cache = _truncated(dataset, s, route, u=u, v=v)
+    if ill_conditioned and not _gram_certified(cache)[0]:
         return None
     return cache
 
 
-def _gram_certified(cache: SvdCache, dataset: Dataset) -> tuple[bool, float]:
+def _gram_certified(cache: SvdCache) -> tuple[bool, float]:
     """Whether a Gram decomposition gets every risk a finite-k sweep reports right.
 
     Returns (certified, lower bound on the k = INFINITY risk).  ``cache`` is
     the full-rank eigendecomposition G_hat = V diag(S^2) V^T of the m x m
-    Gram G of Y's small side (m = min(n, N)), and the risks are those of
-    :func:`gd_risk_profile` at eta = 1 / S[0]^2 over the finite k of
-    :func:`default_k_grid`, and of :func:`pca_estimator`.
+    Gram G of its dataset's Y's small side (m = min(n, N)), and the risks
+    are those of :func:`gd_risk_profile` at ``cache.eta`` = 1 / S[0]^2 over
+    the finite k of :data:`K_GRID`, and of :func:`pca_estimator`.  The
+    profile terms read g = C V_y and M = U_y^T U from the cache, so a kept
+    decomposition hands them on to the sweep.
 
     Error model.  Rounding in forming G and LAPACK's backward-stable ``eigh``
     make G_hat the exact eigendecomposition of G + E with
@@ -252,21 +257,21 @@ def _gram_certified(cache: SvdCache, dataset: Dataset) -> tuple[bool, float]:
     are accurate to relative _GRAM_TOL, while the k = INFINITY risk itself is
     not certified: that is left to the conditioning check.
     """
-    y, coeff, basis = dataset.noisy, dataset.coeff, dataset.basis
-    d, sig2 = dataset.params.d, dataset.params.sigma_z**2
+    y, coeff, params = cache.dataset.noisy, cache.dataset.coeff, cache.dataset.params
+    d, sig2 = params.d, params.sigma_z**2
     m = min(y.shape)
     if cache.rank != m or m <= d:
         return False, 0.0
     lam = cache.s_y**2
     epsilon = m * float(np.finfo(y.dtype).eps) * float(np.sqrt(np.sum(lam * lam)))
-    eta = 1.0 / float(cache.s_y[0]) ** 2  # the sweep's stepsize, to the bit
-    grid = default_k_grid()[:-1]  # every k but INFINITY
-    misfit2, w_norm2 = _profile_terms(cache, coeff, basis, eta, grid)
+    eta = cache.eta
+    grid = K_GRID[:-1]  # every k but INFINITY
+    misfit2, w_norm2 = _profile_terms(cache, eta, grid)
     risk = (misfit2 + sig2 * w_norm2) / d
 
     k = np.asarray(grid, dtype=float)
     if y.shape[1] < y.shape[0]:  # tall: G = Y^T Y
-        scale = np.linalg.norm(coeff, 2) * np.linalg.norm(y.T @ basis.matrix, 2)
+        scale = np.linalg.norm(coeff, 2) * np.linalg.norm(y.T @ cache.dataset.basis.matrix, 2)
         delta = scale * eta**2 * k * (k - 1) / 2 * epsilon
         nu = float(np.sum(coeff * coeff)) * eta**2 * k * k * epsilon
     else:  # wide: G = Y Y^T
@@ -288,26 +293,26 @@ def _gram_certified(cache: SvdCache, dataset: Dataset) -> tuple[bool, float]:
     return certified, risk_inf_floor
 
 
-def _direct_svd(y: np.ndarray) -> SvdCache:
-    """Direct LAPACK SVD; the reference route, used whenever the Gram check fails."""
-    u, s, vt = np.linalg.svd(y, full_matrices=False)
-    return _truncated(y, s, "svd", u=u, v=vt.T)
+def _direct_svd(dataset: Dataset) -> SvdCache:
+    """Direct LAPACK SVD of Y; the reference route, used whenever the Gram check fails."""
+    u, s, vt = np.linalg.svd(dataset.noisy, full_matrices=False)
+    return _truncated(dataset, s, "svd", u=u, v=vt.T)
 
 
 def _truncated(
-    y: np.ndarray, s: np.ndarray, route: str,
+    dataset: Dataset, s: np.ndarray, route: str,
     u: np.ndarray | None = None, v: np.ndarray | None = None,
 ) -> SvdCache:
     """Keep the singular triples at or above the numerical-rank threshold."""
     if s.size == 0 or s[0] <= 0.0:
         raise InvariantError("training matrix is identically zero; no singular directions")
-    rank_tol = max(y.shape) * float(np.finfo(y.dtype).eps) * float(s[0])
-    r = int(np.count_nonzero(s >= rank_tol))
+    y = dataset.noisy
+    tol = max(y.shape) * float(np.finfo(y.dtype).eps) * float(s[0])
+    r = int(np.count_nonzero(s >= tol))
     return SvdCache(
         s_y=s[:r].copy(),
-        rank_tol=rank_tol,
         route=route,
-        _noisy=y,
+        dataset=dataset,
         _u_y=None if u is None else np.ascontiguousarray(u[:, :r]),
         _v_y=None if v is None else np.ascontiguousarray(v[:, :r]),
     )
@@ -318,12 +323,13 @@ def _truncated(
 # =====================================================================
 
 
-def pca_estimator(cache: SvdCache, params: ModelParams) -> LinearEstimator:
+def pca_estimator(cache: SvdCache) -> LinearEstimator:
     """Shrunken projector onto the top-d empirical singular directions.
 
     Uses min(d, rank) directions, so with fewer than d training columns the
     projector is simply rank-deficient rather than an error.
     """
+    params = cache.dataset.params
     r_use = min(params.d, cache.rank)
     shrink = 1.0 / (1.0 + params.sigma_z**2)
     return LinearEstimator.scaled_projection(shrink, cache.leading_u(r_use))
@@ -347,21 +353,7 @@ class GdConfig:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.eta) and self.eta > 0):
             raise StepsizeError(f"eta must be finite and > 0, got {self.eta}")
-        k = self.k
-        k_ok = (isinstance(k, (int, np.integer)) and k >= 0) or (
-            isinstance(k, float) and math.isinf(k) and k > 0
-        )
-        if not k_ok:
-            raise DimensionError(f"k must be a nonnegative integer or INFINITY, got {k!r}")
-
-
-def default_k_grid() -> tuple[int | float, ...]:
-    """Iteration grid {0, 1, 2, 4, ..., 2^20, INFINITY}.
-
-    Geometric spacing brackets any optimal stopping time within a factor of
-    two at 23 risk evaluations.
-    """
-    return (0, *(2**j for j in range(21)), INFINITY)
+        normalize_k_grid((self.k,))  # the grids' check of an iteration count
 
 
 def _check_stepsize(eta: float, s_y: np.ndarray) -> None:
@@ -382,37 +374,21 @@ def _gd_filter(s_y: np.ndarray, eta: float, k: int | float) -> np.ndarray:
     return (1.0 - base ** int(k)) / s_y
 
 
-def _coeff_factor(cache: SvdCache, coeff: np.ndarray, basis: SubspaceBasis) -> np.ndarray:
-    """g = C V_y (d x r), after checking C is d x N for the basis and decomposition."""
-    coeff = np.asarray(coeff, dtype=float)
-    n, n_train = cache.shape
-    if basis.matrix.shape[0] != n:
-        raise DimensionError(f"basis has {basis.matrix.shape[0]} rows, expected {n}")
-    if coeff.shape != (basis.d, n_train):
-        raise DimensionError(
-            f"coeff must be d x N = {(basis.d, n_train)}, got shape {coeff.shape}"
-        )
-    return cache.matmul_v(coeff)
-
-
-def gd_estimator_closed(
-    cache: SvdCache, coeff: np.ndarray, basis: SubspaceBasis, cfg: GdConfig
-) -> LinearEstimator:
+def gd_estimator_closed(cache: SvdCache, cfg: GdConfig) -> LinearEstimator:
     """W^k = U C V_y D_k U_y^T, stored by its rank as the n x d pair (U R^T, Q).
 
-    ``coeff`` is the d x N coefficient matrix C of the training signal
-    X = U C the regression targets, and ``basis`` is U.  With g = C V_y,
+    The regression targets the cache's clean signal X = U C, with C the
+    d x N coefficients and U the true basis.  With g = C V_y,
     W^k = U B^T for the n x d matrix B = U_y D_k g^T, and its thin QR
     B = Q R gives W^k = (U R^T) Q^T.  So the factors are n x d whatever the
     rank r of Y, applying W^k costs O(n d) per column, and B is formed
     through Y without the n x r factor U_y.  k = 0 gives the zero map
     (R = 0) and k = INFINITY the pseudoinverse estimator.
     """
-    g = _coeff_factor(cache, coeff, basis)
     _check_stepsize(cfg.eta, cache.s_y)
     d_k = _gd_filter(cache.s_y, cfg.eta, cfg.k)
-    q, r = np.linalg.qr(cache.u_matmul(d_k[:, None] * g.T))
-    return LinearEstimator(left=basis.matrix @ r.T, basis=q)
+    q, r = np.linalg.qr(cache.u_matmul(d_k[:, None] * cache.coeff_v.T))
+    return LinearEstimator(left=cache.dataset.basis.matrix @ r.T, basis=q)
 
 
 def gd_estimator_iterative(dataset: Dataset, cfg: GdConfig) -> LinearEstimator:
@@ -444,14 +420,7 @@ def gd_estimator_iterative(dataset: Dataset, cfg: GdConfig) -> LinearEstimator:
 # =====================================================================
 
 
-def gd_risk_profile(
-    cache: SvdCache,
-    coeff: np.ndarray,
-    basis: SubspaceBasis,
-    params: ModelParams,
-    eta: float,
-    k_grid: Sequence[int | float],
-) -> np.ndarray:
+def gd_risk_profile(cache: SvdCache, eta: float, k_grid: Sequence[int | float]) -> np.ndarray:
     """Exact risk of W^k for every k in ``k_grid``, without forming W^k.
 
     With g = C V_y (d x r) and M = U_y^T U (r x d), W^k U = U g D_k M, so the
@@ -460,29 +429,24 @@ def gd_risk_profile(
     is summed directly rather than expanded into Gram terms, so it keeps its
     relative accuracy when the risk sits near the sigma_z^2 floor.
     """
-    misfit2, w_norm2 = _profile_terms(cache, coeff, basis, eta, k_grid)
+    params = cache.dataset.params
+    misfit2, w_norm2 = _profile_terms(cache, eta, k_grid)
     return (misfit2 + params.sigma_z**2 * w_norm2) / params.d
 
 
 def _profile_terms(
-    cache: SvdCache,
-    coeff: np.ndarray,
-    basis: SubspaceBasis,
-    eta: float,
-    k_grid: Sequence[int | float],
+    cache: SvdCache, eta: float, k_grid: Sequence[int | float]
 ) -> tuple[np.ndarray, np.ndarray]:
     """||g D_k M - I_d||_F^2 and ||W^k||_F^2 = sum_i D_k[i]^2 ||g e_i||^2 per k."""
-    g = _coeff_factor(cache, coeff, basis)
     _check_stepsize(eta, cache.s_y)
-
-    m = cache.ut_matmul(basis.matrix)  # U_y^T U, r x d
+    g, m = cache.coeff_v, cache.ut_basis
     col_norm2 = np.einsum("ij,ij->j", g, g)  # ||U g e_i||^2
     misfit2 = np.empty(len(k_grid))
     w_norm2 = np.empty(len(k_grid))
     for i, k in enumerate(k_grid):
         d_k = _gd_filter(cache.s_y, eta, k)
         misfit = g @ (m * d_k[:, None])
-        misfit -= np.eye(basis.d)
+        misfit -= np.eye(g.shape[0])
         misfit2[i] = np.sum(misfit * misfit)
         w_norm2[i] = np.dot(d_k * d_k, col_norm2)
     return misfit2, w_norm2
@@ -505,9 +469,6 @@ def normalize_k_grid(k_grid: Sequence[int | float]) -> tuple[int | float, ...]:
 
 def early_stopped_estimator(
     cache: SvdCache,
-    coeff: np.ndarray,
-    basis: SubspaceBasis,
-    params: ModelParams,
     k_grid: Sequence[int | float] | None = None,
     eta: float | None = None,
 ) -> tuple[LinearEstimator, int | float]:
@@ -515,11 +476,10 @@ def early_stopped_estimator(
 
     The exact closed-form risk under the true basis is evaluated at every k
     and the argmin is returned, ties resolved toward the smaller k.  The
-    default stepsize eta = 1 / S_y[0]^2 saturates the stability bound.
+    grid defaults to :data:`K_GRID` and the stepsize to ``cache.eta``.
     """
-    grid = normalize_k_grid(default_k_grid() if k_grid is None else k_grid)
-    if eta is None:
-        eta = 1.0 / float(cache.s_y[0]) ** 2
-    risks = gd_risk_profile(cache, coeff, basis, params, eta, grid)
+    grid = K_GRID if k_grid is None else normalize_k_grid(k_grid)
+    eta = cache.eta if eta is None else eta
+    risks = gd_risk_profile(cache, eta, grid)
     k_opt = grid[int(np.argmin(risks))]
-    return gd_estimator_closed(cache, coeff, basis, GdConfig(eta=eta, k=k_opt)), k_opt
+    return gd_estimator_closed(cache, GdConfig(eta=eta, k=k_opt)), k_opt

@@ -52,7 +52,6 @@ class SubspaceBasis:
     """Orthonormal basis U (n x d, d < n) of the signal subspace."""
 
     matrix: np.ndarray
-    basis_id: str = ""
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=float)
@@ -63,16 +62,6 @@ class SubspaceBasis:
             raise DimensionError(f"basis must be n x d with 1 <= d < n, got shape {m.shape}")
         _check_orthonormal(m, "basis")
         self.matrix = m
-        if not self.basis_id:
-            self.basis_id = f"basis-sha1-{_content_digest(m)}"
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.matrix.shape[1]
 
 
 @dataclass(eq=False)
@@ -83,7 +72,6 @@ class Dataset:
     noisy  -- n x N matrix Y = X + Z, columns are samples
     params -- the ModelParams the data was drawn under
     basis  -- the SubspaceBasis U the data was drawn with
-    seed   -- seed the dataset was drawn from
 
     X lies in span(U) by construction and is formed only by :attr:`clean`.
     """
@@ -92,7 +80,6 @@ class Dataset:
     noisy: np.ndarray
     params: ModelParams
     basis: SubspaceBasis
-    seed: int = 0
 
     def __post_init__(self) -> None:
         c = np.asarray(self.coeff, dtype=float)
@@ -115,10 +102,6 @@ class Dataset:
     @property
     def n_train(self) -> int:
         return self.noisy.shape[1]
-
-    @property
-    def basis_id(self) -> str:
-        return self.basis.basis_id
 
     @property
     def clean(self) -> np.ndarray:
@@ -219,7 +202,7 @@ def sample_basis(n: int, d: int, seed: int) -> SubspaceBasis:
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
     q = q * signs
-    return SubspaceBasis(matrix=q, basis_id=f"qr-gauss:n={n}:d={d}:seed={seed}")
+    return SubspaceBasis(matrix=q)
 
 
 def sample_dataset(
@@ -249,7 +232,7 @@ def sample_dataset(
     for lo in range(0, n_train, _BLOCK):
         block = slice(lo, lo + _BLOCK)
         noisy[:, block] += u @ coeff[:, block]
-    return Dataset(coeff=coeff, noisy=noisy, params=params, basis=basis, seed=seed)
+    return Dataset(coeff=coeff, noisy=noisy, params=params, basis=basis)
 
 
 # --- the optimal linear denoiser ----------------------------------------
@@ -283,9 +266,3 @@ def _check_orthonormal(m: np.ndarray, what: str) -> None:
     err = float(np.max(np.abs(gram - np.eye(m.shape[1]))))
     if err > _ORTHO_TOL:
         raise InvariantError(f"{what} is not orthonormal: max |B^T B - I| = {err:.3e}")
-
-
-def _content_digest(m: np.ndarray) -> str:
-    import hashlib
-
-    return hashlib.sha1(np.ascontiguousarray(m).tobytes()).hexdigest()[:12]

@@ -20,10 +20,9 @@ import numpy as np
 from .errors import CsvFormatError, DimensionError, GridError, InvariantError, SweepCellError
 from .estimators import (
     INFINITY,
-    default_k_grid,
+    K_GRID,
     gd_estimator_closed,
     gd_risk_profile,
-    normalize_k_grid,
     pca_estimator,
     svd_of,
     GdConfig,
@@ -33,8 +32,6 @@ from .risk import risk_closed_form, risk_monte_carlo
 from .rng import derive_seed
 
 ESTIMATOR_NAMES = ("OPT", "PCA", "ESGD", "PINV")
-
-_K_GRID = normalize_k_grid(default_k_grid())
 
 
 # =====================================================================
@@ -171,9 +168,8 @@ def _evaluate_cell(
     test = sample_dataset(params, basis, mc, derive_seed(cell_seed, "mc-test")) if mc else None
     if "ESGD" in config.estimators or "PINV" in config.estimators:
         # One profile serves both: every grid ends at INFINITY, the PINV risk.
-        eta = 1.0 / float(cache.s_y[0]) ** 2
-        grid = _K_GRID if "ESGD" in config.estimators else (INFINITY,)
-        profile = gd_risk_profile(cache, ds.coeff, basis, params, eta, grid)
+        grid = K_GRID if "ESGD" in config.estimators else (INFINITY,)
+        profile = gd_risk_profile(cache, cache.eta, grid)
 
     records: list[tuple[float, float, float]] = []
     for name in config.estimators:
@@ -182,14 +178,13 @@ def _evaluate_cell(
             if mc:
                 estimator = optimal_estimator(basis, params)
         elif name == "PCA":
-            estimator = pca_estimator(cache, params)
+            estimator = pca_estimator(cache)
             risk = risk_closed_form(estimator, basis, params)
         else:  # ESGD, or PINV at the grid's last entry, INFINITY
             best = int(np.argmin(profile)) if name == "ESGD" else len(grid) - 1
             risk = float(profile[best])
             if mc:
-                cfg = GdConfig(eta=eta, k=grid[best])
-                estimator = gd_estimator_closed(cache, ds.coeff, basis, cfg)
+                estimator = gd_estimator_closed(cache, GdConfig(eta=cache.eta, k=grid[best]))
         if mc:
             report = risk_monte_carlo(estimator, test)
             records.append((risk, report.mean, report.std_err))

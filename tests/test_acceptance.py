@@ -173,8 +173,8 @@ def test_criterion_4_closed_form_matches_iteration():
         basis = sample_basis(n, d, seed=int(rng.integers(2**63)))
         data = sample_dataset(params, basis, n_train, seed=int(rng.integers(2**63)))
         cache = svd_of(data)
-        cfg = GdConfig(eta=1.0 / float(cache.s_y[0]) ** 2, k=k)
-        closed = gd_estimator_closed(cache, data.coeff, basis, cfg).as_matrix()
+        cfg = GdConfig(eta=cache.eta, k=k)
+        closed = gd_estimator_closed(cache, cfg).as_matrix()
         stepped = gd_estimator_iterative(data, cfg).as_matrix()
         scale = float(np.linalg.norm(closed))
         dist = float(np.linalg.norm(closed - stepped))
@@ -207,7 +207,7 @@ def test_criterion_5_pca_specialized_equals_generic():
         params = ModelParams(d=d, n=n, sigma_z=sigma)
         basis = sample_basis(n, d, seed=int(rng.integers(2**63)))
         data = sample_dataset(params, basis, n_train, seed=int(rng.integers(2**63)))
-        est = pca_estimator(svd_of(data), params)
+        est = pca_estimator(svd_of(data))
         generic = risk_closed_form(est, basis, params)
         special = pca_risk_specialized(est.basis, basis, params)
         worst = max(worst, abs(generic - special))

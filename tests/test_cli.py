@@ -253,6 +253,16 @@ def test_fit_segmented_reports_break(tmp_path, capsys):
     assert left["breakpoint_evidence"] == "true"
 
 
+def test_fit_min_seg_below_two_exits_2_before_reading(tmp_path, capsys):
+    # A segment needs two points, so --min-seg 1 is a usage error, refused
+    # before the input is read or anything is reported.
+    data = tmp_path / "c.csv"
+    data.write_text("train_size,R\n" + "".join(f"{s},{1.0 / s!r}\n" for s in (10, 20, 40, 80, 160)))
+    assert main(["fit", "--in", str(data), "--mode", "segmented", "--min-seg", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--min-seg" in captured.err
+
+
 def test_fit_multi_column_requires_col(tmp_path, capsys):
     out = tmp_path / "curve.csv"
     assert main(_simulate_args(out)) == 0
@@ -286,6 +296,28 @@ def test_plot_creates_a_missing_output_directory(tmp_path, capsys):
     capsys.readouterr()
     assert ET.fromstring(svg.read_text()).tag.endswith("svg")
     assert (svg.parent / "p.manifest.json").exists()
+
+
+@pytest.mark.parametrize("bad", ["curve-table", "alpha"])
+def test_plot_rejects_a_bad_fits_table(tmp_path, capsys, bad):
+    # A fits table without the overlay columns, or with a value that is not
+    # a number, exits 1 with one error line naming the file, not a traceback.
+    curve, fits, svg = tmp_path / "c.csv", tmp_path / "f.csv", tmp_path / "p.svg"
+    assert main(_simulate_args(curve)) == 0
+    if bad == "curve-table":
+        missing = "series, alpha, log_beta, size_lo, size_hi, floor"
+        fits, expected = curve, f"{curve}: not a fits table, missing columns {missing}"
+    else:
+        assert main(["fit", "--in", str(curve), "--col", "PCA_M", "--out", str(fits)]) == 0
+        header, row = fits.read_text().splitlines()
+        fields = dict(zip(header.split(","), row.split(",")), alpha="abc")
+        fits.write_text(header + "\n" + ",".join(fields.values()) + "\n")
+        expected = f"{fits}:2: column alpha: expected a number, got 'abc'"
+    capsys.readouterr()
+    assert main(["plot", "--in", str(curve), "--fits", str(fits), "--out", str(svg)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"sldlab: CsvFormatError: {expected}\n"
+    assert not svg.exists()
 
 
 # --- reproduce -------------------------------------------------------------

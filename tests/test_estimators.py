@@ -12,7 +12,7 @@ from sldlab.errors import DimensionError, InvariantError, StepsizeError
 from sldlab.estimators import (
     GdConfig,
     INFINITY,
-    default_k_grid,
+    K_GRID,
     early_stopped_estimator,
     gd_estimator_closed,
     gd_estimator_iterative,
@@ -69,18 +69,24 @@ def test_svd_cache_truncates_exact_rank():
     assert cache.rank == 3
 
 
-def test_svd_cache_matmul_v_agrees_with_materialized():
-    _, _, ds = _instance(n=10, d=2, sigma=0.2, n_train=30, seed=4)
-    cache = svd_of(ds)
-    a = np.random.default_rng(0).standard_normal((4, 30))
-    lazy = cache.matmul_v(a)
-    assert np.allclose(lazy, a @ cache.v_y, atol=1e-10)
+def test_svd_cache_coeff_v_and_ut_basis_agree_with_materialized():
+    # g = C V_y and M = U_y^T U, formed through Y where a factor is not
+    # stored, match the products with the materialized factors on the tall
+    # Gram, wide Gram and direct routes.
+    for n, n_train, sigma, route, stores_u in [
+        (200, 50, 0.1, "gram", False), (10, 30, 0.2, "gram", True), (60, 40, 0.0, "svd", True),
+    ]:
+        _, basis, ds = _instance(n=n, d=2, sigma=sigma, n_train=n_train, seed=4)
+        cache = svd_of(ds)
+        assert cache.route == route and (cache._u_y is not None) == stores_u
+        assert np.allclose(cache.coeff_v, ds.coeff @ cache.v_y, atol=1e-10)
+        assert np.allclose(cache.ut_basis, cache.u_y.T @ basis.matrix, atol=1e-10)
 
 
-def _route_risks(cache, params, basis, ds):
-    eta = 1.0 / float(cache.s_y[0]) ** 2
-    profile = gd_risk_profile(cache, ds.coeff, basis, params, eta, default_k_grid())
-    pca = risk_closed_form(pca_estimator(cache, params), basis, params)
+def _route_risks(cache):
+    ds = cache.dataset
+    profile = gd_risk_profile(cache, cache.eta, K_GRID)
+    pca = risk_closed_form(pca_estimator(cache), ds.basis, ds.params)
     return np.append(profile, pca)
 
 
@@ -92,8 +98,8 @@ def test_svd_routes_agree_on_risks(n, n_train, sigma):
     # Whatever route svd_of picks, the GD risk profile and the PCA risk it
     # feeds must match a direct SVD run through the same risk code.
     params, basis, ds = _instance(n=n, d=10, sigma=sigma, n_train=n_train, seed=n + n_train)
-    routed = _route_risks(svd_of(ds), params, basis, ds)
-    direct = _route_risks(_direct_svd(ds.noisy), params, basis, ds)
+    routed = _route_risks(svd_of(ds))
+    direct = _route_risks(_direct_svd(ds))
     np.testing.assert_allclose(routed, direct, rtol=1e-8, atol=0.0)
 
 
@@ -104,8 +110,8 @@ def test_svd_of_small_sigma_wide_falls_back_to_direct():
     params, basis, ds = _instance(n=100, d=10, sigma=1e-7, n_train=200, seed=300)
     cache = svd_of(ds)
     assert cache.route == "svd"
-    routed = _route_risks(cache, params, basis, ds)
-    direct = _route_risks(_direct_svd(ds.noisy), params, basis, ds)
+    routed = _route_risks(cache)
+    direct = _route_risks(_direct_svd(ds))
     np.testing.assert_allclose(routed, direct, rtol=1e-8, atol=0.0)
 
 
@@ -122,20 +128,20 @@ def test_certified_gram_matches_direct_on_near_square_cells(n, n_train, sigma, s
     params, basis, ds = _instance(n=n, d=10, sigma=sigma, n_train=n_train, seed=seed)
     cache = svd_of(ds, finite_k_only=True)
     assert cache.route == "gram-certified"
-    ref = _direct_svd(ds.noisy)
-    routed, direct = _route_risks(cache, params, basis, ds), _route_risks(ref, params, basis, ds)
+    ref = _direct_svd(ds)
+    routed, direct = _route_risks(cache), _route_risks(ref)
     best = int(np.argmin(routed[:-1]))  # the ESGD argmin over the grid, INFINITY included
-    assert best == int(np.argmin(direct[:-1])) and best < len(default_k_grid()) - 1
+    assert best == int(np.argmin(direct[:-1])) and best < len(K_GRID) - 1
     assert routed[best] == pytest.approx(direct[best], rel=1e-8)
     assert routed[-1] == pytest.approx(direct[-1], rel=1e-8)  # PCA
-    k_opt = default_k_grid()[best]
+    k_opt = K_GRID[best]
     w_gram, w_ref = (
-        gd_estimator_closed(c, ds.coeff, basis, GdConfig(eta=float(c.s_y[0]) ** -2, k=k_opt))
+        gd_estimator_closed(c, GdConfig(eta=c.eta, k=k_opt))
         .as_matrix() for c in (cache, ref)
     )
     assert np.linalg.norm(w_gram - w_ref) <= 1e-8 * np.linalg.norm(w_ref)
     # The certificate's lower bound on the PINV risk really is one.
-    certified, risk_inf_floor = _gram_certified(cache, ds)
+    certified, risk_inf_floor = _gram_certified(cache)
     assert certified and 0.0 < risk_inf_floor <= direct[-2]
 
 
@@ -153,7 +159,7 @@ def test_certificate_needs_a_top_d_gap(n_train):
     params, basis, ds = _instance(n=100, d=10, sigma=0.1, n_train=n_train, seed=n_train)
     cache = svd_of(ds)
     assert cache.rank == n_train
-    assert _gram_certified(cache, ds) == (False, 0.0)
+    assert _gram_certified(cache) == (False, 0.0)
 
 
 @pytest.mark.parametrize("k", [2, 8, 2**10, 2**20])
@@ -177,18 +183,18 @@ def test_svd_of_tall_noisy_takes_small_gram_and_defers_u():
     cache = svd_of(ds)
     assert cache.route == "gram"
     assert cache.rank == 300
-    eta = 1.0 / float(cache.s_y[0]) ** 2
-    gd_risk_profile(cache, ds.coeff, basis, params, eta, default_k_grid())
-    pca_estimator(cache, params)
+    eta = cache.eta
+    gd_risk_profile(cache, eta, K_GRID)
+    pca_estimator(cache)
     for k in (64, INFINITY):  # an ESGD and the PINV estimator
-        gd_estimator_closed(cache, ds.coeff, basis, GdConfig(eta=eta, k=k))
+        gd_estimator_closed(cache, GdConfig(eta=eta, k=k))
     assert cache._u_y is None  # no consumer materialized n x r U_y
-    a = np.random.default_rng(0).standard_normal((2000, 3))
-    assert np.allclose(cache.ut_matmul(a), cache.u_y.T @ a, atol=1e-10)
+    assert np.allclose(cache.ut_basis, cache.u_y.T @ basis.matrix, atol=1e-10)
     b = np.random.default_rng(1).standard_normal((300, 3))
     assert np.allclose(cache.u_matmul(b), cache.u_y @ b, atol=1e-10)
     assert np.allclose(cache.leading_u(10), cache.u_y[:, :10], atol=1e-12)
     assert np.allclose((cache.u_y * cache.s_y) @ cache.v_y.T, ds.noisy, atol=1e-10)
+    assert cache._u_y is None  # reading u_y formed it without storing it
 
 
 def test_gram_route_pca_basis_orthonormal_when_d_covers_spectrum():
@@ -200,7 +206,7 @@ def test_gram_route_pca_basis_orthonormal_when_d_covers_spectrum():
     ds = sample_dataset(params, basis, 30, seed=6)
     cache = svd_of(ds)
     assert cache.route == "gram"
-    u = pca_estimator(cache, params).basis
+    u = pca_estimator(cache).basis
     assert np.max(np.abs(u.T @ u - np.eye(30))) <= 1e-12
     assert np.allclose(u @ u.T, cache.u_y @ cache.u_y.T, atol=1e-8)
 
@@ -220,7 +226,7 @@ def test_svd_of_zero_matrix_raises():
 
 def test_pca_estimator_rank_and_shrinkage():
     params, basis, ds = _instance(n=25, d=4, sigma=0.5, n_train=30, seed=5)
-    est = pca_estimator(svd_of(ds), params)
+    est = pca_estimator(svd_of(ds))
     assert est.rank == 4
     assert np.allclose(est.left, est.basis / 1.25, rtol=0, atol=1e-15)
 
@@ -228,7 +234,7 @@ def test_pca_estimator_rank_and_shrinkage():
 def test_pca_estimator_rank_deficient_when_starved():
     # One training column can only ever give a rank-1 projector.
     params, basis, ds = _instance(n=25, d=4, sigma=0.5, n_train=1, seed=6)
-    est = pca_estimator(svd_of(ds), params)
+    est = pca_estimator(svd_of(ds))
     assert est.rank == 1
     assert risk_closed_form(est, basis, params) > 0.5  # most signal missed
 
@@ -237,7 +243,7 @@ def test_pca_estimator_noiseless_recovery():
     # With sigma_z = 0 and n_train >= d, PCA recovers the subspace exactly
     # and the shrinkage factor is 1, so the risk vanishes.
     params, basis, ds = _instance(n=30, d=3, sigma=0.0, n_train=6, seed=7)
-    est = pca_estimator(svd_of(ds), params)
+    est = pca_estimator(svd_of(ds))
     assert risk_closed_form(est, basis, params) <= 1e-10
 
 
@@ -247,10 +253,10 @@ def test_pca_estimator_noiseless_recovery():
 def test_gd_filter_limits_via_closed_form():
     params, basis, ds = _instance(seed=8)
     cache = svd_of(ds)
-    eta = 1.0 / float(cache.s_y[0]) ** 2
-    w0 = gd_estimator_closed(cache, ds.coeff, basis, GdConfig(eta=eta, k=0))
+    eta = cache.eta
+    w0 = gd_estimator_closed(cache, GdConfig(eta=eta, k=0))
     assert np.array_equal(w0.as_matrix(), np.zeros((20, 20)))
-    w_inf = gd_estimator_closed(cache, ds.coeff, basis, GdConfig(eta=eta, k=INFINITY))
+    w_inf = gd_estimator_closed(cache, GdConfig(eta=eta, k=INFINITY))
     # k = INFINITY is the pseudoinverse estimator X Y^+, checked against numpy's pinv.
     assert np.allclose(w_inf.as_matrix(), ds.clean @ np.linalg.pinv(ds.noisy), atol=1e-10)
 
@@ -266,11 +272,11 @@ def test_gd_closed_matches_dense_reference_on_every_route(n, n_train, sigma, rou
     params, basis, ds = _instance(n=n, d=4, sigma=sigma, n_train=n_train, seed=n + n_train)
     cache = svd_of(ds)
     assert cache.route == route and (cache._u_y is not None) == stores_u
-    ref = _direct_svd(ds.noisy)
+    ref = _direct_svd(ds)
     u_ref, v_ref = ref.u_y, ref.v_y
-    for k in default_k_grid():
-        cfg = GdConfig(eta=1.0 / float(cache.s_y[0]) ** 2, k=k)
-        est = gd_estimator_closed(cache, ds.coeff, basis, cfg)
+    for k in K_GRID:
+        cfg = GdConfig(eta=cache.eta, k=k)
+        est = gd_estimator_closed(cache, cfg)
         assert est.left.shape == est.basis.shape == (n, params.d)
         s, eta = ref.s_y, 1.0 / float(ref.s_y[0]) ** 2
         d_k = 1.0 / s if k == INFINITY else (1.0 - (1.0 - eta * s * s) ** k) / s
@@ -284,9 +290,9 @@ def test_gd_risk_decreases_then_increases_along_path():
     # the noise is strong enough, so min over the grid is interior.
     params, basis, ds = _instance(n=40, d=3, sigma=0.5, n_train=35, seed=9)
     cache = svd_of(ds)
-    eta = 1.0 / float(cache.s_y[0]) ** 2
-    grid = normalize_k_grid(default_k_grid())
-    risks = gd_risk_profile(cache, ds.coeff, basis, params, eta, grid)
+    eta = cache.eta
+    grid = K_GRID
+    risks = gd_risk_profile(cache, eta, grid)
     best = int(np.argmin(risks))
     assert 0 < best < len(grid) - 1
     assert risks[best] < risks[0] and risks[best] < risks[-1]
@@ -304,9 +310,9 @@ def test_gd_closed_matches_iterative():
         basis = sample_basis(n, d, seed=100 + trial)
         ds = sample_dataset(params, basis, n_train, seed=200 + trial)
         cache = svd_of(ds)
-        eta = 1.0 / float(cache.s_y[0]) ** 2
+        eta = cache.eta
         cfg = GdConfig(eta=eta, k=k)
-        w_closed = gd_estimator_closed(cache, ds.coeff, basis, cfg).as_matrix()
+        w_closed = gd_estimator_closed(cache, cfg).as_matrix()
         w_iter = gd_estimator_iterative(ds, cfg).as_matrix()
         denom = max(np.linalg.norm(w_iter), 1e-300)
         assert np.linalg.norm(w_closed - w_iter) / denom <= 1e-8
@@ -325,10 +331,10 @@ def test_gd_stepsize_bound_enforced():
     cache = svd_of(ds)
     top = float(cache.s_y[0])
     # Saturating the bound is allowed...
-    gd_estimator_closed(cache, ds.coeff, basis, GdConfig(eta=1.0 / top**2, k=4))
+    gd_estimator_closed(cache, GdConfig(eta=1.0 / top**2, k=4))
     # ...exceeding it is not.
     with pytest.raises(StepsizeError):
-        gd_estimator_closed(cache, ds.coeff, basis, GdConfig(eta=1.5 / top**2, k=4))
+        gd_estimator_closed(cache, GdConfig(eta=1.5 / top**2, k=4))
     with pytest.raises(StepsizeError):
         GdConfig(eta=0.0, k=4)
     with pytest.raises(DimensionError):
@@ -357,9 +363,9 @@ def test_profile_matches_materialized_risks():
     cache = svd_of(ds)
     eta = 0.7 / float(cache.s_y[0]) ** 2
     grid = (0, 1, 2, 8, 64, 1024, INFINITY)
-    profile = gd_risk_profile(cache, ds.coeff, basis, params, eta, grid)
+    profile = gd_risk_profile(cache, eta, grid)
     for k, expected in zip(grid, profile):
-        w = gd_estimator_closed(cache, ds.coeff, basis, GdConfig(eta=eta, k=k)).as_matrix()
+        w = gd_estimator_closed(cache, GdConfig(eta=eta, k=k)).as_matrix()
         dense = LinearEstimator.from_dense(w)
         assert risk_closed_form(dense, basis, params) == pytest.approx(expected, abs=1e-10)
 
@@ -373,12 +379,12 @@ def test_profile_accurate_near_noise_floor(n, n_train, sigma):
     # estimator over the whole grid.
     params, basis, ds = _instance(n=n, d=10, sigma=sigma, n_train=n_train, seed=21)
     cache = svd_of(ds)
-    eta = 1.0 / float(cache.s_y[0]) ** 2
-    grid = normalize_k_grid(default_k_grid())
-    profile = gd_risk_profile(cache, ds.coeff, basis, params, eta, grid)
+    eta = cache.eta
+    grid = K_GRID
+    profile = gd_risk_profile(cache, eta, grid)
     formed = []
     for k in grid:
-        est = gd_estimator_closed(cache, ds.coeff, basis, GdConfig(eta=eta, k=k))
+        est = gd_estimator_closed(cache, GdConfig(eta=eta, k=k))
         formed.append(risk_closed_form(est, basis, params))
     np.testing.assert_allclose(profile, formed, rtol=1e-8, atol=0.0)
 
@@ -390,12 +396,12 @@ def test_gd_estimators_stay_low_rank_at_large_n():
     n, n_train = 10_000, 50
     params, basis, ds = _instance(n=n, d=5, sigma=0.1, n_train=n_train, seed=22)
     cache = svd_of(ds)
-    eta = 1.0 / float(cache.s_y[0]) ** 2
-    profile = gd_risk_profile(cache, ds.coeff, basis, params, eta, (8, INFINITY))
+    eta = cache.eta
+    profile = gd_risk_profile(cache, eta, (8, INFINITY))
     tracemalloc.start()
     try:
-        ests = (gd_estimator_closed(cache, ds.coeff, basis, GdConfig(eta=eta, k=8)),
-                gd_estimator_closed(cache, ds.coeff, basis, GdConfig(eta=eta, k=INFINITY)))
+        ests = (gd_estimator_closed(cache, GdConfig(eta=eta, k=8)),
+                gd_estimator_closed(cache, GdConfig(eta=eta, k=INFINITY)))
         for est, expected in zip(ests, profile):
             assert est.left.shape == est.basis.shape == (n, params.d)
             assert est.apply(ds.noisy).shape == (n, n_train)
@@ -414,41 +420,14 @@ def test_profile_memory_does_not_grow_with_n_train():
     for n_train in (500, 2000):
         params, basis, ds = _instance(n=n, d=10, sigma=0.1, n_train=n_train, seed=25)
         cache = svd_of(ds)
-        eta = 1.0 / float(cache.s_y[0]) ** 2
+        eta = cache.eta
         tracemalloc.start()
         try:
-            gd_risk_profile(cache, ds.coeff, basis, params, eta, default_k_grid())
+            gd_risk_profile(cache, eta, K_GRID)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 0.05 * 8 * n * 1500
-
-
-def test_profile_rejects_mismatched_shapes():
-    params, basis, ds = _instance(seed=16)
-    cache = svd_of(ds)
-    with pytest.raises(DimensionError):
-        gd_risk_profile(cache, ds.coeff[:, :-1], basis, params, 1e-3, (1,))
-    with pytest.raises(DimensionError):  # basis of another ambient dimension
-        gd_risk_profile(cache, ds.coeff, sample_basis(21, 3, seed=0), params, 1e-3, (1,))
-
-
-def test_gd_entry_points_reject_clean_matrix():
-    # The entry points take the d x N coefficients C; the n x N clean matrix
-    # X of the same draw, passed where C belongs, must fail loudly.
-    params, basis, ds = _instance(seed=16)
-    cache = svd_of(ds)
-    eta = 1.0 / float(cache.s_y[0]) ** 2
-    x = ds.clean
-    calls = (
-        lambda: gd_risk_profile(cache, x, basis, params, eta, (1,)),
-        lambda: gd_estimator_closed(cache, x, basis, GdConfig(eta=eta, k=1)),
-        lambda: gd_estimator_closed(cache, x, basis, GdConfig(eta=eta, k=INFINITY)),
-        lambda: early_stopped_estimator(cache, x, basis, params),
-    )
-    for call in calls:
-        with pytest.raises(DimensionError):
-            call()
 
 
 # --- oracle early stopping ----------------------------------------------
@@ -457,12 +436,10 @@ def test_gd_entry_points_reject_clean_matrix():
 def test_early_stopping_is_grid_argmin():
     params, basis, ds = _instance(n=35, d=3, sigma=0.4, n_train=30, seed=17)
     cache = svd_of(ds)
-    est, k_opt = early_stopped_estimator(cache, ds.coeff, basis, params)
+    est, k_opt = early_stopped_estimator(cache)
     risk_opt = risk_closed_form(est, basis, params)
-    grid = normalize_k_grid(default_k_grid())
-    profile = gd_risk_profile(
-        cache, ds.coeff, basis, params, 1.0 / float(cache.s_y[0]) ** 2, grid
-    )
+    grid = K_GRID
+    profile = gd_risk_profile(cache, cache.eta, grid)
     assert risk_opt == pytest.approx(float(np.min(profile)), abs=1e-12)
     assert k_opt in grid
     # Oracle dominance: no grid iterate, including the converged one, wins.
@@ -475,11 +452,11 @@ def test_early_stopping_noiseless_reaches_zero_risk():
     # remaining grid entries (including k = INFINITY) tie at zero risk.
     params, basis, ds = _instance(n=25, d=3, sigma=0.0, n_train=12, seed=18)
     cache = svd_of(ds)
-    est, k_opt = early_stopped_estimator(cache, ds.coeff, basis, params)
+    est, k_opt = early_stopped_estimator(cache)
     assert risk_closed_form(est, basis, params) <= 1e-12
-    eta = 1.0 / float(cache.s_y[0]) ** 2
-    grid = normalize_k_grid(default_k_grid())
-    profile = gd_risk_profile(cache, ds.coeff, basis, params, eta, grid)
+    eta = cache.eta
+    grid = K_GRID
+    profile = gd_risk_profile(cache, eta, grid)
     assert profile[-1] <= 1e-12  # the converged endpoint is (numerically) exact
     assert np.all(np.diff(profile) <= 1e-12)  # and the path only improves
 
@@ -489,13 +466,11 @@ def test_early_stopping_breaks_ties_toward_smaller_k():
     # equal-risk entries resolve to the smaller iteration count.
     params, basis, ds = _instance(n=20, d=2, sigma=0.3, n_train=10, seed=19)
     cache = svd_of(ds)
-    _, k_a = early_stopped_estimator(cache, ds.coeff, basis, params, k_grid=(7, 7, 7))
+    _, k_a = early_stopped_estimator(cache, k_grid=(7, 7, 7))
     assert k_a == 7
-    _, k_b = early_stopped_estimator(cache, ds.coeff, basis, params, k_grid=(INFINITY, 9, 9))
+    _, k_b = early_stopped_estimator(cache, k_grid=(INFINITY, 9, 9))
     assert k_b in (9, INFINITY)
-    profile = gd_risk_profile(
-        cache, ds.coeff, basis, params, 1.0 / float(cache.s_y[0]) ** 2, (9, INFINITY)
-    )
+    profile = gd_risk_profile(cache, cache.eta, (9, INFINITY))
     if profile[0] <= profile[1]:
         assert k_b == 9
 
@@ -513,7 +488,7 @@ def test_normalize_k_grid():
 
 
 def test_default_k_grid_shape():
-    grid = default_k_grid()
+    grid = K_GRID
     assert grid[0] == 0
     assert grid[-1] == INFINITY
     assert grid[1:-1] == tuple(2**j for j in range(21))

@@ -95,7 +95,7 @@ def test_sample_dataset_shapes_and_span():
     assert ds.coeff.shape == (4, 40)
     assert ds.clean.shape == ds.noisy.shape == (25, 40)
     assert ds.n_train == 40
-    assert ds.basis is basis and ds.basis_id == basis.basis_id
+    assert ds.basis is basis
     ds.validate()
     # X = U C lies in span(U) by construction.
     u = basis.matrix

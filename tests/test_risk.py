@@ -80,7 +80,7 @@ def test_monte_carlo_matches_closed_form_within_3_se():
     params = ModelParams(d=3, n=20, sigma_z=0.3)
     basis = sample_basis(20, 3, seed=5)
     ds = sample_dataset(params, basis, n_train=30, seed=5)
-    est = pca_estimator(svd_of(ds), params)
+    est = pca_estimator(svd_of(ds))
     exact = risk_closed_form(est, basis, params)
     hits = 0
     for rep in range(100):
@@ -107,7 +107,7 @@ def test_monte_carlo_blocks_match_unblocked(n_test):
     params = ModelParams(d=3, n=40, sigma_z=0.3)
     basis = sample_basis(40, 3, seed=8)
     ds = sample_dataset(params, basis, n_train=60, seed=8)
-    est, _ = early_stopped_estimator(svd_of(ds), ds.coeff, basis, params)
+    est, _ = early_stopped_estimator(svd_of(ds))
     test = sample_dataset(params, basis, n_test, seed=9)
     err = est.apply(test.noisy) - test.clean
     losses = np.sum(err * err, axis=0) / params.d
@@ -138,7 +138,7 @@ def test_pca_specialized_equals_generic():
         basis = sample_basis(n, d, seed=1000 + trial)
         ds = sample_dataset(params, basis, n_train, seed=2000 + trial)
         cache = svd_of(ds)
-        est = pca_estimator(cache, params)
+        est = pca_estimator(cache)
         generic = risk_closed_form(est, basis, params)
         special = pca_risk_specialized(est.basis, basis, params)
         assert special == pytest.approx(generic, abs=1e-10)

@@ -126,7 +126,7 @@ def test_aggregation_protocol_is_reproducible_from_parts():
             cell_seed = derive_seed(cfg.base_seed, "cell", i, j)
             basis = sample_basis(cfg.params.n, cfg.params.d, cell_seed)
             ds = sample_dataset(cfg.params, basis, n_train, cell_seed)
-            est = pca_estimator(svd_of(ds), cfg.params)
+            est = pca_estimator(svd_of(ds))
             risks.append(risk_closed_form(est, basis, cfg.params))
         assert curve.series["PCA"].mean[i] == pytest.approx(np.mean(risks), abs=1e-15)
         assert curve.series["PCA"].std[i] == pytest.approx(np.std(risks, ddof=1), abs=1e-15)
