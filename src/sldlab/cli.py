@@ -395,8 +395,12 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _read_fits_csv(path: str) -> list[dict[str, str]]:
-    """Rows of a fits table, with every number :func:`_fit_overlay` reads checked."""
-    numbers = ("alpha", "log_beta", "size_lo", "size_hi", "floor")  # floor may be empty
+    """Rows of a fits table, with every number :func:`_fit_overlay` reads checked.
+
+    Each must be finite (``floor`` may be empty), and the size range must
+    satisfy 0 < size_lo <= size_hi, since the plot draws it on log axes.
+    """
+    numbers = ("alpha", "log_beta", "size_lo", "size_hi", "floor")
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in ("series", *numbers) if c not in (reader.fieldnames or ())]
@@ -404,13 +408,24 @@ def _read_fits_csv(path: str) -> list[dict[str, str]]:
             raise CsvFormatError(f"{path}: not a fits table, missing columns {', '.join(missing)}")
         rows = []
         for row in reader:
+            where = f"{path}:{reader.line_num}"
             for col in numbers:
+                if col == "floor" and not row[col]:
+                    continue
                 try:
-                    if row[col] or col != "floor":
-                        float(row[col])
+                    value = float(row[col])
                 except (TypeError, ValueError):  # TypeError: a short row holds None
-                    raise CsvFormatError(f"{path}:{reader.line_num}: column {col}: "
+                    raise CsvFormatError(f"{where}: column {col}: "
                                          f"expected a number, got {row[col]!r}") from None
+                if not math.isfinite(value):
+                    raise CsvFormatError(f"{where}: column {col}: "
+                                         f"expected a finite number, got {row[col]!r}")
+            if not float(row["size_lo"]) > 0.0:
+                raise CsvFormatError(f"{where}: column size_lo: "
+                                     f"expected a positive number, got {row['size_lo']!r}")
+            if not float(row["size_hi"]) >= float(row["size_lo"]):
+                raise CsvFormatError(f"{where}: column size_hi: "
+                                     f"expected at least size_lo, got {row['size_hi']!r}")
             rows.append(row)
     return rows
 

@@ -27,7 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, DivergenceError, InvariantError, StepsizeError
-from .model import Dataset, LinearEstimator
+from .model import Dataset, LinearEstimator, SubspaceBasis
+from .risk import risk_closed_form
 
 #: Distinguished iteration count meaning "run gradient descent to convergence".
 INFINITY: float = math.inf
@@ -38,6 +39,7 @@ INFINITY: float = math.inf
 K_GRID: tuple[int | float, ...] = (0, *(2**j for j in range(21)), INFINITY)
 
 _STEPSIZE_SLACK = 1e-12  # fp slack so the default eta = 1/S[0]^2 passes its own check
+_EPS = float(np.finfo(float).eps)
 _MAX_ITERATIVE_K = 500
 
 
@@ -54,10 +56,12 @@ class SvdCache:
     functions take Y, the coefficients C, the true basis U and the model
     parameters from it.  A decomposition route produces one singular
     factor: the direct SVD and the n x n Gram route store u_y, the N x N
-    Gram route stores v_y.  What the estimators need of the missing factor
-    (:attr:`coeff_v`, :attr:`ut_basis`, :meth:`u_matmul`, :meth:`leading_u`)
-    is formed through Y, so no sweep builds anything n x r; :attr:`u_y` and
-    :attr:`v_y` form a missing factor on each access.
+    Gram route stores v_y.  The N x N route runs on a streamed draw, whose
+    dataset holds C, Z^T Z and W = U^T Z in place of Y: :attr:`ut_basis`
+    and :meth:`leading_u_in_frame` read those, while :meth:`u_matmul`,
+    :meth:`leading_u` and a missing :attr:`u_y` go through
+    :attr:`Dataset.noisy`, which replays Y.  So no sweep builds anything
+    n x r, and one without ``--mc-test`` never forms Y on that route.
 
     s_y     -- r retained singular values, descending, all >= max(n, N) * eps * S_y[0]
     route   -- "svd" (direct), "gram" (eigendecomposition of the small Gram,
@@ -109,10 +113,9 @@ class SvdCache:
     @cached_property
     def ut_basis(self) -> np.ndarray:
         """M = U_y^T U (r x d), through diag(1/S_y) V_y^T (Y^T U) when U_y is not stored."""
-        basis = self.dataset.basis.matrix
         if self._u_y is not None:
-            return self._u_y.T @ basis
-        return (self._v_y.T @ (self.dataset.noisy.T @ basis)) / self.s_y[:, None]
+            return self._u_y.T @ self.dataset.basis.matrix
+        return (self._v_y.T @ _yt_basis(self.dataset)) / self.s_y[:, None]
 
     def u_matmul(self, a: np.ndarray) -> np.ndarray:
         """Return ``u_y @ a`` without forming u_y.
@@ -139,6 +142,43 @@ class SvdCache:
         q, r = np.linalg.qr((self.dataset.noisy @ self._v_y[:, :k]) / self.s_y[:k])
         return q * np.sign(np.diagonal(r))
 
+    def leading_u_in_frame(self, k: int) -> np.ndarray:
+        """:meth:`leading_u` in coordinates of span(U) + span(U_hat), a (d + k) x k array.
+
+        With U_hat = leading_u(k) = U A + P, P orthogonal to U, the frame is
+        [U, F] with P = F T, so U_hat has coordinates [A; T] and U has
+        [I_d; 0].  Inner products among the columns of U and U_hat -- all a
+        risk reads -- are the same in these coordinates, and only the d x k
+        overlap A = U^T U_hat and the k x k Gram P^T P are needed; T is the
+        square root of P^T P.  When U_y is stored they come from U_hat.  On
+        a streamed draw they come from its statistics, without Y: with
+        U_hat = Y B R^-1, B = V_y[:, :k] / S_y[:k] and R^T R = B^T Y^T Y B
+        (the orthonormalization of :meth:`leading_u`),
+            A = (C B + sigma W B) R^-1,
+            P^T P = sigma^2 R^-T (B^T Z^T Z B - (W B)^T W B) R^-1.
+        The subspace error tr(P^T P) is thus never formed as k - ||A||_F^2,
+        and keeps its relative accuracy when it is small.
+        """
+        if self._u_y is not None:
+            u_hat = self._u_y[:, :k]
+            basis = self.dataset.basis.matrix
+            overlap = basis.T @ u_hat
+            perp = u_hat - basis @ overlap
+            perp_gram = perp.T @ perp
+        else:
+            coeff, noise = self.dataset.coeff, self.dataset.noise
+            sigma = self.dataset.params.sigma_z
+            b = self._v_y[:, :k] / self.s_y[:k]
+            cb, wb = coeff @ b, noise.proj @ b
+            bzzb = b.T @ (noise.gram @ b)
+            cw = cb.T @ wb
+            chol = np.linalg.cholesky(cb.T @ cb + sigma * (cw + cw.T) + sigma**2 * bzzb)
+            overlap = np.linalg.solve(chol, (cb + sigma * wb).T).T
+            inner = np.linalg.solve(chol, bzzb - wb.T @ wb)
+            perp_gram = sigma**2 * np.linalg.solve(chol, inner.T)
+        lam, vec = np.linalg.eigh(perp_gram)
+        return np.vstack([overlap, np.sqrt(np.clip(lam, 0.0, None))[:, None] * vec.T])
+
 
 #: Largest eps * lambda_max / lambda_min a Gram eigendecomposition may have
 #: without further checks.  Eigenvalues of the Gram matrix carry absolute error
@@ -160,8 +200,9 @@ def svd_of(dataset: Dataset, finite_k_only: bool = False) -> SvdCache:
 
     Noisy data (sigma_z > 0) is first decomposed through the Gram matrix of
     Y's small side: the N x N Y^T Y when N < n (storing V_y, so U_y is
-    formed only if a caller asks for it), the n x n Y Y^T otherwise
-    (storing U_y).  Squaring Y squares its condition number, so the route
+    formed only if a caller asks for it), formed by :func:`_gram_svd` from a
+    streamed draw's statistics, and the n x n Y Y^T otherwise (storing
+    U_y).  Squaring Y squares its condition number, so the route
     ("gram") is kept when the run-time check eps * lambda_max / lambda_min <=
     _GRAM_TOL passes.  Noiseless data (sigma_z = 0) is exactly rank-deficient
     whenever N > d and always takes the direct LAPACK SVD ("svd").
@@ -180,14 +221,21 @@ def svd_of(dataset: Dataset, finite_k_only: bool = False) -> SvdCache:
 
 
 def _gram_svd(dataset: Dataset, finite_k_only: bool) -> SvdCache | None:
-    """Singular triples from the Gram matrix of Y's small side, or None if not trusted."""
-    y = dataset.noisy
-    n, n_train = y.shape
-    tall = n_train < n
-    gram = y.T @ y if tall else y @ y.T
+    """Singular triples from the Gram matrix of Y's small side, or None if not trusted.
+
+    For N < n the Gram is Y^T Y = C^T C + sigma (C^T W + W^T C) + sigma^2 Z^T Z,
+    formed from the statistics of a streamed draw (Y = U C + sigma Z,
+    W = U^T Z), so Y is not read; a dataset given an explicit tall Y has no
+    statistics and goes to the direct SVD.
+    """
+    tall = dataset.n_train < dataset.params.n
+    if tall and dataset.noise is None:
+        return None
+    gram = _tall_gram(dataset) if tall else dataset.noisy @ dataset.noisy.T
     evals, evecs = np.linalg.eigh(gram)
+    del gram  # one N x N array fewer while the factor is copied below
     lam_min, lam_max = float(evals[0]), float(evals[-1])
-    ill_conditioned = np.finfo(y.dtype).eps * lam_max > _GRAM_TOL * lam_min
+    ill_conditioned = _EPS * lam_max > _GRAM_TOL * lam_min
     if not lam_min > 0.0 or (ill_conditioned and not finite_k_only):
         return None
     s = np.sqrt(evals[::-1])
@@ -198,6 +246,24 @@ def _gram_svd(dataset: Dataset, finite_k_only: bool) -> SvdCache | None:
     if ill_conditioned and not _gram_certified(cache)[0]:
         return None
     return cache
+
+
+def _tall_gram(dataset: Dataset) -> np.ndarray:
+    """Y^T Y of a streamed draw, from C, W = U^T Z and Z^T Z; one N x N scratch array."""
+    coeff, noise, sigma = dataset.coeff, dataset.noise, dataset.params.sigma_z
+    gram = coeff.T @ coeff
+    scratch = coeff.T @ noise.proj
+    scratch *= sigma
+    gram += scratch
+    gram += scratch.T
+    np.multiply(noise.gram, sigma * sigma, out=scratch)
+    gram += scratch
+    return gram
+
+
+def _yt_basis(dataset: Dataset) -> np.ndarray:
+    """Y^T U = C^T + sigma W^T (N x d) of a streamed draw."""
+    return dataset.coeff.T + dataset.params.sigma_z * dataset.noise.proj.T
 
 
 def _gram_certified(cache: SvdCache) -> tuple[bool, float]:
@@ -257,25 +323,27 @@ def _gram_certified(cache: SvdCache) -> tuple[bool, float]:
     are accurate to relative _GRAM_TOL, while the k = INFINITY risk itself is
     not certified: that is left to the conditioning check.
     """
-    y, coeff, params = cache.dataset.noisy, cache.dataset.coeff, cache.dataset.params
+    dataset = cache.dataset
+    coeff, params = dataset.coeff, dataset.params
     d, sig2 = params.d, params.sigma_z**2
-    m = min(y.shape)
+    tall = dataset.n_train < params.n
+    m = min(dataset.n_train, params.n)
     if cache.rank != m or m <= d:
         return False, 0.0
     lam = cache.s_y**2
-    epsilon = m * float(np.finfo(y.dtype).eps) * float(np.sqrt(np.sum(lam * lam)))
+    epsilon = m * _EPS * float(np.sqrt(np.sum(lam * lam)))
     eta = cache.eta
     grid = K_GRID[:-1]  # every k but INFINITY
     misfit2, w_norm2 = _profile_terms(cache, eta, grid)
     risk = (misfit2 + sig2 * w_norm2) / d
 
     k = np.asarray(grid, dtype=float)
-    if y.shape[1] < y.shape[0]:  # tall: G = Y^T Y
-        scale = np.linalg.norm(coeff, 2) * np.linalg.norm(y.T @ cache.dataset.basis.matrix, 2)
+    if tall:  # G = Y^T Y
+        scale = np.linalg.norm(coeff, 2) * np.linalg.norm(_yt_basis(dataset), 2)
         delta = scale * eta**2 * k * (k - 1) / 2 * epsilon
         nu = float(np.sum(coeff * coeff)) * eta**2 * k * k * epsilon
     else:  # wide: G = Y Y^T
-        delta = np.linalg.norm(coeff @ y.T, 2) * eta**2 * k * (k - 1) / 2 * epsilon
+        delta = np.linalg.norm(coeff @ dataset.noisy.T, 2) * eta**2 * k * (k - 1) / 2 * epsilon
         nu = 2.0 * np.sqrt(w_norm2) * delta + delta * delta
     bound = (2.0 * np.sqrt(misfit2) * delta + delta * delta + sig2 * nu) / d
     risk_inf_floor = float(np.max(sig2 * (w_norm2 - nu))) / d
@@ -306,8 +374,7 @@ def _truncated(
     """Keep the singular triples at or above the numerical-rank threshold."""
     if s.size == 0 or s[0] <= 0.0:
         raise InvariantError("training matrix is identically zero; no singular directions")
-    y = dataset.noisy
-    tol = max(y.shape) * float(np.finfo(y.dtype).eps) * float(s[0])
+    tol = max(dataset.params.n, dataset.n_train) * _EPS * float(s[0])
     r = int(np.count_nonzero(s >= tol))
     return SvdCache(
         s_y=s[:r].copy(),
@@ -323,16 +390,34 @@ def _truncated(
 # =====================================================================
 
 
-def pca_estimator(cache: SvdCache) -> LinearEstimator:
+def pca_estimator(cache: SvdCache, frame: bool = False) -> LinearEstimator:
     """Shrunken projector onto the top-d empirical singular directions.
 
     Uses min(d, rank) directions, so with fewer than d training columns the
-    projector is simply rank-deficient rather than an error.
+    projector is simply rank-deficient rather than an error.  ``frame=True``
+    gives the same map in the coordinates of
+    :meth:`SvdCache.leading_u_in_frame`, where U is [I_d; 0]: what
+    :func:`pca_risk` scores.
     """
     params = cache.dataset.params
     r_use = min(params.d, cache.rank)
     shrink = 1.0 / (1.0 + params.sigma_z**2)
-    return LinearEstimator.scaled_projection(shrink, cache.leading_u(r_use))
+    u_hat = cache.leading_u_in_frame(r_use) if frame else cache.leading_u(r_use)
+    return LinearEstimator.scaled_projection(shrink, u_hat)
+
+
+def pca_risk(cache: SvdCache) -> float:
+    """Exact risk of :func:`pca_estimator`, scored without reading Y.
+
+    The risk (||(W - I) U||_F^2 + sigma^2 ||W||_F^2) / d of W = s U_hat U_hat^T
+    depends only on inner products among the columns of U and U_hat, so
+    :func:`~sldlab.risk.risk_closed_form` gives it in the (d + r)-dimensional
+    coordinates of :meth:`SvdCache.leading_u_in_frame`.
+    """
+    params = cache.dataset.params
+    estimator = pca_estimator(cache, frame=True)
+    frame_basis = SubspaceBasis(np.eye(estimator.ambient_dim, params.d))
+    return risk_closed_form(estimator, frame_basis, params)
 
 
 # =====================================================================

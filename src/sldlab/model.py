@@ -18,11 +18,18 @@ from .rng import stream
 
 _ORTHO_TOL = 1e-10
 
-#: Columns of U C added to Y per block in :func:`sample_dataset`.  The
+#: Columns of U C added to Y per block in :func:`_draw_noisy`.  The
 #: temporary is then n x 64 (5 MB at n = 10^4) whatever N is, so the draw
 #: holds Y as its only n x N array; at this width the blocked sum ran as fast
 #: as forming U C whole.
 _BLOCK = 64
+
+#: Bytes of Z per row block in :func:`_stream_noise` (524 rows at N = 1000).
+#: The n = 10^4, N = 1000 draw took 1.13-1.42 s with 64-row blocks, 0.55-0.60 s
+#: with 524 and 0.48-0.70 s with 2048 (2 cores, numpy 2.4.6 with OpenBLAS
+#: 0.3.31): thinner blocks starve the Z^T Z product, while a 4 MB block stays
+#: a fixed cost, half the Z^T Z of an N = 1000 cell.
+_STREAM_BYTES = 4 * 2**20
 
 
 @dataclass(frozen=True)
@@ -65,43 +72,81 @@ class SubspaceBasis:
 
 
 @dataclass(eq=False)
+class StreamedNoise:
+    """What a dataset keeps of a noise draw Z (n x N) that was never held whole.
+
+    seed -- the dataset seed; Z is its "noise" stream, redrawn on replay
+    gram -- Z^T Z (N x N)
+    proj -- W = U^T Z (d x N)
+    """
+
+    seed: int
+    gram: np.ndarray
+    proj: np.ndarray
+
+
 class Dataset:
     """A model draw: the coefficients of the clean signal and the noisy matrix.
 
     coeff  -- d x N coefficients C; the clean matrix is X = U C
-    noisy  -- n x N matrix Y = X + Z, columns are samples
+    noisy  -- n x N matrix Y = X + sigma_z Z, columns are samples, or None
     params -- the ModelParams the data was drawn under
     basis  -- the SubspaceBasis U the data was drawn with
+    noise  -- for a dataset given without Y, the StreamedNoise of its draw
 
     X lies in span(U) by construction and is formed only by :attr:`clean`.
+    A dataset is given either Y or the statistics Z^T Z and U^T Z of its
+    noise; :func:`sample_dataset` keeps only the statistics when
+    sigma_z > 0 and N < n.  Reading :attr:`noisy` then replays the noise
+    stream, which yields the bits a whole draw gives, and keeps Y.
     """
 
-    coeff: np.ndarray
-    noisy: np.ndarray
-    params: ModelParams
-    basis: SubspaceBasis
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.coeff, dtype=float)
-        y = np.asarray(self.noisy, dtype=float)
-        n, d = self.params.n, self.params.d
-        if self.basis.matrix.shape != (n, d):
+    def __init__(
+        self,
+        coeff: np.ndarray,
+        noisy: np.ndarray | None,
+        params: ModelParams,
+        basis: SubspaceBasis,
+        noise: StreamedNoise | None = None,
+    ) -> None:
+        c = np.asarray(coeff, dtype=float)
+        y = None if noisy is None else np.asarray(noisy, dtype=float)
+        n, d = params.n, params.d
+        if basis.matrix.shape != (n, d):
             raise DimensionError(
-                f"basis shape {self.basis.matrix.shape} does not match params (n={n}, d={d})"
+                f"basis shape {basis.matrix.shape} does not match params (n={n}, d={d})"
             )
-        if y.ndim != 2 or y.shape[0] != n or c.shape != (d, y.shape[1]):
+        if (y is None) == (noise is None):
+            raise InvariantError("a dataset is given either Y or the statistics of its noise")
+        fits = c.ndim == 2 and c.shape[0] == d
+        if y is not None:
+            fits = fits and y.shape == (n, c.shape[1])
+            got = f"{c.shape} and {y.shape}"
+        else:
+            fits = fits and noise.gram.shape == (c.shape[1],) * 2 and noise.proj.shape == c.shape
+            got = f"{c.shape}, Z^T Z {noise.gram.shape} and U^T Z {noise.proj.shape}"
+        if not fits:
             raise DimensionError(
-                f"coeff must be d x N and noisy n x N with d={d}, n={n}, "
-                f"got {c.shape} and {y.shape}"
+                f"coeff must be d x N and noisy n x N with d={d}, n={n}, got {got}"
             )
-        if y.shape[1] == 0:
+        if c.shape[1] == 0:
             raise EmptyDataError("dataset has zero columns (N = 0)")
         self.coeff = c
-        self.noisy = y
+        self.params = params
+        self.basis = basis
+        self.noise = noise
+        self._noisy = y
 
     @property
     def n_train(self) -> int:
-        return self.noisy.shape[1]
+        return self.coeff.shape[1]
+
+    @property
+    def noisy(self) -> np.ndarray:
+        """Y (n x N); a streamed draw replays its noise stream on the first read."""
+        if self._noisy is None:
+            self._noisy = _draw_noisy(self.params, self.basis, self.coeff, self.noise.seed)
+        return self._noisy
 
     @property
     def clean(self) -> np.ndarray:
@@ -109,8 +154,13 @@ class Dataset:
         return self.basis.matrix @ self.coeff
 
     def validate(self) -> None:
-        """Check the drawn arrays are finite."""
-        if not (np.all(np.isfinite(self.noisy)) and np.all(np.isfinite(self.coeff))):
+        """Check that the arrays the dataset holds are finite, without replaying Y."""
+        held = [self.coeff]
+        if self._noisy is not None:
+            held.append(self._noisy)
+        if self.noise is not None:
+            held += [self.noise.gram, self.noise.proj]
+        if not all(np.all(np.isfinite(a)) for a in held):
             raise InvariantError("dataset contains non-finite entries")
 
 
@@ -206,15 +256,17 @@ def sample_basis(n: int, d: int, seed: int) -> SubspaceBasis:
 
 
 def sample_dataset(
-    params: ModelParams, basis: SubspaceBasis, n_train: int, seed: int
+    params: ModelParams, basis: SubspaceBasis, n_train: int, seed: int, whole: bool = False
 ) -> Dataset:
     """Draw N columns from the model: coefficients C and Y = U C + sigma_z Z.
 
     Coefficients and noise come from independent named streams of the same
     seed, so changing sigma_z rescales the identical noise draw rather than
-    producing an unrelated dataset.  The noise is drawn into the array that
-    becomes Y and U C is added _BLOCK columns at a time, so Y is the only
-    n x N array the draw holds.
+    producing an unrelated dataset.  For sigma_z > 0 and N < n the dataset
+    keeps C and the statistics Z^T Z and W = U^T Z of the noise, which
+    :func:`_stream_noise` accumulates over row blocks of Z, so no n x N
+    array is formed until :attr:`Dataset.noisy` is read.  Otherwise, or
+    with ``whole`` (a test set, scored column by column), Y is drawn whole.
     """
     if basis.matrix.shape != (params.n, params.d):
         raise DimensionError(
@@ -223,6 +275,43 @@ def sample_dataset(
     if n_train < 1:
         raise EmptyDataError(f"n_train must be >= 1, got {n_train}")
     coeff = stream(seed, "coeff").standard_normal((params.d, n_train))
+    if params.sigma_z > 0 and n_train < params.n and not whole:
+        return Dataset(coeff, None, params, basis, noise=_stream_noise(basis, n_train, seed))
+    return Dataset(coeff, _draw_noisy(params, basis, coeff, seed), params, basis)
+
+
+def _stream_noise(basis: SubspaceBasis, n_train: int, seed: int) -> StreamedNoise:
+    """Z^T Z and U^T Z of the "noise" stream of ``seed``, drawn in row blocks.
+
+    Z is drawn in C order, so consecutive row blocks from one generator are
+    bit for bit the rows of one whole draw.  The block height depends only
+    on N, so the sums, and every result built on them, are the same for any
+    worker count.
+    """
+    u = basis.matrix
+    n = u.shape[0]
+    rows = max(1, _STREAM_BYTES // (8 * n_train))
+    gen = stream(seed, "noise")
+    buf = np.empty((min(rows, n), n_train))
+    gram = np.zeros((n_train, n_train))
+    proj = np.zeros((u.shape[1], n_train))
+    for lo in range(0, n, rows):
+        z = buf[: min(rows, n - lo)]
+        gen.standard_normal(out=z)
+        gram += z.T @ z
+        proj += u[lo : lo + rows].T @ z
+    return StreamedNoise(seed=seed, gram=gram, proj=proj)
+
+
+def _draw_noisy(
+    params: ModelParams, basis: SubspaceBasis, coeff: np.ndarray, seed: int
+) -> np.ndarray:
+    """Y = U C + sigma_z Z, with Z the whole "noise" stream of ``seed``.
+
+    The noise is drawn into the array that becomes Y and U C is added
+    _BLOCK columns at a time, so Y is the only n x N array the draw holds.
+    """
+    n_train = coeff.shape[1]
     if params.sigma_z > 0:
         noisy = stream(seed, "noise").standard_normal((params.n, n_train))
         noisy *= params.sigma_z
@@ -232,7 +321,7 @@ def sample_dataset(
     for lo in range(0, n_train, _BLOCK):
         block = slice(lo, lo + _BLOCK)
         noisy[:, block] += u @ coeff[:, block]
-    return Dataset(coeff=coeff, noisy=noisy, params=params, basis=basis)
+    return noisy
 
 
 # --- the optimal linear denoiser ----------------------------------------

@@ -24,11 +24,12 @@ from .estimators import (
     gd_estimator_closed,
     gd_risk_profile,
     pca_estimator,
+    pca_risk,
     svd_of,
     GdConfig,
 )
 from .model import ModelParams, optimal_estimator, optimal_risk, sample_basis, sample_dataset
-from .risk import risk_closed_form, risk_monte_carlo
+from .risk import risk_monte_carlo
 from .rng import derive_seed
 
 ESTIMATOR_NAMES = ("OPT", "PCA", "ESGD", "PINV")
@@ -165,7 +166,8 @@ def _evaluate_cell(
     wants_svd = any(e != "OPT" for e in config.estimators)
     cache = svd_of(ds, finite_k_only="PINV" not in config.estimators) if wants_svd else None
     mc = config.mc_test_size
-    test = sample_dataset(params, basis, mc, derive_seed(cell_seed, "mc-test")) if mc else None
+    test_seed = derive_seed(cell_seed, "mc-test")
+    test = sample_dataset(params, basis, mc, test_seed, whole=True) if mc else None
     if "ESGD" in config.estimators or "PINV" in config.estimators:
         # One profile serves both: every grid ends at INFINITY, the PINV risk.
         grid = K_GRID if "ESGD" in config.estimators else (INFINITY,)
@@ -178,8 +180,9 @@ def _evaluate_cell(
             if mc:
                 estimator = optimal_estimator(basis, params)
         elif name == "PCA":
-            estimator = pca_estimator(cache)
-            risk = risk_closed_form(estimator, basis, params)
+            risk = pca_risk(cache)
+            if mc:
+                estimator = pca_estimator(cache)
         else:  # ESGD, or PINV at the grid's last entry, INFINITY
             best = int(np.argmin(profile)) if name == "ESGD" else len(grid) - 1
             risk = float(profile[best])

@@ -320,6 +320,29 @@ def test_plot_rejects_a_bad_fits_table(tmp_path, capsys, bad):
     assert not svg.exists()
 
 
+@pytest.mark.parametrize("column, value, problem", [
+    ("size_lo", "0", "expected a positive number"),
+    ("size_lo", "-5", "expected a positive number"),
+    ("size_hi", "inf", "expected a finite number"),
+    ("alpha", "nan", "expected a finite number"),
+])
+def test_plot_rejects_a_fits_value_outside_the_plot_domain(tmp_path, capsys, column, value, problem):
+    # Numbers that parse but cannot be drawn on log axes exit 1 with one
+    # error line naming file, line and column, not a traceback or an SVG.
+    curve, fits, svg = tmp_path / "c.csv", tmp_path / "f.csv", tmp_path / "p.svg"
+    assert main(_simulate_args(curve)) == 0
+    assert main(["fit", "--in", str(curve), "--col", "PCA_M", "--out", str(fits)]) == 0
+    header, row = fits.read_text().splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    fields[column] = value
+    fits.write_text(header + "\n" + ",".join(fields.values()) + "\n")
+    capsys.readouterr()
+    assert main(["plot", "--in", str(curve), "--fits", str(fits), "--out", str(svg)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"sldlab: CsvFormatError: {fits}:2: column {column}: {problem}, got {value!r}\n"
+    assert not svg.exists()
+
+
 # --- reproduce -------------------------------------------------------------
 
 

@@ -19,6 +19,7 @@ from sldlab.estimators import (
     gd_risk_profile,
     normalize_k_grid,
     pca_estimator,
+    pca_risk,
     svd_of,
     _direct_svd,
     _gram_certified,
@@ -101,6 +102,27 @@ def test_svd_routes_agree_on_risks(n, n_train, sigma):
     routed = _route_risks(svd_of(ds))
     direct = _route_risks(_direct_svd(ds))
     np.testing.assert_allclose(routed, direct, rtol=1e-8, atol=0.0)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-7, 1e-5, 1e-3, 0.1, 1.0])
+@pytest.mark.parametrize(
+    "n,n_train",
+    [(100, 5), (100, 50), (100, 99), (100, 100), (100, 200), (1000, 400), (2000, 300)],
+)
+def test_pca_risk_matches_the_estimator_it_scores(n, n_train, sigma):
+    # pca_risk scores the PCA map in the coordinates of span(U, U_hat); on a
+    # tall Gram cell it reads only the streamed statistics, never Y.  With
+    # N = 5 < d the projector has rank 5.
+    params, basis, ds = _instance(n=n, d=10, sigma=sigma, n_train=n_train, seed=n + n_train)
+    cache = svd_of(ds)
+    risk = pca_risk(cache)
+    if cache.route == "gram" and n_train < n:
+        assert ds._noisy is None
+    expected = risk_closed_form(pca_estimator(cache), basis, params)
+    if sigma == 0.0 and n_train >= params.d:  # the exact risk is 0; both are rounding noise
+        assert max(risk, expected) <= 1e-25
+    else:
+        assert risk == pytest.approx(expected, rel=1e-10, abs=0.0)
 
 
 def test_svd_of_small_sigma_wide_falls_back_to_direct():
@@ -398,6 +420,7 @@ def test_gd_estimators_stay_low_rank_at_large_n():
     cache = svd_of(ds)
     eta = cache.eta
     profile = gd_risk_profile(cache, eta, (8, INFINITY))
+    ds.noisy  # replay the streamed Y first: the build reads it, and it is not the build's
     tracemalloc.start()
     try:
         ests = (gd_estimator_closed(cache, GdConfig(eta=eta, k=8)),

@@ -155,6 +155,52 @@ def test_sample_dataset_holds_only_clean_and_noisy():
     assert peak <= 1.2 * 8 * n * n_train
 
 
+@pytest.mark.parametrize("n, d, n_train", [(10_000, 10, 500), (100, 3, 7), (50, 2, 1)])
+def test_streamed_draw_matches_one_whole_draw(n, d, n_train):
+    # For sigma > 0 and N < n the draw keeps Z^T Z and W = U^T Z, summed over
+    # row blocks of Z (ten blocks, the last one short, at n = 10^4, N = 500).
+    # They match the products of one whole draw, and reading noisy replays
+    # Y bit for bit as a whole draw forms it.
+    sigma = 0.3
+    params, basis = ModelParams(d, n, sigma), sample_basis(n, d, seed=n)
+    ds = sample_dataset(params, basis, n_train, seed=5)
+    assert ds.noise is not None and ds._noisy is None
+    z = stream(5, "noise").standard_normal((n, n_train))
+    for kept, product in [(ds.noise.gram, z.T @ z), (ds.noise.proj, basis.matrix.T @ z)]:
+        assert np.linalg.norm(kept - product) <= 1e-14 * np.linalg.norm(product)
+    expected = sigma * z
+    for lo in range(0, n_train, 64):
+        expected[:, lo:lo + 64] += basis.matrix @ ds.coeff[:, lo:lo + 64]
+    whole = sample_dataset(params, basis, n_train, seed=5, whole=True)
+    assert whole.noise is None and np.array_equal(whole.noisy, expected)
+    assert np.array_equal(ds.noisy, expected)
+    assert ds.noisy is ds.noisy  # replayed once, then kept
+
+
+@pytest.mark.parametrize("where", ["coeff", "gram", "proj"])
+def test_dataset_validate_checks_streamed_statistics_without_replay(where):
+    ds = sample_dataset(ModelParams(2, 10, 0.1), sample_basis(10, 2, seed=1), 3, seed=2)
+    ds.validate()
+    held = ds.coeff if where == "coeff" else getattr(ds.noise, where)
+    held[1, 2] = np.nan
+    with pytest.raises(InvariantError):
+        ds.validate()
+    assert ds._noisy is None
+
+
+def test_dataset_holds_either_y_or_noise_statistics():
+    params, basis = ModelParams(2, 10, 0.1), sample_basis(10, 2, seed=1)
+    streamed = sample_dataset(params, basis, 3, seed=2)
+    with pytest.raises(InvariantError):
+        Dataset(coeff=np.zeros((2, 3)), noisy=None, params=params, basis=basis)
+    with pytest.raises(InvariantError):
+        Dataset(coeff=np.zeros((2, 3)), noisy=np.zeros((10, 3)), params=params, basis=basis,
+                noise=streamed.noise)
+    with pytest.raises(DimensionError):  # statistics of three columns, coefficients of four
+        Dataset(coeff=np.zeros((2, 4)), noisy=None, params=params, basis=basis,
+                noise=streamed.noise)
+
+
 def test_sample_dataset_zero_noise_copies():
     basis = sample_basis(12, 2, seed=0)
     ds = sample_dataset(ModelParams(2, 12, 0.0), basis, 6, seed=1)

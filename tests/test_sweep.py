@@ -10,7 +10,7 @@ import pytest
 import sldlab.sweep as sweep_mod
 from sldlab.errors import CsvFormatError, DimensionError, GridError, InvariantError, SweepCellError
 from sldlab.estimators import pca_estimator, svd_of
-from sldlab.model import ModelParams, sample_basis, sample_dataset
+from sldlab.model import Dataset, ModelParams, sample_basis, sample_dataset
 from sldlab.risk import risk_closed_form
 from sldlab.rng import derive_seed
 from sldlab.sweep import (
@@ -171,6 +171,26 @@ def test_monte_carlo_cell_memory_at_large_n():
     assert peak <= 200e6
     for risk, mc_mean, mc_err in records:
         assert abs(mc_mean - risk) <= 5 * mc_err
+
+
+def test_streamed_cell_never_forms_y(monkeypatch):
+    # One ESGD + PCA cell at n = 10^4, N = 1000 keeps C, Z^T Z, U^T Z and the
+    # Gram side of its decomposition (8 MB each at most), never Y (80 MB):
+    # it peaked at 104 MB when it held Y.
+    reads = []
+    replay = Dataset.noisy.fget
+    monkeypatch.setattr(Dataset, "noisy", property(lambda ds: reads.append(ds) or replay(ds)))
+    config = _small_config(params=ModelParams(d=10, n=10_000, sigma_z=0.1),
+                           train_sizes=(1000,), n_seeds=1, estimators=("ESGD", "PCA"))
+    tracemalloc.start()
+    try:
+        records = sweep_mod._evaluate_cell(config, 1000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reads == []
+    assert peak <= 45e6
+    assert all(0.0 < risk < 1.0 for risk, _, _ in records)
 
 
 @pytest.mark.parametrize("estimators,route", [
