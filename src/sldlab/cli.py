@@ -394,11 +394,12 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_fits_csv(path: str) -> list[dict[str, str]]:
-    """Rows of a fits table, with every number :func:`_fit_overlay` reads checked.
+def _read_fits_csv(path: str) -> list[FitOverlay]:
+    """The overlays of a fits table, with every number :func:`_fit_overlay` reads checked.
 
-    Each must be finite (``floor`` may be empty), and the size range must
-    satisfy 0 < size_lo <= size_hi, since the plot draws it on log axes.
+    Each must be finite (``floor`` may be empty), the size range must
+    satisfy 0 < size_lo <= size_hi, and the fitted line must be positive and
+    finite at both ends of it, since the plot draws it on log axes.
     """
     numbers = ("alpha", "log_beta", "size_lo", "size_hi", "floor")
     with open(path, "r", newline="", encoding="utf-8") as fh:
@@ -406,7 +407,7 @@ def _read_fits_csv(path: str) -> list[dict[str, str]]:
         missing = [c for c in ("series", *numbers) if c not in (reader.fieldnames or ())]
         if missing:
             raise CsvFormatError(f"{path}: not a fits table, missing columns {', '.join(missing)}")
-        rows = []
+        overlays = []
         for row in reader:
             where = f"{path}:{reader.line_num}"
             for col in numbers:
@@ -426,8 +427,16 @@ def _read_fits_csv(path: str) -> list[dict[str, str]]:
             if not float(row["size_hi"]) >= float(row["size_lo"]):
                 raise CsvFormatError(f"{where}: column size_hi: "
                                      f"expected at least size_lo, got {row['size_hi']!r}")
-            rows.append(row)
-    return rows
+            overlay = _fit_overlay(row["series"], row)
+            try:
+                drawable = all(0.0 < overlay.at(size) < math.inf for size in overlay.size_range)
+            except OverflowError:
+                drawable = False
+            if not drawable:
+                raise CsvFormatError(f"{where}: column log_beta: expected a line positive and "
+                                     f"finite over the size range, got {row['log_beta']!r}")
+            overlays.append(overlay)
+    return overlays
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
@@ -437,9 +446,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
         PlotSeries(label=name, sizes=curve.train_sizes, values=stats.mean, err=stats.std)
         for name, stats in curve.series.items()
     ]
-    overlays = tuple(
-        _fit_overlay(row["series"], row) for row in (_read_fits_csv(args.fits) if args.fits else ())
-    )
+    overlays = _read_fits_csv(args.fits) if args.fits else []
     svg = render_scaling_plot(
         series, overlays, title=args.title, xlabel="train size", ylabel="risk"
     )

@@ -56,12 +56,12 @@ class SvdCache:
     functions take Y, the coefficients C, the true basis U and the model
     parameters from it.  A decomposition route produces one singular
     factor: the direct SVD and the n x n Gram route store u_y, the N x N
-    Gram route stores v_y.  The N x N route runs on a streamed draw, whose
-    dataset holds C, Z^T Z and W = U^T Z in place of Y: :attr:`ut_basis`
-    and :meth:`leading_u_in_frame` read those, while :meth:`u_matmul`,
-    :meth:`leading_u` and a missing :attr:`u_y` go through
-    :attr:`Dataset.noisy`, which replays Y.  So no sweep builds anything
-    n x r, and one without ``--mc-test`` never forms Y on that route.
+    Gram route stores v_y.  The N x N route reads the dataset's
+    :attr:`~sldlab.model.Dataset.noise_stats`, Z^T Z and W = U^T Z, in place
+    of Y: so do :attr:`ut_basis` and :meth:`leading_u_in_frame`, while
+    :meth:`u_matmul`, :meth:`leading_u` and a missing :attr:`u_y` read
+    :attr:`~sldlab.model.Dataset.noisy`, which draws Y.  So no sweep builds
+    anything n x r, and one without ``--mc-test`` never forms Y on that route.
 
     s_y     -- r retained singular values, descending, all >= max(n, N) * eps * S_y[0]
     route   -- "svd" (direct), "gram" (eigendecomposition of the small Gram,
@@ -150,8 +150,8 @@ class SvdCache:
         [I_d; 0].  Inner products among the columns of U and U_hat -- all a
         risk reads -- are the same in these coordinates, and only the d x k
         overlap A = U^T U_hat and the k x k Gram P^T P are needed; T is the
-        square root of P^T P.  When U_y is stored they come from U_hat.  On
-        a streamed draw they come from its statistics, without Y: with
+        square root of P^T P.  When U_y is stored they come from U_hat.
+        Otherwise they come from the noise statistics, without Y: with
         U_hat = Y B R^-1, B = V_y[:, :k] / S_y[:k] and R^T R = B^T Y^T Y B
         (the orthonormalization of :meth:`leading_u`),
             A = (C B + sigma W B) R^-1,
@@ -166,11 +166,11 @@ class SvdCache:
             perp = u_hat - basis @ overlap
             perp_gram = perp.T @ perp
         else:
-            coeff, noise = self.dataset.coeff, self.dataset.noise
+            zz, w = self.dataset.noise_stats
             sigma = self.dataset.params.sigma_z
             b = self._v_y[:, :k] / self.s_y[:k]
-            cb, wb = coeff @ b, noise.proj @ b
-            bzzb = b.T @ (noise.gram @ b)
+            cb, wb = self.dataset.coeff @ b, w @ b
+            bzzb = b.T @ (zz @ b)
             cw = cb.T @ wb
             chol = np.linalg.cholesky(cb.T @ cb + sigma * (cw + cw.T) + sigma**2 * bzzb)
             overlap = np.linalg.solve(chol, (cb + sigma * wb).T).T
@@ -200,8 +200,8 @@ def svd_of(dataset: Dataset, finite_k_only: bool = False) -> SvdCache:
 
     Noisy data (sigma_z > 0) is first decomposed through the Gram matrix of
     Y's small side: the N x N Y^T Y when N < n (storing V_y, so U_y is
-    formed only if a caller asks for it), formed by :func:`_gram_svd` from a
-    streamed draw's statistics, and the n x n Y Y^T otherwise (storing
+    formed only if a caller asks for it) from the dataset's noise
+    statistics, so Y is not drawn, and the n x n Y Y^T otherwise (storing
     U_y).  Squaring Y squares its condition number, so the route
     ("gram") is kept when the run-time check eps * lambda_max / lambda_min <=
     _GRAM_TOL passes.  Noiseless data (sigma_z = 0) is exactly rank-deficient
@@ -224,13 +224,10 @@ def _gram_svd(dataset: Dataset, finite_k_only: bool) -> SvdCache | None:
     """Singular triples from the Gram matrix of Y's small side, or None if not trusted.
 
     For N < n the Gram is Y^T Y = C^T C + sigma (C^T W + W^T C) + sigma^2 Z^T Z,
-    formed from the statistics of a streamed draw (Y = U C + sigma Z,
-    W = U^T Z), so Y is not read; a dataset given an explicit tall Y has no
-    statistics and goes to the direct SVD.
+    formed from :attr:`~sldlab.model.Dataset.noise_stats` (Y = U C + sigma Z,
+    W = U^T Z), so Y is not drawn; for N >= n it is Y Y^T.
     """
     tall = dataset.n_train < dataset.params.n
-    if tall and dataset.noise is None:
-        return None
     gram = _tall_gram(dataset) if tall else dataset.noisy @ dataset.noisy.T
     evals, evecs = np.linalg.eigh(gram)
     del gram  # one N x N array fewer while the factor is copied below
@@ -249,21 +246,22 @@ def _gram_svd(dataset: Dataset, finite_k_only: bool) -> SvdCache | None:
 
 
 def _tall_gram(dataset: Dataset) -> np.ndarray:
-    """Y^T Y of a streamed draw, from C, W = U^T Z and Z^T Z; one N x N scratch array."""
-    coeff, noise, sigma = dataset.coeff, dataset.noise, dataset.params.sigma_z
+    """Y^T Y from C, W = U^T Z and Z^T Z; one N x N scratch array."""
+    coeff, sigma = dataset.coeff, dataset.params.sigma_z
+    zz, w = dataset.noise_stats
     gram = coeff.T @ coeff
-    scratch = coeff.T @ noise.proj
+    scratch = coeff.T @ w
     scratch *= sigma
     gram += scratch
     gram += scratch.T
-    np.multiply(noise.gram, sigma * sigma, out=scratch)
+    np.multiply(zz, sigma * sigma, out=scratch)
     gram += scratch
     return gram
 
 
 def _yt_basis(dataset: Dataset) -> np.ndarray:
-    """Y^T U = C^T + sigma W^T (N x d) of a streamed draw."""
-    return dataset.coeff.T + dataset.params.sigma_z * dataset.noise.proj.T
+    """Y^T U = C^T + sigma W^T (N x d), from the noise statistics."""
+    return dataset.coeff.T + dataset.params.sigma_z * dataset.noise_stats[1].T
 
 
 def _gram_certified(cache: SvdCache) -> tuple[bool, float]:

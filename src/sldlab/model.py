@@ -10,6 +10,7 @@ risk-optimal linear denoiser for that model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,96 +73,56 @@ class SubspaceBasis:
 
 
 @dataclass(eq=False)
-class StreamedNoise:
-    """What a dataset keeps of a noise draw Z (n x N) that was never held whole.
-
-    seed -- the dataset seed; Z is its "noise" stream, redrawn on replay
-    gram -- Z^T Z (N x N)
-    proj -- W = U^T Z (d x N)
-    """
-
-    seed: int
-    gram: np.ndarray
-    proj: np.ndarray
-
-
 class Dataset:
-    """A model draw: the coefficients of the clean signal and the noisy matrix.
+    """A model draw Y = U C + sigma_z Z, held as its coefficients and its seed.
 
     coeff  -- d x N coefficients C; the clean matrix is X = U C
-    noisy  -- n x N matrix Y = X + sigma_z Z, columns are samples, or None
     params -- the ModelParams the data was drawn under
     basis  -- the SubspaceBasis U the data was drawn with
-    noise  -- for a dataset given without Y, the StreamedNoise of its draw
+    seed   -- the draw's seed; Z (n x N) is its "noise" stream
 
-    X lies in span(U) by construction and is formed only by :attr:`clean`.
-    A dataset is given either Y or the statistics Z^T Z and U^T Z of its
-    noise; :func:`sample_dataset` keeps only the statistics when
-    sigma_z > 0 and N < n.  Reading :attr:`noisy` then replays the noise
-    stream, which yields the bits a whole draw gives, and keeps Y.
+    C and the seed fix the draw, so the views of it are drawn on first read
+    and kept: :attr:`noisy` draws Y whole, :attr:`noise_stats` streams Z^T Z
+    and U^T Z over row blocks of Z without holding Y.  Both read the same
+    noise stream, so either order gives the same bits.  X lies in span(U) by
+    construction and is formed only by :attr:`clean`.
     """
 
-    def __init__(
-        self,
-        coeff: np.ndarray,
-        noisy: np.ndarray | None,
-        params: ModelParams,
-        basis: SubspaceBasis,
-        noise: StreamedNoise | None = None,
-    ) -> None:
-        c = np.asarray(coeff, dtype=float)
-        y = None if noisy is None else np.asarray(noisy, dtype=float)
-        n, d = params.n, params.d
-        if basis.matrix.shape != (n, d):
+    coeff: np.ndarray
+    params: ModelParams
+    basis: SubspaceBasis
+    seed: int
+
+    def __post_init__(self) -> None:
+        n, d = self.params.n, self.params.d
+        if self.basis.matrix.shape != (n, d):
             raise DimensionError(
-                f"basis shape {basis.matrix.shape} does not match params (n={n}, d={d})"
+                f"basis shape {self.basis.matrix.shape} does not match params (n={n}, d={d})"
             )
-        if (y is None) == (noise is None):
-            raise InvariantError("a dataset is given either Y or the statistics of its noise")
-        fits = c.ndim == 2 and c.shape[0] == d
-        if y is not None:
-            fits = fits and y.shape == (n, c.shape[1])
-            got = f"{c.shape} and {y.shape}"
-        else:
-            fits = fits and noise.gram.shape == (c.shape[1],) * 2 and noise.proj.shape == c.shape
-            got = f"{c.shape}, Z^T Z {noise.gram.shape} and U^T Z {noise.proj.shape}"
-        if not fits:
-            raise DimensionError(
-                f"coeff must be d x N and noisy n x N with d={d}, n={n}, got {got}"
-            )
-        if c.shape[1] == 0:
+        self.coeff = np.asarray(self.coeff, dtype=float)
+        if self.coeff.ndim != 2 or self.coeff.shape[0] != d:
+            raise DimensionError(f"coeff must be d x N with d={d}, got {self.coeff.shape}")
+        if self.coeff.shape[1] == 0:
             raise EmptyDataError("dataset has zero columns (N = 0)")
-        self.coeff = c
-        self.params = params
-        self.basis = basis
-        self.noise = noise
-        self._noisy = y
 
     @property
     def n_train(self) -> int:
         return self.coeff.shape[1]
 
-    @property
+    @cached_property
     def noisy(self) -> np.ndarray:
-        """Y (n x N); a streamed draw replays its noise stream on the first read."""
-        if self._noisy is None:
-            self._noisy = _draw_noisy(self.params, self.basis, self.coeff, self.noise.seed)
-        return self._noisy
+        """Y (n x N), drawn whole on the first read."""
+        return _draw_noisy(self.params, self.basis, self.coeff, self.seed)
+
+    @cached_property
+    def noise_stats(self) -> tuple[np.ndarray, np.ndarray]:
+        """(Z^T Z, U^T Z), N x N and d x N, streamed on the first read without forming Y."""
+        return _stream_noise(self.basis, self.n_train, self.seed)
 
     @property
     def clean(self) -> np.ndarray:
         """The clean matrix X = U C (n x N), formed on each access."""
         return self.basis.matrix @ self.coeff
-
-    def validate(self) -> None:
-        """Check that the arrays the dataset holds are finite, without replaying Y."""
-        held = [self.coeff]
-        if self._noisy is not None:
-            held.append(self._noisy)
-        if self.noise is not None:
-            held += [self.noise.gram, self.noise.proj]
-        if not all(np.all(np.isfinite(a)) for a in held):
-            raise InvariantError("dataset contains non-finite entries")
 
 
 @dataclass(eq=False)
@@ -255,32 +216,22 @@ def sample_basis(n: int, d: int, seed: int) -> SubspaceBasis:
     return SubspaceBasis(matrix=q)
 
 
-def sample_dataset(
-    params: ModelParams, basis: SubspaceBasis, n_train: int, seed: int, whole: bool = False
-) -> Dataset:
-    """Draw N columns from the model: coefficients C and Y = U C + sigma_z Z.
+def sample_dataset(params: ModelParams, basis: SubspaceBasis, n_train: int, seed: int) -> Dataset:
+    """Draw the N coefficients C of a model draw; Y = U C + sigma_z Z is read from it later.
 
     Coefficients and noise come from independent named streams of the same
     seed, so changing sigma_z rescales the identical noise draw rather than
-    producing an unrelated dataset.  For sigma_z > 0 and N < n the dataset
-    keeps C and the statistics Z^T Z and W = U^T Z of the noise, which
-    :func:`_stream_noise` accumulates over row blocks of Z, so no n x N
-    array is formed until :attr:`Dataset.noisy` is read.  Otherwise, or
-    with ``whole`` (a test set, scored column by column), Y is drawn whole.
+    producing an unrelated dataset.  Only C (d x N) is drawn here: the
+    :class:`Dataset` draws Y or the noise statistics on first read, so the
+    caller's reads decide which n x N work a draw costs.
     """
-    if basis.matrix.shape != (params.n, params.d):
-        raise DimensionError(
-            f"basis shape {basis.matrix.shape} does not match params (n={params.n}, d={params.d})"
-        )
     if n_train < 1:
         raise EmptyDataError(f"n_train must be >= 1, got {n_train}")
     coeff = stream(seed, "coeff").standard_normal((params.d, n_train))
-    if params.sigma_z > 0 and n_train < params.n and not whole:
-        return Dataset(coeff, None, params, basis, noise=_stream_noise(basis, n_train, seed))
-    return Dataset(coeff, _draw_noisy(params, basis, coeff, seed), params, basis)
+    return Dataset(coeff, params, basis, seed)
 
 
-def _stream_noise(basis: SubspaceBasis, n_train: int, seed: int) -> StreamedNoise:
+def _stream_noise(basis: SubspaceBasis, n_train: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Z^T Z and U^T Z of the "noise" stream of ``seed``, drawn in row blocks.
 
     Z is drawn in C order, so consecutive row blocks from one generator are
@@ -300,7 +251,7 @@ def _stream_noise(basis: SubspaceBasis, n_train: int, seed: int) -> StreamedNois
         gen.standard_normal(out=z)
         gram += z.T @ z
         proj += u[lo : lo + rows].T @ z
-    return StreamedNoise(seed=seed, gram=gram, proj=proj)
+    return gram, proj
 
 
 def _draw_noisy(

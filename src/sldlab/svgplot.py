@@ -45,9 +45,18 @@ class FitOverlay:
     size_range: tuple[float, float]
     offset: float = 0.0  # additive floor when drawing on the raw-value scale
 
+    def at(self, size: float) -> float:
+        """The line's value exp(log_beta) * size^alpha + offset at ``size``."""
+        return math.exp(self.log_beta + self.alpha * math.log(size)) + self.offset
+
 
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
+
+
+def _drawable(sizes: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Which points a log-log plot can place: finite and positive on both axes."""
+    return (0 < sizes) & (sizes < np.inf) & (0 < values) & (values < np.inf)
 
 
 def _tick_label(k: int) -> str:
@@ -67,12 +76,13 @@ def render_scaling_plot(
     """Render series and overlays to an SVG document string."""
     xs, ys = [], []
     for s in series:
-        keep = (np.asarray(s.sizes) > 0) & (np.asarray(s.values) > 0)
-        xs.extend(np.asarray(s.sizes, dtype=float)[keep])
-        ys.extend(np.asarray(s.values, dtype=float)[keep])
+        sizes, values = np.asarray(s.sizes, dtype=float), np.asarray(s.values, dtype=float)
+        keep = _drawable(sizes, values)
+        xs.extend(sizes[keep])
+        ys.extend(values[keep])
     for o in overlays:
         for bound in o.size_range:
-            y = math.exp(o.log_beta + o.alpha * math.log(bound)) + o.offset
+            y = o.at(bound)
             if bound > 0 and y > 0:
                 xs.append(float(bound))
                 ys.append(float(y))
@@ -150,13 +160,15 @@ def render_scaling_plot(
         color = PALETTE[i % len(PALETTE)]
         sizes = np.asarray(s.sizes, dtype=float)
         values = np.asarray(s.values, dtype=float)
-        keep = (sizes > 0) & (values > 0)
+        keep = _drawable(sizes, values)
         sizes, values = sizes[keep], values[keep]
         err = None if s.err is None else np.asarray(s.err, dtype=float)[keep]
         if sizes.size == 0:
             continue
         if err is not None:
             for x, v, e in zip(sizes, values, err):
+                if not np.isfinite(e):
+                    continue
                 lo = max(v - e, y_floor)
                 hi = v + e
                 bx = _fmt(px(x))
@@ -177,10 +189,7 @@ def render_scaling_plot(
     for i, o in enumerate(overlays):
         color = PALETTE[(len(series) + i) % len(PALETTE)]
         lo_x, hi_x = o.size_range
-        pts = " ".join(
-            f"{_fmt(px(x))},{_fmt(py(math.exp(o.log_beta + o.alpha * math.log(x)) + o.offset))}"
-            for x in (lo_x, hi_x)
-        )
+        pts = " ".join(f"{_fmt(px(x))},{_fmt(py(o.at(x)))}" for x in (lo_x, hi_x))
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="1.2" stroke-dasharray="6 4"/>'

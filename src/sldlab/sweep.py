@@ -167,7 +167,7 @@ def _evaluate_cell(
     cache = svd_of(ds, finite_k_only="PINV" not in config.estimators) if wants_svd else None
     mc = config.mc_test_size
     test_seed = derive_seed(cell_seed, "mc-test")
-    test = sample_dataset(params, basis, mc, test_seed, whole=True) if mc else None
+    test = sample_dataset(params, basis, mc, test_seed) if mc else None
     if "ESGD" in config.estimators or "PINV" in config.estimators:
         # One profile serves both: every grid ends at INFINITY, the PINV risk.
         grid = K_GRID if "ESGD" in config.estimators else (INFINITY,)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -325,6 +326,8 @@ def test_plot_rejects_a_bad_fits_table(tmp_path, capsys, bad):
     ("size_lo", "-5", "expected a positive number"),
     ("size_hi", "inf", "expected a finite number"),
     ("alpha", "nan", "expected a finite number"),
+    ("log_beta", "800", "expected a line positive and finite over the size range"),
+    ("log_beta", "-800", "expected a line positive and finite over the size range"),
 ])
 def test_plot_rejects_a_fits_value_outside_the_plot_domain(tmp_path, capsys, column, value, problem):
     # Numbers that parse but cannot be drawn on log axes exit 1 with one
@@ -341,6 +344,26 @@ def test_plot_rejects_a_fits_value_outside_the_plot_domain(tmp_path, capsys, col
     err = capsys.readouterr().err
     assert err == f"sldlab: CsvFormatError: {fits}:2: column {column}: {problem}, got {value!r}\n"
     assert not svg.exists()
+
+
+def test_plot_skips_non_finite_curve_values(tmp_path, capsys):
+    # A mean of inf is left out like a non-positive one, and a std of inf or
+    # nan draws no error bar, so every SVG coordinate is finite.
+    curve, svg = tmp_path / "c.csv", tmp_path / "p.svg"
+    curve.write_text("train_size,PCA_M,PCA_S\n"
+                     "3,0.5,inf\n10,inf,0.1\n30,0.05,nan\n100,0.02,0.001\n")
+    assert main(["plot", "--in", str(curve), "--out", str(svg)]) == 0
+    assert capsys.readouterr().err == ""
+    root = ET.fromstring(svg.read_text())
+    coords = [float(value) for el in root.iter() for key, value in el.attrib.items()
+              if key in ("x1", "y1", "x2", "y2", "cx", "cy")]
+    coords += [float(v) for el in root.iter() if "points" in el.attrib
+               for v in el.attrib["points"].replace(",", " ").split()]
+    assert coords and all(math.isfinite(v) for v in coords)
+    circles = [el for el in root.iter() if el.tag.endswith("circle")]
+    assert len(circles) == 3  # the point with mean inf is left out
+    bars = [el for el in root.iter() if el.tag.endswith("}line") and el.get("stroke") == "#1f77b4"]
+    assert len(bars) == 2  # error bars only where the std is finite, legend line included
 
 
 # --- reproduce -------------------------------------------------------------

@@ -117,7 +117,7 @@ def test_pca_risk_matches_the_estimator_it_scores(n, n_train, sigma):
     cache = svd_of(ds)
     risk = pca_risk(cache)
     if cache.route == "gram" and n_train < n:
-        assert ds._noisy is None
+        assert "noisy" not in vars(ds)
     expected = risk_closed_form(pca_estimator(cache), basis, params)
     if sigma == 0.0 and n_train >= params.d:  # the exact risk is 0; both are rounding noise
         assert max(risk, expected) <= 1e-25
@@ -235,10 +235,7 @@ def test_gram_route_pca_basis_orthonormal_when_d_covers_spectrum():
 
 def test_svd_of_zero_matrix_raises():
     params = ModelParams(d=2, n=6, sigma_z=0.0)
-    ds = Dataset(
-        coeff=np.zeros((2, 4)), noisy=np.zeros((6, 4)), params=params,
-        basis=sample_basis(6, 2, seed=0),
-    )
+    ds = Dataset(coeff=np.zeros((2, 4)), params=params, basis=sample_basis(6, 2, seed=0), seed=0)
     with pytest.raises(InvariantError):
         svd_of(ds)
 
@@ -420,7 +417,7 @@ def test_gd_estimators_stay_low_rank_at_large_n():
     cache = svd_of(ds)
     eta = cache.eta
     profile = gd_risk_profile(cache, eta, (8, INFINITY))
-    ds.noisy  # replay the streamed Y first: the build reads it, and it is not the build's
+    ds.noisy  # draw Y first: the build reads it, and it is not the build's
     tracemalloc.start()
     try:
         ests = (gd_estimator_closed(cache, GdConfig(eta=eta, k=8)),

@@ -96,7 +96,6 @@ def test_sample_dataset_shapes_and_span():
     assert ds.clean.shape == ds.noisy.shape == (25, 40)
     assert ds.n_train == 40
     assert ds.basis is basis
-    ds.validate()
     # X = U C lies in span(U) by construction.
     u = basis.matrix
     assert np.linalg.norm(ds.clean - u @ (u.T @ ds.clean)) <= 1e-13 * np.linalg.norm(ds.clean)
@@ -141,64 +140,48 @@ def test_sample_dataset_is_basis_coeff_plus_scaled_noise(n, d, n_train, sigma):
     assert np.linalg.norm(ds.noisy - expected) <= 1e-15 * np.linalg.norm(expected)
 
 
-def test_sample_dataset_holds_only_clean_and_noisy():
-    # The clean signal is held as its d x N coefficients, so Y (8 n N bytes)
-    # is the only n x N array; U C is added in n x 64 blocks.
-    n, n_train = 10_000, 500
-    basis = sample_basis(n, 10, seed=3)
+@pytest.mark.parametrize("n, n_train", [(10_000, 500), (1000, 2000)])
+def test_sample_dataset_draws_only_the_coefficients(n, n_train):
+    # A draw is its coefficients C (d x N) and its seed: Y and the noise
+    # statistics are drawn on first read, so sampling a tall or a wide
+    # dataset allocates little more than C (40 KB and 160 KB here).
+    d = 10
+    basis = sample_basis(n, d, seed=3)
     tracemalloc.start()
     try:
-        sample_dataset(ModelParams(10, n, 0.1), basis, n_train, seed=4)
+        ds = sample_dataset(ModelParams(d, n, 0.1), basis, n_train, seed=4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.2 * 8 * n * n_train
+    assert "noisy" not in vars(ds) and "noise_stats" not in vars(ds)
+    assert peak <= 1.2 * 8 * d * n_train + 16_384
 
 
 @pytest.mark.parametrize("n, d, n_train", [(10_000, 10, 500), (100, 3, 7), (50, 2, 1)])
 def test_streamed_draw_matches_one_whole_draw(n, d, n_train):
-    # For sigma > 0 and N < n the draw keeps Z^T Z and W = U^T Z, summed over
-    # row blocks of Z (ten blocks, the last one short, at n = 10^4, N = 500).
-    # They match the products of one whole draw, and reading noisy replays
-    # Y bit for bit as a whole draw forms it.
+    # noise_stats sums Z^T Z and W = U^T Z over row blocks of Z (ten blocks,
+    # the last one short, at n = 10^4, N = 500).  They match the products of
+    # one whole draw, and noisy draws Y bit for bit as a whole draw forms
+    # it: reading the statistics first or Y first gives the same arrays.
     sigma = 0.3
     params, basis = ModelParams(d, n, sigma), sample_basis(n, d, seed=n)
-    ds = sample_dataset(params, basis, n_train, seed=5)
-    assert ds.noise is not None and ds._noisy is None
+    stats_first = sample_dataset(params, basis, n_train, seed=5)
+    noisy_first = sample_dataset(params, basis, n_train, seed=5)
     z = stream(5, "noise").standard_normal((n, n_train))
-    for kept, product in [(ds.noise.gram, z.T @ z), (ds.noise.proj, basis.matrix.T @ z)]:
+    gram, proj = stats_first.noise_stats
+    assert "noisy" not in vars(stats_first)
+    for kept, product in [(gram, z.T @ z), (proj, basis.matrix.T @ z)]:
         assert np.linalg.norm(kept - product) <= 1e-14 * np.linalg.norm(product)
     expected = sigma * z
     for lo in range(0, n_train, 64):
-        expected[:, lo:lo + 64] += basis.matrix @ ds.coeff[:, lo:lo + 64]
-    whole = sample_dataset(params, basis, n_train, seed=5, whole=True)
-    assert whole.noise is None and np.array_equal(whole.noisy, expected)
-    assert np.array_equal(ds.noisy, expected)
-    assert ds.noisy is ds.noisy  # replayed once, then kept
-
-
-@pytest.mark.parametrize("where", ["coeff", "gram", "proj"])
-def test_dataset_validate_checks_streamed_statistics_without_replay(where):
-    ds = sample_dataset(ModelParams(2, 10, 0.1), sample_basis(10, 2, seed=1), 3, seed=2)
-    ds.validate()
-    held = ds.coeff if where == "coeff" else getattr(ds.noise, where)
-    held[1, 2] = np.nan
-    with pytest.raises(InvariantError):
-        ds.validate()
-    assert ds._noisy is None
-
-
-def test_dataset_holds_either_y_or_noise_statistics():
-    params, basis = ModelParams(2, 10, 0.1), sample_basis(10, 2, seed=1)
-    streamed = sample_dataset(params, basis, 3, seed=2)
-    with pytest.raises(InvariantError):
-        Dataset(coeff=np.zeros((2, 3)), noisy=None, params=params, basis=basis)
-    with pytest.raises(InvariantError):
-        Dataset(coeff=np.zeros((2, 3)), noisy=np.zeros((10, 3)), params=params, basis=basis,
-                noise=streamed.noise)
-    with pytest.raises(DimensionError):  # statistics of three columns, coefficients of four
-        Dataset(coeff=np.zeros((2, 4)), noisy=None, params=params, basis=basis,
-                noise=streamed.noise)
+        expected[:, lo:lo + 64] += basis.matrix @ stats_first.coeff[:, lo:lo + 64]
+    assert np.array_equal(noisy_first.noisy, expected)
+    assert "noise_stats" not in vars(noisy_first)
+    assert np.array_equal(stats_first.noisy, expected)
+    for a, b in zip(stats_first.noise_stats, noisy_first.noise_stats):
+        assert np.array_equal(a, b)
+    assert stats_first.noisy is stats_first.noisy  # drawn once, then kept
+    assert noisy_first.noise_stats is noisy_first.noise_stats
 
 
 def test_sample_dataset_zero_noise_copies():
@@ -224,15 +207,12 @@ def test_sample_dataset_rejects_mismatched_basis():
 def test_dataset_rejects_shape_mismatch():
     params = ModelParams(2, 6, 0.1)
     basis = sample_basis(6, 2, seed=0)
-    with pytest.raises(DimensionError):
-        Dataset(coeff=np.zeros((2, 4)), noisy=np.zeros((6, 5)), basis=basis, params=params)
-    with pytest.raises(DimensionError):
-        Dataset(coeff=np.zeros((2, 4)), noisy=np.zeros((5, 4)), basis=basis, params=params)
     with pytest.raises(DimensionError):  # basis of another dimension
-        Dataset(coeff=np.zeros((2, 4)), noisy=np.zeros((6, 4)),
-                basis=sample_basis(6, 3, seed=0), params=params)
+        Dataset(coeff=np.zeros((2, 4)), params=params, basis=sample_basis(6, 3, seed=0), seed=0)
+    with pytest.raises(DimensionError):  # basis of another ambient dimension
+        Dataset(coeff=np.zeros((2, 4)), params=params, basis=sample_basis(7, 2, seed=0), seed=0)
     with pytest.raises(EmptyDataError):
-        Dataset(coeff=np.zeros((2, 0)), noisy=np.zeros((6, 0)), basis=basis, params=params)
+        Dataset(coeff=np.zeros((2, 0)), params=params, basis=basis, seed=0)
 
 
 def test_dataset_rejects_wrong_coeff_shape():
@@ -240,19 +220,9 @@ def test_dataset_rejects_wrong_coeff_shape():
     # taken for them, nor may any other shape but d x N.
     params = ModelParams(2, 10, 0.0)
     basis = sample_basis(10, 2, seed=1)
-    for shape in [(10, 3), (3, 3), (1, 3), (2, 2), (3,)]:
+    for shape in [(10, 3), (3, 3), (1, 3), (3,)]:
         with pytest.raises(DimensionError):
-            Dataset(coeff=np.ones(shape), noisy=np.ones((10, 3)), basis=basis, params=params)
-
-
-def test_dataset_validate_detects_non_finite():
-    params = ModelParams(2, 10, 0.1)
-    basis = sample_basis(10, 2, seed=1)
-    ds = sample_dataset(params, basis, 3, seed=2)
-    ds.validate()
-    ds.noisy[4, 1] = np.nan
-    with pytest.raises(InvariantError):
-        ds.validate()
+            Dataset(coeff=np.ones(shape), params=params, basis=basis, seed=0)
 
 
 # --- linear estimators --------------------------------------------------

@@ -178,8 +178,8 @@ def test_streamed_cell_never_forms_y(monkeypatch):
     # Gram side of its decomposition (8 MB each at most), never Y (80 MB):
     # it peaked at 104 MB when it held Y.
     reads = []
-    replay = Dataset.noisy.fget
-    monkeypatch.setattr(Dataset, "noisy", property(lambda ds: reads.append(ds) or replay(ds)))
+    draw = Dataset.noisy.func
+    monkeypatch.setattr(Dataset, "noisy", property(lambda ds: reads.append(ds) or draw(ds)))
     config = _small_config(params=ModelParams(d=10, n=10_000, sigma_z=0.1),
                            train_sizes=(1000,), n_seeds=1, estimators=("ESGD", "PCA"))
     tracemalloc.start()
