@@ -107,7 +107,10 @@ def _estimators_arg(text: str) -> tuple[str, ...]:
 
 
 def _threads_arg(text: str) -> int:
+    """A worker count; ``max`` is the number of CPUs this process may run on."""
     if text.strip().lower() == "max":
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     return _positive_int(text)
 

@@ -59,14 +59,16 @@ class SvdCache:
     Gram route stores v_y.  The N x N route reads the dataset's
     :attr:`~sldlab.model.Dataset.noise_stats`, Z^T Z and W = U^T Z, in place
     of Y: so do :attr:`ut_basis` and :meth:`leading_u_in_frame`, while
-    :meth:`u_matmul`, :meth:`leading_u` and a missing :attr:`u_y` read
-    :attr:`~sldlab.model.Dataset.noisy`, which draws Y.  So no sweep builds
-    anything n x r, and one without ``--mc-test`` never forms Y on that route.
+    :meth:`u_matmul`, :meth:`leading_u`, :attr:`pinv_factor` and a missing
+    :attr:`u_y` read :attr:`~sldlab.model.Dataset.noisy`, which draws Y.
+    So no sweep builds anything n x r, and one without ``--mc-test`` forms Y
+    on that route only for the PINV entry of a "gram-certified" cache.
 
     s_y     -- r retained singular values, descending, all >= max(n, N) * eps * S_y[0]
     route   -- "svd" (direct), "gram" (eigendecomposition of the small Gram,
                passing the conditioning check) or "gram-certified" (a Gram
-               decomposition whose reported risks passed :func:`_gram_certified`)
+               decomposition whose finite-k risks passed :func:`_gram_certified`;
+               its k = INFINITY entries come from :attr:`pinv_factor`)
     dataset -- the Dataset whose noisy matrix Y was decomposed
     """
 
@@ -116,6 +118,24 @@ class SvdCache:
         if self._u_y is not None:
             return self._u_y.T @ self.dataset.basis.matrix
         return (self._v_y.T @ _yt_basis(self.dataset)) / self.s_y[:, None]
+
+    @cached_property
+    def pinv_factor(self) -> np.ndarray:
+        """B = (C Y^+)^T (n x d), so that the PINV map is W^INFINITY = U B^T = U C Y^+.
+
+        Formed from a Householder QR of Y, not from the spectrum: with
+        Y = Q R when N <= n, B = Q R^-T C^T; with Y^T = Q R otherwise,
+        B = R^-1 Q^T C^T.  B is then accurate to eps * kappa(Y), where the
+        filter 1 / S_y of a Gram decomposition carries eps * kappa(Y)^2.
+        Read for the k = INFINITY entries of a "gram-certified" cache; it
+        draws Y.
+        """
+        y, coeff_t = self.dataset.noisy, self.dataset.coeff.T
+        if y.shape[1] <= y.shape[0]:
+            q, r = np.linalg.qr(y)
+            return q @ np.linalg.solve(r.T, coeff_t)
+        q, r = np.linalg.qr(y.T)
+        return np.linalg.solve(r, q.T @ coeff_t)
 
     def u_matmul(self, a: np.ndarray) -> np.ndarray:
         """Return ``u_y @ a`` without forming u_y.
@@ -189,13 +209,14 @@ class SvdCache:
 #: 1e-6 the benchmark's reference curves are checked at.  At sigma = 0.1 it
 #: rejects only cells near N = n, where the smallest singular value of a
 #: near-square Y collapses.  It is far stricter than the error a finite-k risk
-#: sees, so a caller that reports no k = INFINITY risk may keep a rejected
-#: decomposition whose reported risks :func:`_gram_certified` bounds to the
-#: same relative _GRAM_TOL.
+#: sees, so a caller that reads only the grid may keep a rejected
+#: decomposition whose finite-k risks :func:`_gram_certified` bounds to the
+#: same relative _GRAM_TOL; the k = INFINITY entry, which inherits the full
+#: eps * kappa, is then taken from a QR of Y (:attr:`SvdCache.pinv_factor`).
 _GRAM_TOL = 1e-8
 
 
-def svd_of(dataset: Dataset, finite_k_only: bool = False) -> SvdCache:
+def svd_of(dataset: Dataset, grid_only: bool = False) -> SvdCache:
     """Thin SVD of the noisy matrix, truncated at numerical rank.
 
     Noisy data (sigma_z > 0) is first decomposed through the Gram matrix of
@@ -207,20 +228,23 @@ def svd_of(dataset: Dataset, finite_k_only: bool = False) -> SvdCache:
     _GRAM_TOL passes.  Noiseless data (sigma_z = 0) is exactly rank-deficient
     whenever N > d and always takes the direct LAPACK SVD ("svd").
 
-    ``finite_k_only=True`` declares that the caller reports only the PCA risk
-    and gradient-descent risks at finite k -- the oracle-stopped ESGD risk
-    over :data:`K_GRID` -- and never the k = INFINITY (PINV) risk.
-    A full-rank Gram decomposition that fails the check is then kept
-    ("gram-certified") when :func:`_gram_certified` bounds every one of those
-    risks to relative _GRAM_TOL; this is what saves the direct SVD of
-    near-square cells.  Otherwise -- near-square Y with PINV reported, tiny
-    sigma_z, or any rank deficiency -- the matrix goes to the direct SVD.
+    ``grid_only=True`` declares that the caller reads risks and estimators
+    only at ``cache.eta`` on :data:`K_GRID` (INFINITY included), and the PCA
+    risk and estimator.  A full-rank Gram decomposition that fails the check
+    is then kept ("gram-certified") when :func:`_gram_certified` bounds every
+    finite-k risk and PCA's subspace to relative _GRAM_TOL; on such a cache
+    the k = INFINITY (PINV) risk and estimator come from a QR of Y
+    (:attr:`SvdCache.pinv_factor`), accurate to eps * kappa.  This is what
+    saves the direct SVD of near-square cells.  Otherwise -- tiny sigma_z,
+    or any rank deficiency -- the matrix goes to the direct SVD.  The
+    default, ``grid_only=False``, keeps only a Gram that passes the check,
+    so the profile may be read at any eta and k.
     """
-    cache = _gram_svd(dataset, finite_k_only) if dataset.params.sigma_z > 0 else None
+    cache = _gram_svd(dataset, grid_only) if dataset.params.sigma_z > 0 else None
     return cache if cache is not None else _direct_svd(dataset)
 
 
-def _gram_svd(dataset: Dataset, finite_k_only: bool) -> SvdCache | None:
+def _gram_svd(dataset: Dataset, grid_only: bool) -> SvdCache | None:
     """Singular triples from the Gram matrix of Y's small side, or None if not trusted.
 
     For N < n the Gram is Y^T Y = C^T C + sigma (C^T W + W^T C) + sigma^2 Z^T Z,
@@ -233,7 +257,7 @@ def _gram_svd(dataset: Dataset, finite_k_only: bool) -> SvdCache | None:
     del gram  # one N x N array fewer while the factor is copied below
     lam_min, lam_max = float(evals[0]), float(evals[-1])
     ill_conditioned = _EPS * lam_max > _GRAM_TOL * lam_min
-    if not lam_min > 0.0 or (ill_conditioned and not finite_k_only):
+    if not lam_min > 0.0 or (ill_conditioned and not grid_only):
         return None
     s = np.sqrt(evals[::-1])
     factor = np.ascontiguousarray(evecs[:, ::-1])
@@ -265,7 +289,7 @@ def _yt_basis(dataset: Dataset) -> np.ndarray:
 
 
 def _gram_certified(cache: SvdCache) -> tuple[bool, float]:
-    """Whether a Gram decomposition gets every risk a finite-k sweep reports right.
+    """Whether a Gram decomposition gets every finite-k risk of the grid, and PCA, right.
 
     Returns (certified, lower bound on the k = INFINITY risk).  ``cache`` is
     the full-rank eigendecomposition G_hat = V diag(S^2) V^T of the m x m
@@ -318,8 +342,11 @@ def _gram_certified(cache: SvdCache) -> tuple[bool, float]:
         the tall route Y V_d spans the PCA directions; mapping through Y
         scales the angle by s_{d+1} / s_d < 1.
     Then the reported ESGD risk (the computed minimum) and the PCA subspace
-    are accurate to relative _GRAM_TOL, while the k = INFINITY risk itself is
-    not certified: that is left to the conditioning check.
+    are accurate to relative _GRAM_TOL.  The spectral k = INFINITY risk is
+    not certified: a kept cache takes that entry from a QR of Y
+    (:attr:`SvdCache.pinv_factor`), and a caller that needs only the ESGD
+    argmin may search the finite k alone, since the lower bound shows that
+    INFINITY is not it.
     """
     dataset = cache.dataset
     coeff, params = dataset.coeff, dataset.params
@@ -466,12 +493,22 @@ def gd_estimator_closed(cache: SvdCache, cfg: GdConfig) -> LinearEstimator:
     B = Q R gives W^k = (U R^T) Q^T.  So the factors are n x d whatever the
     rank r of Y, applying W^k costs O(n d) per column, and B is formed
     through Y without the n x r factor U_y.  k = 0 gives the zero map
-    (R = 0) and k = INFINITY the pseudoinverse estimator.
+    (R = 0) and k = INFINITY the pseudoinverse estimator, whose B on a
+    "gram-certified" cache is :attr:`SvdCache.pinv_factor`.
     """
     _check_stepsize(cfg.eta, cache.s_y)
-    d_k = _gd_filter(cache.s_y, cfg.eta, cfg.k)
-    q, r = np.linalg.qr(cache.u_matmul(d_k[:, None] * cache.coeff_v.T))
+    if _pinv_by_qr(cache, cfg.k):
+        b = cache.pinv_factor
+    else:
+        d_k = _gd_filter(cache.s_y, cfg.eta, cfg.k)
+        b = cache.u_matmul(d_k[:, None] * cache.coeff_v.T)
+    q, r = np.linalg.qr(b)
     return LinearEstimator(left=cache.dataset.basis.matrix @ r.T, basis=q)
+
+
+def _pinv_by_qr(cache: SvdCache, k: int | float) -> bool:
+    """Whether the k = INFINITY entry of ``cache`` comes from :attr:`SvdCache.pinv_factor`."""
+    return k == INFINITY and cache.route == "gram-certified"
 
 
 def gd_estimator_iterative(dataset: Dataset, cfg: GdConfig) -> LinearEstimator:
@@ -510,7 +547,10 @@ def gd_risk_profile(cache: SvdCache, eta: float, k_grid: Sequence[int | float]) 
     risk is (||g D_k M - I_d||_F^2 + sigma_z^2 sum_i D_k[i]^2 ||g e_i||^2) / d:
     every k costs O(r d^2) and no n x r intermediate is formed.  The misfit
     is summed directly rather than expanded into Gram terms, so it keeps its
-    relative accuracy when the risk sits near the sigma_z^2 floor.
+    relative accuracy when the risk sits near the sigma_z^2 floor.  On a
+    "gram-certified" cache the k = INFINITY entry is
+    (||B^T U - I_d||_F^2 + sigma_z^2 ||B||_F^2) / d with B =
+    :attr:`SvdCache.pinv_factor`.
     """
     params = cache.dataset.params
     misfit2, w_norm2 = _profile_terms(cache, eta, k_grid)
@@ -520,18 +560,23 @@ def gd_risk_profile(cache: SvdCache, eta: float, k_grid: Sequence[int | float]) 
 def _profile_terms(
     cache: SvdCache, eta: float, k_grid: Sequence[int | float]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """||g D_k M - I_d||_F^2 and ||W^k||_F^2 = sum_i D_k[i]^2 ||g e_i||^2 per k."""
+    """||W^k U - U||_F^2 and ||W^k||_F^2 per k, as :func:`gd_risk_profile` describes."""
     _check_stepsize(eta, cache.s_y)
     g, m = cache.coeff_v, cache.ut_basis
     col_norm2 = np.einsum("ij,ij->j", g, g)  # ||U g e_i||^2
     misfit2 = np.empty(len(k_grid))
     w_norm2 = np.empty(len(k_grid))
     for i, k in enumerate(k_grid):
-        d_k = _gd_filter(cache.s_y, eta, k)
-        misfit = g @ (m * d_k[:, None])
+        if _pinv_by_qr(cache, k):
+            b = cache.pinv_factor
+            misfit = b.T @ cache.dataset.basis.matrix
+            w_norm2[i] = np.sum(b * b)
+        else:
+            d_k = _gd_filter(cache.s_y, eta, k)
+            misfit = g @ (m * d_k[:, None])
+            w_norm2[i] = np.dot(d_k * d_k, col_norm2)
         misfit -= np.eye(g.shape[0])
         misfit2[i] = np.sum(misfit * misfit)
-        w_norm2[i] = np.dot(d_k * d_k, col_norm2)
     return misfit2, w_norm2
 
 

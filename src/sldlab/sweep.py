@@ -164,13 +164,19 @@ def _evaluate_cell(
     basis = sample_basis(params.n, params.d, cell_seed)
     ds = sample_dataset(params, basis, n_train, cell_seed)
     wants_svd = any(e != "OPT" for e in config.estimators)
-    cache = svd_of(ds, finite_k_only="PINV" not in config.estimators) if wants_svd else None
+    cache = svd_of(ds, grid_only=True) if wants_svd else None
     mc = config.mc_test_size
     test_seed = derive_seed(cell_seed, "mc-test")
     test = sample_dataset(params, basis, mc, test_seed) if mc else None
     if "ESGD" in config.estimators or "PINV" in config.estimators:
-        # One profile serves both: every grid ends at INFINITY, the PINV risk.
+        # One profile serves both: the PINV risk is the entry at INFINITY.  A
+        # "gram-certified" cache has shown that INFINITY is not the ESGD argmin,
+        # so ESGD searches the finite k there, and a cell without PINV never
+        # pays for the QR that entry would read.
+        search = len(K_GRID) - 1 if cache.route == "gram-certified" else len(K_GRID)
         grid = K_GRID if "ESGD" in config.estimators else (INFINITY,)
+        if "PINV" not in config.estimators:
+            grid = grid[:search]
         profile = gd_risk_profile(cache, cache.eta, grid)
 
     records: list[tuple[float, float, float]] = []
@@ -184,7 +190,7 @@ def _evaluate_cell(
             if mc:
                 estimator = pca_estimator(cache)
         else:  # ESGD, or PINV at the grid's last entry, INFINITY
-            best = int(np.argmin(profile)) if name == "ESGD" else len(grid) - 1
+            best = int(np.argmin(profile[:search])) if name == "ESGD" else len(grid) - 1
             risk = float(profile[best])
             if mc:
                 estimator = gd_estimator_closed(cache, GdConfig(eta=cache.eta, k=grid[best]))

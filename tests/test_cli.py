@@ -145,6 +145,16 @@ def test_simulate_threads_do_not_change_bytes(tmp_path, capsys):
     assert one.read_bytes() == four.read_bytes()
 
 
+def test_threads_max_counts_the_cpus_this_process_may_use(monkeypatch):
+    # A process pinned to 2 of 8 CPUs gets 2 workers, not 8.
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+    assert cli._threads_arg("max") == 2
+    assert cli._threads_arg("3") == 3
+    monkeypatch.delattr(os, "sched_getaffinity")  # a platform without affinity
+    assert cli._threads_arg("max") == 8
+
+
 def test_simulate_base_seed_changes_results(tmp_path, capsys):
     a, b, c = (tmp_path / f"{k}.csv" for k in "abc")
     assert main(_simulate_args(a, base_seed="1")) == 0

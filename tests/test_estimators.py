@@ -137,31 +137,34 @@ def test_svd_of_small_sigma_wide_falls_back_to_direct():
     np.testing.assert_allclose(routed, direct, rtol=1e-8, atol=0.0)
 
 
-# Near-square cells that fail eps * kappa <= 1e-8 (3.5e-8, 8.0e-8, 2.0e-8 and
-# 1.6e-8 on these draws), so plain svd_of sends them to the direct SVD.
+# Near-square cells that fail eps * kappa <= 1e-8 (3.5e-8, 8.0e-8, 2.0e-8,
+# 1.6e-8, 3.1e-8 and 1.6e-7 on these draws), so plain svd_of sends them to the
+# direct SVD: square, tall (N = n - 1) and wide (N = n + 2).
 _NEAR_SQUARE = [(100, 100, 0.05, 200), (300, 300, 0.05, 600),
-                (1000, 1000, 0.1, 2000), (1000, 1000, 0.2, 1)]
+                (1000, 1000, 0.1, 2000), (1000, 1000, 0.2, 1),
+                (1000, 999, 0.1, 1), (1000, 1002, 0.1, 7)]
 
 
 @pytest.mark.parametrize("n,n_train,sigma,seed", _NEAR_SQUARE)
 def test_certified_gram_matches_direct_on_near_square_cells(n, n_train, sigma, seed):
-    # With no k = INFINITY risk reported, the Gram decomposition is kept, and
-    # everything a finite-k sweep reads from it matches the direct SVD.
+    # Read only on the grid, the Gram decomposition is kept, and everything a
+    # sweep reads from it matches the direct SVD: the finite-k entries from
+    # the spectrum, the k = INFINITY (PINV) entry from a QR of Y.
     params, basis, ds = _instance(n=n, d=10, sigma=sigma, n_train=n_train, seed=seed)
-    cache = svd_of(ds, finite_k_only=True)
+    cache = svd_of(ds, grid_only=True)
     assert cache.route == "gram-certified"
     ref = _direct_svd(ds)
     routed, direct = _route_risks(cache), _route_risks(ref)
+    assert "pinv_factor" in vars(cache)
     best = int(np.argmin(routed[:-1]))  # the ESGD argmin over the grid, INFINITY included
     assert best == int(np.argmin(direct[:-1])) and best < len(K_GRID) - 1
-    assert routed[best] == pytest.approx(direct[best], rel=1e-8)
-    assert routed[-1] == pytest.approx(direct[-1], rel=1e-8)  # PCA
-    k_opt = K_GRID[best]
-    w_gram, w_ref = (
-        gd_estimator_closed(c, GdConfig(eta=c.eta, k=k_opt))
-        .as_matrix() for c in (cache, ref)
-    )
-    assert np.linalg.norm(w_gram - w_ref) <= 1e-8 * np.linalg.norm(w_ref)
+    for i in (best, -2, -1):  # ESGD, PINV and PCA
+        assert routed[i] == pytest.approx(direct[i], rel=1e-8)
+    for k in (K_GRID[best], INFINITY):
+        w_gram, w_ref = (
+            gd_estimator_closed(c, GdConfig(eta=c.eta, k=k)).as_matrix() for c in (cache, ref)
+        )
+        assert np.linalg.norm(w_gram - w_ref) <= 1e-8 * np.linalg.norm(w_ref)
     # The certificate's lower bound on the PINV risk really is one.
     certified, risk_inf_floor = _gram_certified(cache)
     assert certified and 0.0 < risk_inf_floor <= direct[-2]
@@ -172,7 +175,7 @@ def test_certificate_rejects_small_sigma_wide_cell():
     # a forced Gram route is off by 1e-2 at k = INFINITY, and its optimal k
     # sits at 2^16 to 2^20, where the bound exceeds the risk many times over.
     params, basis, ds = _instance(n=100, d=10, sigma=1e-7, n_train=200, seed=300)
-    assert svd_of(ds, finite_k_only=True).route == "svd"
+    assert svd_of(ds, grid_only=True).route == "svd"
 
 
 @pytest.mark.parametrize("n_train", [5, 10])

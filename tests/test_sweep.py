@@ -9,7 +9,7 @@ import pytest
 
 import sldlab.sweep as sweep_mod
 from sldlab.errors import CsvFormatError, DimensionError, GridError, InvariantError, SweepCellError
-from sldlab.estimators import pca_estimator, svd_of
+from sldlab.estimators import SvdCache, _direct_svd, pca_estimator, svd_of
 from sldlab.model import Dataset, ModelParams, sample_basis, sample_dataset
 from sldlab.risk import risk_closed_form
 from sldlab.rng import derive_seed
@@ -193,13 +193,8 @@ def test_streamed_cell_never_forms_y(monkeypatch):
     assert all(0.0 < risk < 1.0 for risk, _, _ in records)
 
 
-@pytest.mark.parametrize("estimators,route", [
-    (("ESGD", "PCA"), "gram-certified"),
-    (("ESGD", "PCA", "PINV"), "svd"),
-])
-def test_near_square_cell_keeps_gram_only_without_pinv(monkeypatch, estimators, route):
-    # n = N = 300 at this seed fails the conditioning check; the certificate
-    # covers finite-k risks only, so a cell that reports PINV pays the SVD.
+def _spy_on_routes(monkeypatch):
+    """The route of every decomposition the sweep asks for, in call order."""
     routes = []
 
     def spy(dataset, **kwargs):
@@ -208,15 +203,41 @@ def test_near_square_cell_keeps_gram_only_without_pinv(monkeypatch, estimators, 
         return cache
 
     monkeypatch.setattr(sweep_mod, "svd_of", spy)
+    return routes
+
+
+@pytest.mark.parametrize("estimators", [("ESGD", "PCA"), ("ESGD", "PCA", "PINV")],
+                         ids=["esgd-pca", "esgd-pca-pinv"])
+def test_near_square_cell_keeps_certified_gram(monkeypatch, estimators):
+    # n = N = 300 at this seed fails the conditioning check; the certificate
+    # keeps the Gram whether or not the cell reports PINV, and every risk
+    # matches the same cell decomposed by the direct SVD.
+    routes = _spy_on_routes(monkeypatch)
     config = _small_config(params=ModelParams(d=10, n=300, sigma_z=0.05), train_sizes=(300,),
                            n_seeds=1, estimators=estimators)
     records = sweep_mod._evaluate_cell(config, 300, 600)
-    assert routes == [route]
-    reference = sweep_mod._evaluate_cell(
-        _small_config(params=config.params, train_sizes=(300,), n_seeds=1,
-                      estimators=("ESGD", "PCA", "PINV")), 300, 600)
+    assert routes == ["gram-certified"]
+    monkeypatch.setattr(sweep_mod, "svd_of", lambda dataset, **kwargs: _direct_svd(dataset))
+    reference = sweep_mod._evaluate_cell(config, 300, 600)
+    assert len(records) == len(reference) == len(estimators)
     for (risk, _, _), (expected, _, _) in zip(records, reference):
         assert risk == pytest.approx(expected, rel=1e-8)
+
+
+def test_certified_cell_without_pinv_never_forms_the_qr(monkeypatch):
+    # fig5's N = n cells: a "gram-certified" ESGD + PCA cell takes its ESGD
+    # argmin over the finite k, which the certificate allows, so neither its
+    # profile nor its ESGD build reads the QR of Y that PINV is scored by.
+    reads = []
+    factor = SvdCache.pinv_factor.func
+    monkeypatch.setattr(SvdCache, "pinv_factor", property(lambda c: reads.append(c) or factor(c)))
+    routes = _spy_on_routes(monkeypatch)
+    for estimators in (("ESGD", "PCA"), ("ESGD", "PINV")):
+        config = _small_config(params=ModelParams(d=10, n=300, sigma_z=0.05), train_sizes=(300,),
+                               n_seeds=1, estimators=estimators, mc_test_size=50)
+        sweep_mod._evaluate_cell(config, 300, 600)
+        assert routes[-1] == "gram-certified"
+        assert bool(reads) == ("PINV" in estimators)  # the spy sees PINV's reads
 
 
 def test_curve_below_floor_is_rejected():
