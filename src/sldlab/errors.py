@@ -29,10 +29,6 @@ class InsufficientDataError(SldlabError, ValueError):
     """Too few usable points/samples for the requested computation."""
 
 
-class StepsizeError(SldlabError, ValueError):
-    """Gradient-descent stepsize violates the stability bound eta * S[0]^2 <= 1."""
-
-
 class DivergenceError(SldlabError, ArithmeticError):
     """An iterate became non-finite."""
 

@@ -5,16 +5,18 @@ Y = U_y diag(S_y) V_y^T, so the decomposition is computed once per dataset
 and shared through :class:`SvdCache`, which holds the dataset it decomposed.
 
 Gradient descent on the regression loss L(W) = ||W Y - X||_F^2 from W = 0
-admits a closed form after k steps:
+runs at the cache's stepsize eta = 1 / S_y[0]^2 (:attr:`SvdCache.eta`), which
+saturates the stability bound, and admits a closed form after k steps:
 
-    W^k = X V_y D_k U_y^T,   D_k[i] = (1 - (1 - eta S_y[i]^2)^k) / S_y[i],
+    W^k = X V_y D_k U_y^T,   D_k[i] = (1 - (1 - eta S_y[i]^2)^k) / S_y[i].
 
-valid for stepsizes with eta * S_y[0]^2 <= 1.  As k -> infinity the filter
-tends to 1 / S_y[i] and W^k converges to the least-squares solution
-X Y^+ (the pseudoinverse estimator); early stopping keeps the filter from
-inverting the small, noise-dominated singular values.  The model's clean
-signal is X = U C, so X V_y = U (C V_y): the estimators read the d x N
-coefficients C and the true basis U from the cache's dataset and never form X.
+As k -> infinity the filter tends to 1 / S_y[i] and W^k converges to the
+least-squares solution X Y^+ (the pseudoinverse estimator); early stopping
+keeps the filter from inverting the small, noise-dominated singular values,
+and :func:`oracle_stop` picks the risk-minimizing k on :data:`K_GRID`.  The
+model's clean signal is X = U C, so X V_y = U (C V_y): the estimators read
+the d x N coefficients C and the true basis U from the cache's dataset and
+never form X.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, DivergenceError, InvariantError, StepsizeError
+from .errors import DimensionError, DivergenceError, InvariantError
 from .model import Dataset, LinearEstimator, SubspaceBasis
 from .risk import risk_closed_form
 
@@ -38,7 +40,6 @@ INFINITY: float = math.inf
 #: at 23 risk evaluations.
 K_GRID: tuple[int | float, ...] = (0, *(2**j for j in range(21)), INFINITY)
 
-_STEPSIZE_SLACK = 1e-12  # fp slack so the default eta = 1/S[0]^2 passes its own check
 _EPS = float(np.finfo(float).eps)
 _MAX_ITERATIVE_K = 500
 
@@ -67,8 +68,9 @@ class SvdCache:
     s_y     -- r retained singular values, descending, all >= max(n, N) * eps * S_y[0]
     route   -- "svd" (direct), "gram" (eigendecomposition of the small Gram,
                passing the conditioning check) or "gram-certified" (a Gram
-               decomposition whose finite-k risks passed :func:`_gram_certified`;
-               its k = INFINITY entries come from :attr:`pinv_factor`)
+               decomposition whose oracle stop and PCA passed
+               :func:`_gram_certified`; its k = INFINITY entries come from
+               :attr:`pinv_factor`)
     dataset -- the Dataset whose noisy matrix Y was decomposed
     """
 
@@ -209,9 +211,10 @@ class SvdCache:
 #: 1e-6 the benchmark's reference curves are checked at.  At sigma = 0.1 it
 #: rejects only cells near N = n, where the smallest singular value of a
 #: near-square Y collapses.  It is far stricter than the error a finite-k risk
-#: sees, so a caller that reads only the grid may keep a rejected
-#: decomposition whose finite-k risks :func:`_gram_certified` bounds to the
-#: same relative _GRAM_TOL; the k = INFINITY entry, which inherits the full
+#: sees, so a caller that reads only the oracle stop may keep a rejected
+#: decomposition when :func:`_gram_certified` bounds the risk at the argmin
+#: to the same relative _GRAM_TOL (every other finite k is either as accurate
+#: or cannot be the argmin); the k = INFINITY entry, which inherits the full
 #: eps * kappa, is then taken from a QR of Y (:attr:`SvdCache.pinv_factor`).
 _GRAM_TOL = 1e-8
 
@@ -228,17 +231,19 @@ def svd_of(dataset: Dataset, grid_only: bool = False) -> SvdCache:
     _GRAM_TOL passes.  Noiseless data (sigma_z = 0) is exactly rank-deficient
     whenever N > d and always takes the direct LAPACK SVD ("svd").
 
-    ``grid_only=True`` declares that the caller reads risks and estimators
-    only at ``cache.eta`` on :data:`K_GRID` (INFINITY included), and the PCA
-    risk and estimator.  A full-rank Gram decomposition that fails the check
-    is then kept ("gram-certified") when :func:`_gram_certified` bounds every
-    finite-k risk and PCA's subspace to relative _GRAM_TOL; on such a cache
-    the k = INFINITY (PINV) risk and estimator come from a QR of Y
+    ``grid_only=True`` declares that the caller reads GD risks only through
+    :func:`oracle_stop` and the k = INFINITY entry, GD estimators only at
+    those k, and the PCA risk and estimator.  A full-rank Gram decomposition
+    that fails the check is then kept ("gram-certified") when
+    :func:`_gram_certified` bounds the risk at the finite-k argmin and PCA's
+    subspace to relative _GRAM_TOL, and shows that no other k of
+    :data:`K_GRID` can be the argmin; on such a cache the k = INFINITY
+    (PINV) risk and estimator come from a QR of Y
     (:attr:`SvdCache.pinv_factor`), accurate to eps * kappa.  This is what
     saves the direct SVD of near-square cells.  Otherwise -- tiny sigma_z,
     or any rank deficiency -- the matrix goes to the direct SVD.  The
     default, ``grid_only=False``, keeps only a Gram that passes the check,
-    so the profile may be read at any eta and k.
+    so the profile may be read at any k.
     """
     cache = _gram_svd(dataset, grid_only) if dataset.params.sigma_z > 0 else None
     return cache if cache is not None else _direct_svd(dataset)
@@ -289,7 +294,7 @@ def _yt_basis(dataset: Dataset) -> np.ndarray:
 
 
 def _gram_certified(cache: SvdCache) -> tuple[bool, float]:
-    """Whether a Gram decomposition gets every finite-k risk of the grid, and PCA, right.
+    """Whether a Gram decomposition gets the oracle stop of the grid, and PCA, right.
 
     Returns (certified, lower bound on the k = INFINITY risk).  ``cache`` is
     the full-rank eigendecomposition G_hat = V diag(S^2) V^T of the m x m
@@ -342,11 +347,12 @@ def _gram_certified(cache: SvdCache) -> tuple[bool, float]:
         the tall route Y V_d spans the PCA directions; mapping through Y
         scales the angle by s_{d+1} / s_d < 1.
     Then the reported ESGD risk (the computed minimum) and the PCA subspace
-    are accurate to relative _GRAM_TOL.  The spectral k = INFINITY risk is
-    not certified: a kept cache takes that entry from a QR of Y
-    (:attr:`SvdCache.pinv_factor`), and a caller that needs only the ESGD
-    argmin may search the finite k alone, since the lower bound shows that
-    INFINITY is not it.
+    are accurate to relative _GRAM_TOL; any other finite-k entry is either as
+    accurate or cannot be the argmin, which is all the certificate says of
+    it.  The spectral k = INFINITY risk is not certified: a kept cache takes
+    that entry from a QR of Y (:attr:`SvdCache.pinv_factor`), and
+    :func:`oracle_stop` searches the finite k alone, since the lower bound
+    shows that INFINITY is not the argmin.
     """
     dataset = cache.dataset
     coeff, params = dataset.coeff, dataset.params
@@ -359,7 +365,7 @@ def _gram_certified(cache: SvdCache) -> tuple[bool, float]:
     epsilon = m * _EPS * float(np.sqrt(np.sum(lam * lam)))
     eta = cache.eta
     grid = K_GRID[:-1]  # every k but INFINITY
-    misfit2, w_norm2 = _profile_terms(cache, eta, grid)
+    misfit2, w_norm2 = _profile_terms(cache, grid)
     risk = (misfit2 + sig2 * w_norm2) / d
 
     k = np.asarray(grid, dtype=float)
@@ -450,41 +456,25 @@ def pca_risk(cache: SvdCache) -> float:
 # =====================================================================
 
 
-@dataclass(frozen=True)
-class GdConfig:
-    """Stepsize and iteration count for gradient descent.
-
-    k may be a nonnegative integer or INFINITY (run to convergence).
-    """
-
-    eta: float
-    k: int | float
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.eta) and self.eta > 0):
-            raise StepsizeError(f"eta must be finite and > 0, got {self.eta}")
-        normalize_k_grid((self.k,))  # the grids' check of an iteration count
+def _check_k(k: int | float) -> None:
+    """Accept an iteration count: a nonnegative int or INFINITY."""
+    if not (k == INFINITY or (isinstance(k, (int, np.integer)) and k >= 0)):
+        raise DimensionError(f"iteration counts must be nonnegative ints or INFINITY, got {k!r}")
 
 
-def _check_stepsize(eta: float, s_y: np.ndarray) -> None:
-    top = float(s_y[0]) if s_y.size else 0.0
-    if eta * top * top > 1.0 + _STEPSIZE_SLACK:
-        raise StepsizeError(
-            f"eta * S_y[0]^2 = {eta * top * top:.6g} exceeds the stability bound 1"
-        )
-
-
-def _gd_filter(s_y: np.ndarray, eta: float, k: int | float) -> np.ndarray:
-    """Spectral filter D_k applied to each retained singular value."""
-    if isinstance(k, float) and math.isinf(k):
+def _gd_filter(cache: SvdCache, k: int | float) -> np.ndarray:
+    """Spectral filter D_k at ``cache.eta``, applied to each retained singular value."""
+    _check_k(k)
+    s_y = cache.s_y
+    if k == INFINITY:
         return 1.0 / s_y
     if k == 0:
         return np.zeros_like(s_y)
-    base = 1.0 - eta * s_y * s_y
+    base = 1.0 - cache.eta * s_y * s_y
     return (1.0 - base ** int(k)) / s_y
 
 
-def gd_estimator_closed(cache: SvdCache, cfg: GdConfig) -> LinearEstimator:
+def gd_estimator_closed(cache: SvdCache, k: int | float) -> LinearEstimator:
     """W^k = U C V_y D_k U_y^T, stored by its rank as the n x d pair (U R^T, Q).
 
     The regression targets the cache's clean signal X = U C, with C the
@@ -496,11 +486,10 @@ def gd_estimator_closed(cache: SvdCache, cfg: GdConfig) -> LinearEstimator:
     (R = 0) and k = INFINITY the pseudoinverse estimator, whose B on a
     "gram-certified" cache is :attr:`SvdCache.pinv_factor`.
     """
-    _check_stepsize(cfg.eta, cache.s_y)
-    if _pinv_by_qr(cache, cfg.k):
+    if _pinv_by_qr(cache, k):
         b = cache.pinv_factor
     else:
-        d_k = _gd_filter(cache.s_y, cfg.eta, cfg.k)
+        d_k = _gd_filter(cache, k)
         b = cache.u_matmul(d_k[:, None] * cache.coeff_v.T)
     q, r = np.linalg.qr(b)
     return LinearEstimator(left=cache.dataset.basis.matrix @ r.T, basis=q)
@@ -511,25 +500,23 @@ def _pinv_by_qr(cache: SvdCache, k: int | float) -> bool:
     return k == INFINITY and cache.route == "gram-certified"
 
 
-def gd_estimator_iterative(dataset: Dataset, cfg: GdConfig) -> LinearEstimator:
+def gd_estimator_iterative(dataset: Dataset, eta: float, k: int) -> LinearEstimator:
     """Reference implementation: k explicit gradient steps from W = 0.
 
     One step is W <- W + eta (X - W Y) Y^T.  Kept deliberately naive (dense
-    n x n iterate, k <= 500) as the ground truth the closed form is checked
-    against.
+    n x n iterate, finite k <= 500) as the ground truth the closed form is
+    checked against, so it takes any stepsize: one beyond the stability
+    bound diverges, and that is detected.
     """
-    if not isinstance(cfg.k, (int, np.integer)):
-        raise DimensionError("iterative reference requires a finite integer k")
-    if cfg.k > _MAX_ITERATIVE_K:
-        raise DimensionError(
-            f"iterative reference is limited to k <= {_MAX_ITERATIVE_K}, got {cfg.k}"
-        )
+    _check_k(k)
+    if k > _MAX_ITERATIVE_K:
+        raise DimensionError(f"iterative reference is limited to finite k <= {_MAX_ITERATIVE_K}, got {k}")
     x, y = dataset.clean, dataset.noisy
     n = x.shape[0]
     w = np.zeros((n, n))
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below
-        for step in range(int(cfg.k)):
-            w = w + cfg.eta * (x - w @ y) @ y.T
+        for step in range(int(k)):
+            w = w + eta * (x - w @ y) @ y.T
             if not np.all(np.isfinite(w)):
                 raise DivergenceError(f"gradient descent diverged at step {step + 1}")
     return LinearEstimator.from_dense(w)
@@ -540,7 +527,7 @@ def gd_estimator_iterative(dataset: Dataset, cfg: GdConfig) -> LinearEstimator:
 # =====================================================================
 
 
-def gd_risk_profile(cache: SvdCache, eta: float, k_grid: Sequence[int | float]) -> np.ndarray:
+def gd_risk_profile(cache: SvdCache, k_grid: Sequence[int | float]) -> np.ndarray:
     """Exact risk of W^k for every k in ``k_grid``, without forming W^k.
 
     With g = C V_y (d x r) and M = U_y^T U (r x d), W^k U = U g D_k M, so the
@@ -553,15 +540,12 @@ def gd_risk_profile(cache: SvdCache, eta: float, k_grid: Sequence[int | float]) 
     :attr:`SvdCache.pinv_factor`.
     """
     params = cache.dataset.params
-    misfit2, w_norm2 = _profile_terms(cache, eta, k_grid)
+    misfit2, w_norm2 = _profile_terms(cache, k_grid)
     return (misfit2 + params.sigma_z**2 * w_norm2) / params.d
 
 
-def _profile_terms(
-    cache: SvdCache, eta: float, k_grid: Sequence[int | float]
-) -> tuple[np.ndarray, np.ndarray]:
+def _profile_terms(cache: SvdCache, k_grid: Sequence[int | float]) -> tuple[np.ndarray, np.ndarray]:
     """||W^k U - U||_F^2 and ||W^k||_F^2 per k, as :func:`gd_risk_profile` describes."""
-    _check_stepsize(eta, cache.s_y)
     g, m = cache.coeff_v, cache.ut_basis
     col_norm2 = np.einsum("ij,ij->j", g, g)  # ||U g e_i||^2
     misfit2 = np.empty(len(k_grid))
@@ -572,7 +556,7 @@ def _profile_terms(
             misfit = b.T @ cache.dataset.basis.matrix
             w_norm2[i] = np.sum(b * b)
         else:
-            d_k = _gd_filter(cache.s_y, eta, k)
+            d_k = _gd_filter(cache, k)
             misfit = g @ (m * d_k[:, None])
             w_norm2[i] = np.dot(d_k * d_k, col_norm2)
         misfit -= np.eye(g.shape[0])
@@ -580,34 +564,16 @@ def _profile_terms(
     return misfit2, w_norm2
 
 
-def normalize_k_grid(k_grid: Sequence[int | float]) -> tuple[int | float, ...]:
-    """Validate, sort ascending, and deduplicate an iteration grid."""
-    cleaned: list[int | float] = []
-    for k in k_grid:
-        if isinstance(k, float) and math.isinf(k) and k > 0:
-            cleaned.append(INFINITY)
-        elif isinstance(k, (int, np.integer)) and k >= 0:
-            cleaned.append(int(k))
-        else:
-            raise DimensionError(f"iteration counts must be nonnegative ints or INFINITY, got {k!r}")
-    if not cleaned:
-        raise DimensionError("iteration grid is empty")
-    return tuple(sorted(set(cleaned)))
+def oracle_stop(cache: SvdCache) -> tuple[int | float, float]:
+    """The oracle stopping time k_opt on :data:`K_GRID` and its exact risk.
 
-
-def early_stopped_estimator(
-    cache: SvdCache,
-    k_grid: Sequence[int | float] | None = None,
-    eta: float | None = None,
-) -> tuple[LinearEstimator, int | float]:
-    """Pick the risk-minimizing stopping time on the grid (oracle stopping).
-
-    The exact closed-form risk under the true basis is evaluated at every k
-    and the argmin is returned, ties resolved toward the smaller k.  The
-    grid defaults to :data:`K_GRID` and the stepsize to ``cache.eta``.
+    The argmin of :func:`gd_risk_profile` over the grid, ties going to the
+    smaller k.  A "gram-certified" cache leaves INFINITY out: its
+    certificate has shown that INFINITY is not the argmin, so the search
+    never reads :attr:`SvdCache.pinv_factor`.  The estimator is
+    ``gd_estimator_closed(cache, k_opt)``.
     """
-    grid = K_GRID if k_grid is None else normalize_k_grid(k_grid)
-    eta = cache.eta if eta is None else eta
-    risks = gd_risk_profile(cache, eta, grid)
-    k_opt = grid[int(np.argmin(risks))]
-    return gd_estimator_closed(cache, GdConfig(eta=eta, k=k_opt)), k_opt
+    grid = K_GRID[:-1] if cache.route == "gram-certified" else K_GRID
+    risks = gd_risk_profile(cache, grid)
+    best = int(np.argmin(risks))
+    return grid[best], float(risks[best])

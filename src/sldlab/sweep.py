@@ -5,7 +5,8 @@ A sweep evaluates the requested estimators on a grid of training budgets,
 fresh random basis and dataset.  Every cell's seed is a pure 64-bit hash of
 (base_seed, grid index, seed index), so cells are independent of execution
 order and the runner may compute them in parallel worker processes without
-changing a single output bit.
+changing a single output bit.  A cell scores ESGD at its oracle stopping time
+(:func:`~sldlab.estimators.oracle_stop`) and PINV at k = INFINITY, in closed form.
 """
 
 from __future__ import annotations
@@ -20,13 +21,12 @@ import numpy as np
 from .errors import CsvFormatError, DimensionError, GridError, InvariantError, SweepCellError
 from .estimators import (
     INFINITY,
-    K_GRID,
     gd_estimator_closed,
     gd_risk_profile,
+    oracle_stop,
     pca_estimator,
     pca_risk,
     svd_of,
-    GdConfig,
 )
 from .model import ModelParams, optimal_estimator, optimal_risk, sample_basis, sample_dataset
 from .risk import risk_monte_carlo
@@ -168,16 +168,13 @@ def _evaluate_cell(
     mc = config.mc_test_size
     test_seed = derive_seed(cell_seed, "mc-test")
     test = sample_dataset(params, basis, mc, test_seed) if mc else None
-    if "ESGD" in config.estimators or "PINV" in config.estimators:
-        # One profile serves both: the PINV risk is the entry at INFINITY.  A
-        # "gram-certified" cache has shown that INFINITY is not the ESGD argmin,
-        # so ESGD searches the finite k there, and a cell without PINV never
-        # pays for the QR that entry would read.
-        search = len(K_GRID) - 1 if cache.route == "gram-certified" else len(K_GRID)
-        grid = K_GRID if "ESGD" in config.estimators else (INFINITY,)
-        if "PINV" not in config.estimators:
-            grid = grid[:search]
-        profile = gd_risk_profile(cache, cache.eta, grid)
+    # (k, risk) of each GD estimator, scored before the first Monte-Carlo run draws
+    # the test Y, so the QR of Y that PINV reads on a certified cache never runs beside it.
+    gd: dict[str, tuple[int | float, float]] = {}
+    if "ESGD" in config.estimators:
+        gd["ESGD"] = oracle_stop(cache)
+    if "PINV" in config.estimators:
+        gd["PINV"] = INFINITY, float(gd_risk_profile(cache, (INFINITY,))[0])
 
     records: list[tuple[float, float, float]] = []
     for name in config.estimators:
@@ -189,11 +186,10 @@ def _evaluate_cell(
             risk = pca_risk(cache)
             if mc:
                 estimator = pca_estimator(cache)
-        else:  # ESGD, or PINV at the grid's last entry, INFINITY
-            best = int(np.argmin(profile[:search])) if name == "ESGD" else len(grid) - 1
-            risk = float(profile[best])
+        else:  # ESGD or PINV
+            k, risk = gd[name]
             if mc:
-                estimator = gd_estimator_closed(cache, GdConfig(eta=cache.eta, k=grid[best]))
+                estimator = gd_estimator_closed(cache, k)
         if mc:
             report = risk_monte_carlo(estimator, test)
             records.append((risk, report.mean, report.std_err))

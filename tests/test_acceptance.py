@@ -27,7 +27,6 @@ import pytest
 
 from sldlab.cli import main as cli_main
 from sldlab.estimators import (
-    GdConfig,
     gd_estimator_closed,
     gd_estimator_iterative,
     pca_estimator,
@@ -173,9 +172,8 @@ def test_criterion_4_closed_form_matches_iteration():
         basis = sample_basis(n, d, seed=int(rng.integers(2**63)))
         data = sample_dataset(params, basis, n_train, seed=int(rng.integers(2**63)))
         cache = svd_of(data)
-        cfg = GdConfig(eta=cache.eta, k=k)
-        closed = gd_estimator_closed(cache, cfg).as_matrix()
-        stepped = gd_estimator_iterative(data, cfg).as_matrix()
+        closed = gd_estimator_closed(cache, k).as_matrix()
+        stepped = gd_estimator_iterative(data, cache.eta, k).as_matrix()
         scale = float(np.linalg.norm(closed))
         dist = float(np.linalg.norm(closed - stepped))
         worst = max(worst, dist / scale if scale > 0.0 else dist)

@@ -8,16 +8,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sldlab.errors import DimensionError, InvariantError, StepsizeError
+from sldlab.errors import DimensionError, InvariantError
 from sldlab.estimators import (
-    GdConfig,
     INFINITY,
     K_GRID,
-    early_stopped_estimator,
     gd_estimator_closed,
     gd_estimator_iterative,
     gd_risk_profile,
-    normalize_k_grid,
+    oracle_stop,
     pca_estimator,
     pca_risk,
     svd_of,
@@ -86,7 +84,7 @@ def test_svd_cache_coeff_v_and_ut_basis_agree_with_materialized():
 
 def _route_risks(cache):
     ds = cache.dataset
-    profile = gd_risk_profile(cache, cache.eta, K_GRID)
+    profile = gd_risk_profile(cache, K_GRID)
     pca = risk_closed_form(pca_estimator(cache), ds.basis, ds.params)
     return np.append(profile, pca)
 
@@ -148,12 +146,17 @@ _NEAR_SQUARE = [(100, 100, 0.05, 200), (300, 300, 0.05, 600),
 @pytest.mark.parametrize("n,n_train,sigma,seed", _NEAR_SQUARE)
 def test_certified_gram_matches_direct_on_near_square_cells(n, n_train, sigma, seed):
     # Read only on the grid, the Gram decomposition is kept, and everything a
-    # sweep reads from it matches the direct SVD: the finite-k entries from
-    # the spectrum, the k = INFINITY (PINV) entry from a QR of Y.
+    # sweep reads from it matches the direct SVD: the oracle stop from the
+    # spectrum, without forming the QR of Y, and the k = INFINITY (PINV)
+    # entry from that QR.
     params, basis, ds = _instance(n=n, d=10, sigma=sigma, n_train=n_train, seed=seed)
     cache = svd_of(ds, grid_only=True)
     assert cache.route == "gram-certified"
     ref = _direct_svd(ds)
+    k_opt, risk = oracle_stop(cache)
+    assert "pinv_factor" not in vars(cache)  # a cached_property, stored once read
+    k_ref, risk_ref = oracle_stop(ref)
+    assert k_opt == k_ref and risk == pytest.approx(risk_ref, rel=1e-8)
     routed, direct = _route_risks(cache), _route_risks(ref)
     assert "pinv_factor" in vars(cache)
     best = int(np.argmin(routed[:-1]))  # the ESGD argmin over the grid, INFINITY included
@@ -161,9 +164,7 @@ def test_certified_gram_matches_direct_on_near_square_cells(n, n_train, sigma, s
     for i in (best, -2, -1):  # ESGD, PINV and PCA
         assert routed[i] == pytest.approx(direct[i], rel=1e-8)
     for k in (K_GRID[best], INFINITY):
-        w_gram, w_ref = (
-            gd_estimator_closed(c, GdConfig(eta=c.eta, k=k)).as_matrix() for c in (cache, ref)
-        )
+        w_gram, w_ref = (gd_estimator_closed(c, k).as_matrix() for c in (cache, ref))
         assert np.linalg.norm(w_gram - w_ref) <= 1e-8 * np.linalg.norm(w_ref)
     # The certificate's lower bound on the PINV risk really is one.
     certified, risk_inf_floor = _gram_certified(cache)
@@ -208,11 +209,10 @@ def test_svd_of_tall_noisy_takes_small_gram_and_defers_u():
     cache = svd_of(ds)
     assert cache.route == "gram"
     assert cache.rank == 300
-    eta = cache.eta
-    gd_risk_profile(cache, eta, K_GRID)
+    gd_risk_profile(cache, K_GRID)
     pca_estimator(cache)
     for k in (64, INFINITY):  # an ESGD and the PINV estimator
-        gd_estimator_closed(cache, GdConfig(eta=eta, k=k))
+        gd_estimator_closed(cache, k)
     assert cache._u_y is None  # no consumer materialized n x r U_y
     assert np.allclose(cache.ut_basis, cache.u_y.T @ basis.matrix, atol=1e-10)
     b = np.random.default_rng(1).standard_normal((300, 3))
@@ -275,10 +275,9 @@ def test_pca_estimator_noiseless_recovery():
 def test_gd_filter_limits_via_closed_form():
     params, basis, ds = _instance(seed=8)
     cache = svd_of(ds)
-    eta = cache.eta
-    w0 = gd_estimator_closed(cache, GdConfig(eta=eta, k=0))
+    w0 = gd_estimator_closed(cache, 0)
     assert np.array_equal(w0.as_matrix(), np.zeros((20, 20)))
-    w_inf = gd_estimator_closed(cache, GdConfig(eta=eta, k=INFINITY))
+    w_inf = gd_estimator_closed(cache, INFINITY)
     # k = INFINITY is the pseudoinverse estimator X Y^+, checked against numpy's pinv.
     assert np.allclose(w_inf.as_matrix(), ds.clean @ np.linalg.pinv(ds.noisy), atol=1e-10)
 
@@ -297,8 +296,7 @@ def test_gd_closed_matches_dense_reference_on_every_route(n, n_train, sigma, rou
     ref = _direct_svd(ds)
     u_ref, v_ref = ref.u_y, ref.v_y
     for k in K_GRID:
-        cfg = GdConfig(eta=cache.eta, k=k)
-        est = gd_estimator_closed(cache, cfg)
+        est = gd_estimator_closed(cache, k)
         assert est.left.shape == est.basis.shape == (n, params.d)
         s, eta = ref.s_y, 1.0 / float(ref.s_y[0]) ** 2
         d_k = 1.0 / s if k == INFINITY else (1.0 - (1.0 - eta * s * s) ** k) / s
@@ -312,9 +310,8 @@ def test_gd_risk_decreases_then_increases_along_path():
     # the noise is strong enough, so min over the grid is interior.
     params, basis, ds = _instance(n=40, d=3, sigma=0.5, n_train=35, seed=9)
     cache = svd_of(ds)
-    eta = cache.eta
     grid = K_GRID
-    risks = gd_risk_profile(cache, eta, grid)
+    risks = gd_risk_profile(cache, grid)
     best = int(np.argmin(risks))
     assert 0 < best < len(grid) - 1
     assert risks[best] < risks[0] and risks[best] < risks[-1]
@@ -332,10 +329,8 @@ def test_gd_closed_matches_iterative():
         basis = sample_basis(n, d, seed=100 + trial)
         ds = sample_dataset(params, basis, n_train, seed=200 + trial)
         cache = svd_of(ds)
-        eta = cache.eta
-        cfg = GdConfig(eta=eta, k=k)
-        w_closed = gd_estimator_closed(cache, cfg).as_matrix()
-        w_iter = gd_estimator_iterative(ds, cfg).as_matrix()
+        w_closed = gd_estimator_closed(cache, k).as_matrix()
+        w_iter = gd_estimator_iterative(ds, cache.eta, k).as_matrix()
         denom = max(np.linalg.norm(w_iter), 1e-300)
         assert np.linalg.norm(w_closed - w_iter) / denom <= 1e-8
 
@@ -343,26 +338,42 @@ def test_gd_closed_matches_iterative():
 def test_gd_iterative_guards():
     _, _, ds = _instance(seed=11)
     with pytest.raises(DimensionError):
-        gd_estimator_iterative(ds, GdConfig(eta=1e-3, k=501))
+        gd_estimator_iterative(ds, 1e-3, 501)
     with pytest.raises(DimensionError):
-        gd_estimator_iterative(ds, GdConfig(eta=1e-3, k=INFINITY))
+        gd_estimator_iterative(ds, 1e-3, INFINITY)
 
 
 def test_gd_stepsize_bound_enforced():
+    # The closed form takes no stepsize: it runs at cache.eta = 1 / S_y[0]^2,
+    # which saturates the stability bound, so every filter base 1 - eta S_y^2
+    # has magnitude below 1, and the build equals the reference run at it.
     params, basis, ds = _instance(seed=12)
     cache = svd_of(ds)
     top = float(cache.s_y[0])
-    # Saturating the bound is allowed...
-    gd_estimator_closed(cache, GdConfig(eta=1.0 / top**2, k=4))
-    # ...exceeding it is not.
-    with pytest.raises(StepsizeError):
-        gd_estimator_closed(cache, GdConfig(eta=1.5 / top**2, k=4))
-    with pytest.raises(StepsizeError):
-        GdConfig(eta=0.0, k=4)
-    with pytest.raises(DimensionError):
-        GdConfig(eta=1e-3, k=-1)
-    with pytest.raises(DimensionError):
-        GdConfig(eta=1e-3, k=2.5)
+    assert cache.eta == 1.0 / top**2
+    assert np.all(np.abs(1.0 - cache.eta * cache.s_y**2) < 1.0)
+    w_closed = gd_estimator_closed(cache, 4).as_matrix()
+    w_iter = gd_estimator_iterative(ds, cache.eta, 4).as_matrix()
+    assert np.linalg.norm(w_closed - w_iter) / np.linalg.norm(w_iter) <= 1e-8
+
+
+def test_normalize_k_grid():
+    # An iteration count is a nonnegative int or INFINITY wherever the filter
+    # is formed: the build, the profile and the reference, whose k = -1
+    # would otherwise run no steps and return W = 0.
+    params, basis, ds = _instance(seed=12)
+    cache = svd_of(ds)
+    for k in (-1, 2.5, -math.inf, math.nan):
+        with pytest.raises(DimensionError):
+            gd_estimator_closed(cache, k)
+        with pytest.raises(DimensionError):
+            gd_risk_profile(cache, (0, k, INFINITY))
+        with pytest.raises(DimensionError):
+            gd_estimator_iterative(ds, cache.eta, k)
+    # The profile takes its grid as given, unsorted and with repeats.
+    ordered = gd_risk_profile(cache, (0, 2, 4, INFINITY))
+    given = gd_risk_profile(cache, (4, 0, 4, INFINITY, 2))
+    assert given.tolist() == ordered[[2, 0, 2, 3, 1]].tolist()
 
 
 def test_gd_iterative_divergence_detected():
@@ -374,7 +385,7 @@ def test_gd_iterative_divergence_detected():
     cache = svd_of(ds)
     eta = 50.0 / float(cache.s_y[0]) ** 2
     with pytest.raises(DivergenceError):
-        gd_estimator_iterative(ds, GdConfig(eta=eta, k=400))
+        gd_estimator_iterative(ds, eta, 400)
 
 
 # --- risk profile -------------------------------------------------------
@@ -383,11 +394,10 @@ def test_gd_iterative_divergence_detected():
 def test_profile_matches_materialized_risks():
     params, basis, ds = _instance(n=30, d=4, sigma=0.3, n_train=20, seed=14)
     cache = svd_of(ds)
-    eta = 0.7 / float(cache.s_y[0]) ** 2
     grid = (0, 1, 2, 8, 64, 1024, INFINITY)
-    profile = gd_risk_profile(cache, eta, grid)
+    profile = gd_risk_profile(cache, grid)
     for k, expected in zip(grid, profile):
-        w = gd_estimator_closed(cache, GdConfig(eta=eta, k=k)).as_matrix()
+        w = gd_estimator_closed(cache, k).as_matrix()
         dense = LinearEstimator.from_dense(w)
         assert risk_closed_form(dense, basis, params) == pytest.approx(expected, abs=1e-10)
 
@@ -401,12 +411,11 @@ def test_profile_accurate_near_noise_floor(n, n_train, sigma):
     # estimator over the whole grid.
     params, basis, ds = _instance(n=n, d=10, sigma=sigma, n_train=n_train, seed=21)
     cache = svd_of(ds)
-    eta = cache.eta
     grid = K_GRID
-    profile = gd_risk_profile(cache, eta, grid)
+    profile = gd_risk_profile(cache, grid)
     formed = []
     for k in grid:
-        est = gd_estimator_closed(cache, GdConfig(eta=eta, k=k))
+        est = gd_estimator_closed(cache, k)
         formed.append(risk_closed_form(est, basis, params))
     np.testing.assert_allclose(profile, formed, rtol=1e-8, atol=0.0)
 
@@ -418,13 +427,11 @@ def test_gd_estimators_stay_low_rank_at_large_n():
     n, n_train = 10_000, 50
     params, basis, ds = _instance(n=n, d=5, sigma=0.1, n_train=n_train, seed=22)
     cache = svd_of(ds)
-    eta = cache.eta
-    profile = gd_risk_profile(cache, eta, (8, INFINITY))
+    profile = gd_risk_profile(cache, (8, INFINITY))
     ds.noisy  # draw Y first: the build reads it, and it is not the build's
     tracemalloc.start()
     try:
-        ests = (gd_estimator_closed(cache, GdConfig(eta=eta, k=8)),
-                gd_estimator_closed(cache, GdConfig(eta=eta, k=INFINITY)))
+        ests = (gd_estimator_closed(cache, 8), gd_estimator_closed(cache, INFINITY))
         for est, expected in zip(ests, profile):
             assert est.left.shape == est.basis.shape == (n, params.d)
             assert est.apply(ds.noisy).shape == (n, n_train)
@@ -443,10 +450,9 @@ def test_profile_memory_does_not_grow_with_n_train():
     for n_train in (500, 2000):
         params, basis, ds = _instance(n=n, d=10, sigma=0.1, n_train=n_train, seed=25)
         cache = svd_of(ds)
-        eta = cache.eta
         tracemalloc.start()
         try:
-            gd_risk_profile(cache, eta, K_GRID)
+            gd_risk_profile(cache, K_GRID)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -459,55 +465,45 @@ def test_profile_memory_does_not_grow_with_n_train():
 def test_early_stopping_is_grid_argmin():
     params, basis, ds = _instance(n=35, d=3, sigma=0.4, n_train=30, seed=17)
     cache = svd_of(ds)
-    est, k_opt = early_stopped_estimator(cache)
-    risk_opt = risk_closed_form(est, basis, params)
+    k_opt, risk = oracle_stop(cache)
     grid = K_GRID
-    profile = gd_risk_profile(cache, cache.eta, grid)
-    assert risk_opt == pytest.approx(float(np.min(profile)), abs=1e-12)
-    assert k_opt in grid
+    profile = gd_risk_profile(cache, grid)
+    assert k_opt == grid[int(np.argmin(profile))]
+    assert risk == float(np.min(profile))
+    risk_opt = risk_closed_form(gd_estimator_closed(cache, k_opt), basis, params)
+    assert risk_opt == pytest.approx(risk, abs=1e-12)
     # Oracle dominance: no grid iterate, including the converged one, wins.
     assert np.all(profile >= risk_opt - 1e-12)
+
+
+def _noiseless_cell():
+    return _instance(n=25, d=3, sigma=0.0, n_train=12, seed=18)
 
 
 def test_early_stopping_noiseless_reaches_zero_risk():
     # Without noise there is no overfitting penalty: the profile decreases
     # all the way to the pseudoinverse, and once the filter saturates the
     # remaining grid entries (including k = INFINITY) tie at zero risk.
-    params, basis, ds = _instance(n=25, d=3, sigma=0.0, n_train=12, seed=18)
+    params, basis, ds = _noiseless_cell()
     cache = svd_of(ds)
-    est, k_opt = early_stopped_estimator(cache)
-    assert risk_closed_form(est, basis, params) <= 1e-12
-    eta = cache.eta
+    k_opt, _ = oracle_stop(cache)
+    assert risk_closed_form(gd_estimator_closed(cache, k_opt), basis, params) <= 1e-12
     grid = K_GRID
-    profile = gd_risk_profile(cache, eta, grid)
+    profile = gd_risk_profile(cache, grid)
     assert profile[-1] <= 1e-12  # the converged endpoint is (numerically) exact
     assert np.all(np.diff(profile) <= 1e-12)  # and the path only improves
 
 
 def test_early_stopping_breaks_ties_toward_smaller_k():
-    # k=0 gives W=0; duplicating grid entries must not change the answer and
-    # equal-risk entries resolve to the smaller iteration count.
-    params, basis, ds = _instance(n=20, d=2, sigma=0.3, n_train=10, seed=19)
+    # On the noiseless cell the filter has saturated from k = 128 on: every
+    # entry from there through 2^20 and INFINITY is bitwise equal, and the
+    # oracle stops at the smallest of them.
+    params, basis, ds = _noiseless_cell()
     cache = svd_of(ds)
-    _, k_a = early_stopped_estimator(cache, k_grid=(7, 7, 7))
-    assert k_a == 7
-    _, k_b = early_stopped_estimator(cache, k_grid=(INFINITY, 9, 9))
-    assert k_b in (9, INFINITY)
-    profile = gd_risk_profile(cache, cache.eta, (9, INFINITY))
-    if profile[0] <= profile[1]:
-        assert k_b == 9
-
-
-def test_normalize_k_grid():
-    assert normalize_k_grid([4, 0, 4, INFINITY, 2]) == (0, 2, 4, INFINITY)
-    with pytest.raises(DimensionError):
-        normalize_k_grid([])
-    with pytest.raises(DimensionError):
-        normalize_k_grid([-1])
-    with pytest.raises(DimensionError):
-        normalize_k_grid([1.5])
-    with pytest.raises(DimensionError):
-        normalize_k_grid([float("-inf")])
+    profile = gd_risk_profile(cache, K_GRID)
+    tied = K_GRID.index(128)
+    assert np.all(profile[tied:] == profile[tied]) and profile[tied - 1] > profile[tied]
+    assert oracle_stop(cache) == (128, float(profile[tied]))
 
 
 def test_default_k_grid_shape():

@@ -23,7 +23,7 @@ from sldlab.risk import (
     risk_monte_carlo,
     theory_diagnostics,
 )
-from sldlab.estimators import early_stopped_estimator, pca_estimator, svd_of
+from sldlab.estimators import gd_estimator_closed, oracle_stop, pca_estimator, svd_of
 from sldlab.rng import derive_seed
 
 
@@ -107,7 +107,8 @@ def test_monte_carlo_blocks_match_unblocked(n_test):
     params = ModelParams(d=3, n=40, sigma_z=0.3)
     basis = sample_basis(40, 3, seed=8)
     ds = sample_dataset(params, basis, n_train=60, seed=8)
-    est, _ = early_stopped_estimator(svd_of(ds))
+    cache = svd_of(ds)
+    est = gd_estimator_closed(cache, oracle_stop(cache)[0])
     test = sample_dataset(params, basis, n_test, seed=9)
     err = est.apply(test.noisy) - test.clean
     losses = np.sum(err * err, axis=0) / params.d

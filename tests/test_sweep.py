@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
@@ -238,6 +240,46 @@ def test_certified_cell_without_pinv_never_forms_the_qr(monkeypatch):
         sweep_mod._evaluate_cell(config, 300, 600)
         assert routes[-1] == "gram-certified"
         assert bool(reads) == ("PINV" in estimators)  # the spy sees PINV's reads
+
+
+@pytest.mark.parametrize("mc", [0, 50])
+@pytest.mark.parametrize("n,n_train,sigma,cell_seed,route",
+                         [(100, 100, 0.05, 200, "gram-certified"), (300, 100, 0.1, 1, "gram")],
+                         ids=["square-certified", "tall"])
+def test_gd_risks_do_not_depend_on_the_other_estimators(monkeypatch, n, n_train, sigma, cell_seed,
+                                                         route, mc):
+    # ESGD and PINV are scored on their own: a cell that reports one of them
+    # alone gives bitwise the records of a cell that reports all four.
+    routes = _spy_on_routes(monkeypatch)
+    full = ("OPT", "PCA", "ESGD", "PINV")
+    config = _small_config(params=ModelParams(d=10, n=n, sigma_z=sigma), train_sizes=(n_train,),
+                           n_seeds=1, estimators=full, mc_test_size=mc)
+    records = dict(zip(full, sweep_mod._evaluate_cell(config, n_train, cell_seed)))
+    assert routes == [route]
+    for name in ("ESGD", "PINV"):
+        alone = dataclasses.replace(config, estimators=(name,))
+        (record,) = sweep_mod._evaluate_cell(alone, n_train, cell_seed)
+        assert np.array_equal(record, records[name], equal_nan=True), name
+    assert routes == [route] * 3
+
+
+def test_certified_cell_reads_the_qr_before_the_test_draw(monkeypatch):
+    # PINV's QR of Y is formed while only the training draw is held: the
+    # pinv_factor computation comes before the first read of the test Y (the
+    # PINV build reads the cached factor later).
+    events = []
+    factor, draw = SvdCache.pinv_factor.func, Dataset.noisy.func
+    spy = functools.cached_property(lambda c: events.append("qr") or factor(c))
+    spy.__set_name__(SvdCache, "pinv_factor")
+    monkeypatch.setattr(SvdCache, "pinv_factor", spy)
+    monkeypatch.setattr(Dataset, "noisy", property(
+        lambda ds: events.append("test" if ds.n_train == 50 else "train") or draw(ds)))
+    routes = _spy_on_routes(monkeypatch)
+    config = _small_config(params=ModelParams(d=10, n=300, sigma_z=0.05), train_sizes=(300,),
+                           n_seeds=1, estimators=("ESGD", "PINV"), mc_test_size=50)
+    sweep_mod._evaluate_cell(config, 300, 600)
+    assert routes == ["gram-certified"]
+    assert events.count("qr") == 1 and events.index("qr") < events.index("test")
 
 
 def test_curve_below_floor_is_rejected():
