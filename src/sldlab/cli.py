@@ -100,7 +100,7 @@ def _grid_arg(text: str) -> tuple[int, int, int]:
 
 
 def _estimators_arg(text: str) -> tuple[str, ...]:
-    names = tuple(p.strip().upper() for p in text.split(",") if p.strip())
+    names = tuple(p.strip() for p in text.split(",") if p.strip())
     if not names:
         raise argparse.ArgumentTypeError("estimator list is empty")
     return names
@@ -203,6 +203,21 @@ def _make_dirs(directory: Path) -> Path:
     """``directory``, created with any missing parents, for a command's outputs."""
     directory.mkdir(parents=True, exist_ok=True)
     return directory
+
+
+def _manifest_path(out: Path) -> Path:
+    """The manifest beside ``out``, refused if it records another output (curve.csv, curve.svg)."""
+    path = out.with_suffix(".manifest.json")
+    try:
+        listed = json.loads(path.read_text(encoding="utf-8"))["outputs"]
+        others = ", ".join(sorted({Path(p).name for p in listed} - {out.name}))
+    except FileNotFoundError:
+        return path
+    except (ValueError, KeyError, TypeError):
+        raise UsageError(f"{path} is not an sldlab manifest; choose another --out") from None
+    if others:
+        raise UsageError(f"{path} records {others}; choose an --out other than {out.name}")
+    return path
 
 
 def _write_manifest(
@@ -340,16 +355,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     except SldlabError as exc:
         # Everything here came straight from command-line flags.
         raise UsageError(str(exc)) from exc
-    curve = run_sweep(config, workers=args.threads)
     out = Path(args.out)
+    manifest = _manifest_path(out)
+    curve = run_sweep(config, workers=args.threads)
     _make_dirs(out.parent)
     write_curve_csv(curve, out)
-    manifest = out.with_suffix(".manifest.json")
     _write_manifest(
         manifest, "simulate", sys.argv[1:], dataclasses.asdict(config), base_seed,
         [out], started,
     )
-    print(f"wrote {out} ({len(curve.train_sizes)} sizes x {len(curve.series)} estimators)")
+    print(f"wrote {out} ({len(curve.train_sizes)} sizes x {len(config.estimators)} estimators)")
     return 0
 
 
@@ -367,6 +382,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     started = time.time()
     if args.min_seg < 2:
         raise UsageError(f"--min-seg must be >= 2 (a segment needs two points), got {args.min_seg}")
+    out = Path(args.out) if args.out else None
+    manifest = _manifest_path(out) if out else None
     sizes, values, column = read_series_csv(args.infile, args.col)
     floor = _resolve_floor(args.floor, args.sigma)
     source = str(args.infile)
@@ -383,12 +400,11 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             f"SSE improvement {float(left['sse_improvement']):.1%}, "
             f"breakpoint evidence: {verdict}"
         )
-    if args.out:
-        out = Path(args.out)
+    if out:
         _make_dirs(out.parent)
         _write_fits_csv(out, rows)
         _write_manifest(
-            out.with_suffix(".manifest.json"), "fit", sys.argv[1:],
+            manifest, "fit", sys.argv[1:],
             {"in": source, "col": column, "mode": args.mode, "floor": floor,
              "min_seg": args.min_seg},
             None, [out], started,
@@ -444,20 +460,21 @@ def _read_fits_csv(path: str) -> list[FitOverlay]:
 
 def _cmd_plot(args: argparse.Namespace) -> int:
     started = time.time()
+    out = Path(args.out)
+    manifest = _manifest_path(out)
     curve = read_curve_csv(args.infile)
     series = [
         PlotSeries(label=name, sizes=curve.train_sizes, values=stats.mean, err=stats.std)
-        for name, stats in curve.series.items()
+        for name, stats in curve.series.items() if name in curve.estimators()
     ]
     overlays = _read_fits_csv(args.fits) if args.fits else []
     svg = render_scaling_plot(
         series, overlays, title=args.title, xlabel="train size", ylabel="risk"
     )
-    out = Path(args.out)
     _make_dirs(out.parent)
     out.write_text(svg, encoding="utf-8")
     _write_manifest(
-        out.with_suffix(".manifest.json"), "plot", sys.argv[1:],
+        manifest, "plot", sys.argv[1:],
         {"in": str(args.infile), "fits": args.fits, "title": args.title},
         None, [out], started,
     )

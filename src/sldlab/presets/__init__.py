@@ -116,7 +116,7 @@ def load_preset(name: str) -> Preset:
                 sigma_z=float(s["sigma_z"]),
                 grid=tuple(int(g) for g in s["grid"]),
                 n_seeds=int(s["n_seeds"]),
-                estimators=tuple(str(e).upper() for e in s["estimators"]),
+                estimators=tuple(str(e) for e in s["estimators"]),
             )
             for s in raw["sweeps"]
         )

@@ -81,24 +81,23 @@ class SweepConfig:
 
 @dataclass(eq=False)
 class SeriesStats:
-    """Per-estimator aggregates across seeds, one entry per train size."""
+    """Per-series aggregates across seeds, one entry per train size."""
 
     mean: np.ndarray
     std: np.ndarray
-    mc_mean: np.ndarray | None = None
-    mc_std: np.ndarray | None = None
 
 
 @dataclass(eq=False)
 class RiskCurve:
-    """Aggregated sweep output: risk statistics per (train size, estimator)."""
+    """Risk statistics per (train size, series); an MC sweep puts <EST>_MC after <EST>."""
 
     train_sizes: np.ndarray
     series: dict[str, SeriesStats]
     config: SweepConfig | None = None
 
     def estimators(self) -> tuple[str, ...]:
-        return tuple(self.series.keys())
+        """The closed-form series: all but an ``X_MC`` whose ``X`` is a series too."""
+        return tuple(n for n in self.series if not (n.endswith("_MC") and n[:-3] in self.series))
 
 
 # =====================================================================
@@ -163,38 +162,36 @@ def _evaluate_cell(
     params = config.params
     basis = sample_basis(params.n, params.d, cell_seed)
     ds = sample_dataset(params, basis, n_train, cell_seed)
-    wants_svd = any(e != "OPT" for e in config.estimators)
-    cache = svd_of(ds, grid_only=True) if wants_svd else None
-    mc = config.mc_test_size
-    test_seed = derive_seed(cell_seed, "mc-test")
-    test = sample_dataset(params, basis, mc, test_seed) if mc else None
-    # (k, risk) of each GD estimator, scored before the first Monte-Carlo run draws
-    # the test Y, so the QR of Y that PINV reads on a certified cache never runs beside it.
-    gd: dict[str, tuple[int | float, float]] = {}
-    if "ESGD" in config.estimators:
-        gd["ESGD"] = oracle_stop(cache)
-    if "PINV" in config.estimators:
-        gd["PINV"] = INFINITY, float(gd_risk_profile(cache, (INFINITY,))[0])
-
-    records: list[tuple[float, float, float]] = []
+    cache = svd_of(ds, grid_only=True) if config.estimators != ("OPT",) else None
+    # Every closed-form risk comes before the Monte-Carlo block draws the test Y,
+    # so the QR of Y that PINV reads on a certified cache never runs beside it.
+    risks: list[float] = []
+    stop_k: dict[str, int | float] = {"PINV": INFINITY}
     for name in config.estimators:
         if name == "OPT":
-            risk = optimal_risk(params)
-            if mc:
-                estimator = optimal_estimator(basis, params)
+            risks.append(optimal_risk(params))
         elif name == "PCA":
-            risk = pca_risk(cache)
-            if mc:
-                estimator = pca_estimator(cache)
+            risks.append(pca_risk(cache))
+        elif name == "ESGD":
+            stop_k[name], risk = oracle_stop(cache)
+            risks.append(risk)
+        else:  # PINV
+            risks.append(float(gd_risk_profile(cache, (INFINITY,))[0]))
+    mc = config.mc_test_size
+    if not mc:
+        return tuple((risk, math.nan, math.nan) for risk in risks)
+
+    test = sample_dataset(params, basis, mc, derive_seed(cell_seed, "mc-test"))
+    records: list[tuple[float, float, float]] = []
+    for name, risk in zip(config.estimators, risks):
+        if name == "OPT":
+            estimator = optimal_estimator(basis, params)
+        elif name == "PCA":
+            estimator = pca_estimator(cache)
         else:  # ESGD or PINV
-            k, risk = gd[name]
-            if mc:
-                estimator = gd_estimator_closed(cache, k)
-        if mc:
-            report = risk_monte_carlo(estimator, test)
-            records.append((risk, report.mean, report.std_err))
-        else:
-            records.append((risk, math.nan, math.nan))
+            estimator = gd_estimator_closed(cache, stop_k[name])
+        report = risk_monte_carlo(estimator, test)
+        records.append((risk, report.mean, report.std_err))
     return tuple(records)
 
 
@@ -239,19 +236,13 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> RiskCurve:
             print("sldlab: worker pool unavailable, running cells serially", file=sys.stderr)
             results = [_run_cell(t) for t in tasks]
 
-    n_sizes, n_seeds = len(config.train_sizes), config.n_seeds
+    # cells[i, j, e] = (risk, mc mean, mc std error) of estimator e at size i, seed j
+    cells = np.asarray(results).reshape(len(config.train_sizes), config.n_seeds, -1, 3)
     curve_series: dict[str, SeriesStats] = {}
     for e_idx, name in enumerate(config.estimators):
-        risk = np.empty((n_sizes, n_seeds))
-        mc_mean = np.empty((n_sizes, n_seeds))
-        for t_idx, (i, j) in enumerate((i, j) for i in range(n_sizes) for j in range(n_seeds)):
-            risk[i, j] = results[t_idx][e_idx][0]
-            mc_mean[i, j] = results[t_idx][e_idx][1]
-        stats = SeriesStats(mean=risk.mean(axis=1), std=_seed_std(risk))
+        curve_series[name] = _seed_stats(cells[:, :, e_idx, 0])
         if config.mc_test_size:
-            stats.mc_mean = mc_mean.mean(axis=1)
-            stats.mc_std = _seed_std(mc_mean)
-        curve_series[name] = stats
+            curve_series[f"{name}_MC"] = _seed_stats(cells[:, :, e_idx, 1])
 
     curve = RiskCurve(
         train_sizes=np.asarray(config.train_sizes, dtype=int),
@@ -262,11 +253,10 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> RiskCurve:
     return curve
 
 
-def _seed_std(values: np.ndarray) -> np.ndarray:
-    """Sample std over seeds (ddof=1); defined as 0 for a single seed."""
-    if values.shape[1] < 2:
-        return np.zeros(values.shape[0])
-    return values.std(axis=1, ddof=1)
+def _seed_stats(values: np.ndarray) -> SeriesStats:
+    """Mean and sample std (ddof=1) over seeds, the second axis; the std is 0 for one seed."""
+    std = values.std(axis=1, ddof=1) if values.shape[1] > 1 else np.zeros(values.shape[0])
+    return SeriesStats(mean=values.mean(axis=1), std=std)
 
 
 def _validate_curve(curve: RiskCurve) -> None:
@@ -275,7 +265,8 @@ def _validate_curve(curve: RiskCurve) -> None:
         return
     floor = optimal_risk(curve.config.params)
     root_seeds = math.sqrt(curve.config.n_seeds)
-    for name, stats in curve.series.items():
+    for name in curve.config.estimators:
+        stats = curve.series[name]
         slack = 3.0 * stats.std / root_seeds + 1e-12
         bad = np.nonzero(stats.mean < floor - slack)[0]
         if bad.size:
@@ -296,15 +287,13 @@ def _format_value(v: float) -> str:
 
 
 def write_curve_csv(curve: RiskCurve, path) -> None:
-    """Write the canonical curve table: train_size, then <EST>_M,<EST>_S pairs.
+    """Write the canonical curve table: train_size, then <NAME>_M,<NAME>_S pairs.
 
     Values carry 17 significant digits so a write/read round trip is exact.
     """
     header = ["train_size"]
-    for name, stats in curve.series.items():
+    for name in curve.series:
         header += [f"{name}_M", f"{name}_S"]
-        if stats.mc_mean is not None:
-            header += [f"{name}_MC_M", f"{name}_MC_S"]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -312,8 +301,6 @@ def write_curve_csv(curve: RiskCurve, path) -> None:
             row = [str(int(size))]
             for stats in curve.series.values():
                 row += [_format_value(stats.mean[i]), _format_value(stats.std[i])]
-                if stats.mc_mean is not None:
-                    row += [_format_value(stats.mc_mean[i]), _format_value(stats.mc_std[i])]
             writer.writerow(row)
 
 
@@ -342,43 +329,30 @@ def _read_table(path) -> tuple[list[str], np.ndarray]:
 
 
 def read_curve_csv(path) -> RiskCurve:
-    """Read a canonical curve table back into a RiskCurve (config unknown)."""
+    """Read a canonical curve table back into a RiskCurve (config unknown).
+
+    Each pair <NAME>_M,<NAME>_S is the series <NAME>, Monte-Carlo <EST>_MC included.
+    """
     header, table = _read_table(path)
-    groups: list[tuple[str, bool]] = []  # (estimator, has mc columns)
     cols = header[1:]
-    pos = 0
-    while pos < len(cols):
+    series: dict[str, SeriesStats] = {}
+    for pos in range(0, len(cols), 2):
         name = cols[pos]
         if not name.endswith("_M"):
             raise CsvFormatError(f"{path}: expected a mean column '<EST>_M', got {name!r}")
         est = name[:-2]
         if pos + 1 >= len(cols) or cols[pos + 1] != f"{est}_S":
             raise CsvFormatError(f"{path}: missing column {est}_S after {name}")
-        pos += 2
-        has_mc = pos + 1 < len(cols) and cols[pos] == f"{est}_MC_M" and cols[pos + 1] == f"{est}_MC_S"
-        if has_mc:
-            pos += 2
-        if any(est == g[0] for g in groups):
+        if est in series:
             raise CsvFormatError(f"{path}: duplicate estimator columns for {est}")
-        groups.append((est, has_mc))
-    if not groups:
+        series[est] = SeriesStats(mean=table[:, pos + 1].copy(), std=table[:, pos + 2].copy())
+    if not series:
         raise CsvFormatError(f"{path}: no estimator columns found")
     sizes = table[:, 0]
     if not np.all(np.isfinite(sizes) & (sizes == np.round(sizes))):
         raise CsvFormatError(f"{path}: train_size must hold integers")
     if np.any(np.diff(sizes) <= 0):
         raise CsvFormatError(f"{path}: train_size must be strictly ascending")
-
-    series: dict[str, SeriesStats] = {}
-    col = 1
-    for est, has_mc in groups:
-        stats = SeriesStats(mean=table[:, col].copy(), std=table[:, col + 1].copy())
-        col += 2
-        if has_mc:
-            stats.mc_mean = table[:, col].copy()
-            stats.mc_std = table[:, col + 1].copy()
-            col += 2
-        series[est] = stats
     return RiskCurve(train_sizes=sizes.astype(int), series=series, config=None)
 
 

@@ -309,6 +309,47 @@ def test_plot_creates_a_missing_output_directory(tmp_path, capsys):
     assert (svg.parent / "p.manifest.json").exists()
 
 
+def test_plot_draws_the_closed_form_series_only(tmp_path, capsys):
+    # The <EST>_MC columns of an --mc-test curve are not drawn: the plot is
+    # the plot of the same curve without them.
+    mc, closed = tmp_path / "mc.csv", tmp_path / "closed.csv"
+    assert main(_simulate_args(mc, mc_test="20")) == 0
+    with open(mc, newline="") as fh:
+        rows = list(csv.reader(fh))
+    keep = [i for i, name in enumerate(rows[0]) if "_MC_" not in name]
+    assert len(keep) == 5 < len(rows[0])
+    closed.write_text("".join(",".join(row[i] for i in keep) + "\n" for row in rows))
+    svgs = [tmp_path / "mc-plot.svg", tmp_path / "closed-plot.svg"]
+    for curve, svg in zip((mc, closed), svgs):
+        assert main(["plot", "--in", str(curve), "--out", str(svg)]) == 0
+    capsys.readouterr()
+    assert svgs[0].read_bytes() == svgs[1].read_bytes()
+
+
+def test_a_command_does_not_overwrite_another_outputs_manifest(tmp_path, capsys):
+    # curve.csv and curve.svg would share curve.manifest.json: the plot exits 2
+    # before writing anything, and the manifest keeps the record of the sweep.
+    curve, svg = tmp_path / "curve.csv", tmp_path / "curve.svg"
+    manifest = tmp_path / "curve.manifest.json"
+    assert main(_simulate_args(curve)) == 0
+    capsys.readouterr()
+    assert main(["plot", "--in", str(curve), "--out", str(svg)]) == 2
+    assert "curve.csv" in capsys.readouterr().err
+    assert not svg.exists()
+    assert json.loads(manifest.read_text())["command"] == "simulate"
+    assert main(["fit", "--in", str(curve), "--col", "PCA_M",
+                 "--out", str(tmp_path / "curve.txt")]) == 2
+    # Rerunning a command to its own output is fine, from any directory spelling.
+    assert main(_simulate_args(tmp_path / "." / "curve.csv")) == 0
+    doc = json.loads(manifest.read_text())
+    assert doc["command"] == "simulate"
+    assert doc["config"]["estimators"] == ["OPT", "PCA"]  # as SweepConfig normalizes them
+    manifest.write_text("not json")
+    assert main(_simulate_args(curve)) == 2
+    assert manifest.read_text() == "not json"
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("bad", ["curve-table", "alpha"])
 def test_plot_rejects_a_bad_fits_table(tmp_path, capsys, bad):
     # A fits table without the overlay columns, or with a value that is not

@@ -295,6 +295,18 @@ def test_curve_below_floor_is_rejected():
         sweep_mod._validate_curve(doctored)
 
 
+def test_monte_carlo_series_is_not_held_to_the_floor():
+    # An MC mean carries the sampling noise of its test draw, so it may sit
+    # below the floor; the same values as a closed-form series may not.
+    cfg = _small_config(estimators=("OPT",), train_sizes=(3,), n_seeds=2, mc_test_size=8)
+    curve = run_sweep(cfg)
+    opt = curve.series["OPT"]
+    low = SeriesStats(mean=opt.mean * 0.5, std=opt.std)
+    sweep_mod._validate_curve(RiskCurve(curve.train_sizes, {"OPT": opt, "OPT_MC": low}, cfg))
+    with pytest.raises(InvariantError, match="OPT mean risk"):
+        sweep_mod._validate_curve(RiskCurve(curve.train_sizes, {"OPT": low, "OPT_MC": opt}, cfg))
+
+
 def test_workers_must_be_positive():
     with pytest.raises(DimensionError):
         run_sweep(_small_config(), workers=0)
@@ -339,9 +351,11 @@ def test_csv_round_trip_with_monte_carlo_columns(tmp_path):
         "PCA_M", "PCA_S", "PCA_MC_M", "PCA_MC_S",
     ]
     back = read_curve_csv(path)
-    for name in ("OPT", "PCA"):
-        assert np.array_equal(back.series[name].mc_mean, curve.series[name].mc_mean)
-        assert np.array_equal(back.series[name].mc_std, curve.series[name].mc_std)
+    assert tuple(back.series) == ("OPT", "OPT_MC", "PCA", "PCA_MC")
+    assert back.estimators() == ("OPT", "PCA")
+    for name in ("OPT_MC", "PCA_MC"):
+        assert np.array_equal(back.series[name].mean, curve.series[name].mean)
+        assert np.array_equal(back.series[name].std, curve.series[name].std)
 
 
 @pytest.mark.parametrize(
@@ -357,6 +371,7 @@ def test_csv_round_trip_with_monte_carlo_columns(tmp_path):
         ("train_size,PCA_M,PCA_S\n3,one,0\n", ":2:"),
         ("train_size,PCA_M,PCA_S\n9,1,0\n3,1,0\n", "ascending"),
         ("train_size,PCA_M,PCA_S\n3.5,1,0\n", "integers"),
+        ("train_size,PCA_M,PCA_S,PCA_MC_M\n3,1,0,1\n", "PCA_MC_S"),
     ],
 )
 def test_csv_reader_rejects_malformed(tmp_path, text, fragment):
