@@ -205,8 +205,13 @@ def _make_dirs(directory: Path) -> Path:
     return directory
 
 
-def _manifest_path(out: Path) -> Path:
-    """The manifest beside ``out``, refused if it records another output (curve.csv, curve.svg)."""
+def _manifest_path(out: Path, infile: str | None = None) -> Path:
+    """The manifest beside ``out``, refused if it records another output (curve.csv, curve.svg).
+
+    ``out`` is refused too when it resolves to the command's input file ``infile``.
+    """
+    if infile is not None and out.resolve() == Path(infile).resolve():
+        raise UsageError(f"--out {out} is the --in file; choose another --out")
     path = out.with_suffix(".manifest.json")
     try:
         listed = json.loads(path.read_text(encoding="utf-8"))["outputs"]
@@ -383,7 +388,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     if args.min_seg < 2:
         raise UsageError(f"--min-seg must be >= 2 (a segment needs two points), got {args.min_seg}")
     out = Path(args.out) if args.out else None
-    manifest = _manifest_path(out) if out else None
+    manifest = _manifest_path(out, args.infile) if out else None
     sizes, values, column = read_series_csv(args.infile, args.col)
     floor = _resolve_floor(args.floor, args.sigma)
     source = str(args.infile)
@@ -461,7 +466,7 @@ def _read_fits_csv(path: str) -> list[FitOverlay]:
 def _cmd_plot(args: argparse.Namespace) -> int:
     started = time.time()
     out = Path(args.out)
-    manifest = _manifest_path(out)
+    manifest = _manifest_path(out, args.infile)
     curve = read_curve_csv(args.infile)
     series = [
         PlotSeries(label=name, sizes=curve.train_sizes, values=stats.mean, err=stats.std)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -25,7 +26,7 @@ _ORTHO_TOL = 1e-10
 #: as forming U C whole.
 _BLOCK = 64
 
-#: Bytes of Z per row block in :func:`_stream_noise` (524 rows at N = 1000).
+#: Bytes of Z per row block in :func:`_noise_blocks` (524 rows at N = 1000).
 #: The n = 10^4, N = 1000 draw took 1.13-1.42 s with 64-row blocks, 0.55-0.60 s
 #: with 524 and 0.48-0.70 s with 2048 (2 cores, numpy 2.4.6 with OpenBLAS
 #: 0.3.31): thinner blocks starve the Z^T Z product, while a 4 MB block stays
@@ -84,8 +85,10 @@ class Dataset:
     C and the seed fix the draw, so the views of it are drawn on first read
     and kept: :attr:`noisy` draws Y whole, :attr:`noise_stats` streams Z^T Z
     and U^T Z over row blocks of Z without holding Y.  Both read the same
-    noise stream, so either order gives the same bits.  X lies in span(U) by
-    construction and is formed only by :attr:`clean`.
+    noise stream, so either order gives the same bits.  A Monte-Carlo test
+    set reads only :meth:`noise_projection`, B^T Z over the same blocks, which
+    is streamed on each call.  X lies in span(U) by construction and is
+    formed only by :attr:`clean`.
     """
 
     coeff: np.ndarray
@@ -116,8 +119,21 @@ class Dataset:
 
     @cached_property
     def noise_stats(self) -> tuple[np.ndarray, np.ndarray]:
-        """(Z^T Z, U^T Z), N x N and d x N, streamed on the first read without forming Y."""
-        return _stream_noise(self.basis, self.n_train, self.seed)
+        """(Z^T Z, U^T Z), N x N and d x N, summed over :func:`_noise_blocks` on the first read."""
+        u = self.basis.matrix
+        gram = np.zeros((self.n_train, self.n_train))
+        proj = np.zeros((u.shape[1], self.n_train))
+        for rows, z in _noise_blocks(self.params.n, self.n_train, self.seed):
+            gram += z.T @ z
+            proj += u[rows].T @ z
+        return gram, proj
+
+    def noise_projection(self, b: np.ndarray) -> np.ndarray:
+        """B^T Z (k x N) for an n x k matrix B, summed over :func:`_noise_blocks`; not kept."""
+        proj = np.zeros((b.shape[1], self.n_train))
+        for rows, z in _noise_blocks(self.params.n, self.n_train, self.seed):
+            proj += b[rows].T @ z
+        return proj
 
     @property
     def clean(self) -> np.ndarray:
@@ -231,27 +247,22 @@ def sample_dataset(params: ModelParams, basis: SubspaceBasis, n_train: int, seed
     return Dataset(coeff, params, basis, seed)
 
 
-def _stream_noise(basis: SubspaceBasis, n_train: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Z^T Z and U^T Z of the "noise" stream of ``seed``, drawn in row blocks.
+def _noise_blocks(n: int, n_cols: int, seed: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """The n x n_cols noise Z of ``seed``'s "noise" stream, as (rows, Z[rows]) row blocks.
 
     Z is drawn in C order, so consecutive row blocks from one generator are
     bit for bit the rows of one whole draw.  The block height depends only
-    on N, so the sums, and every result built on them, are the same for any
-    worker count.
+    on n_cols, so sums over the blocks, and every result built on them, are
+    the same for any worker count.  Every block is drawn into one buffer,
+    valid until the next block is drawn.
     """
-    u = basis.matrix
-    n = u.shape[0]
-    rows = max(1, _STREAM_BYTES // (8 * n_train))
+    height = max(1, _STREAM_BYTES // (8 * n_cols))
     gen = stream(seed, "noise")
-    buf = np.empty((min(rows, n), n_train))
-    gram = np.zeros((n_train, n_train))
-    proj = np.zeros((u.shape[1], n_train))
-    for lo in range(0, n, rows):
-        z = buf[: min(rows, n - lo)]
+    buf = np.empty((min(height, n), n_cols))
+    for lo in range(0, n, height):
+        z = buf[: min(height, n - lo)]
         gen.standard_normal(out=z)
-        gram += z.T @ z
-        proj += u[lo : lo + rows].T @ z
-    return gram, proj
+        yield slice(lo, lo + z.shape[0]), z
 
 
 def _draw_noisy(

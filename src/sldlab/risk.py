@@ -12,24 +12,22 @@ orthonormal (n x r), so ||W||_F = ||L||_F and the same quantity is
     R = (1/d) ||L (B^T U) - U||_F^2  +  (sigma_z^2 / d) ||L||_F^2,
 
 which this module evaluates in O(n r d) without ever materializing W.
+
+:func:`risk_monte_carlo` checks it on a held-out test draw: one streamed pass
+over the test noise scores all the estimators of a cell, and the test Y is
+never formed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionError, InsufficientDataError
 from .model import Dataset, LinearEstimator, ModelParams, SubspaceBasis, optimal_risk
-
-#: Test columns scored per block by :func:`risk_monte_carlo`.  The temporaries
-#: of ``apply`` and of the clean block U C are then r x 256 and n x 256
-#: (20 MB each at n = 10^4) whatever n_test is; the losses match unblocked
-#: scoring up to rounding.
-_MC_BLOCK = 256
-
 
 @dataclass(frozen=True)
 class RiskReport:
@@ -71,29 +69,39 @@ def risk_closed_form(
     return (float(np.sum(misfit * misfit)) + noise) / params.d
 
 
-def risk_monte_carlo(estimator: LinearEstimator, test: Dataset) -> RiskReport:
-    """Estimate the risk on a test set of pairs drawn from the model.
+def risk_monte_carlo(
+    estimators: Sequence[LinearEstimator], test: Dataset
+) -> tuple[RiskReport, ...]:
+    """Risk estimates of ``estimators`` on one test set drawn from the model, in order.
 
-    ``test`` comes from :func:`~sldlab.model.sample_dataset` with the same
-    basis and params as the estimator's training data, so one draw can be
-    shared by every estimator of a cell.  Per-example loss is
-    ||W y - x||^2 / d; the report carries the sample mean and its standard
-    error (sample std / sqrt(n_test)).
+    ``test`` shares the estimators' basis and params.  Per-example loss is
+    ||W y - x||^2 / d; a report holds its mean, standard error and n_test.
+    For W = L B^T the error L a - U c needs only a = B^T U c + sigma_z B^T z:
+    one streamed :meth:`~sldlab.model.Dataset.noise_projection` of the
+    stacked bases gives B^T Z for all estimators (none at sigma_z = 0), and
+    the thin QR [U, L] = Q R gives the error's norm as that of R [-c; a].
     """
     n_test = test.n_train
     if n_test < 2:
         raise InsufficientDataError(f"n_test must be >= 2 for a standard error, got {n_test}")
-    u = test.basis.matrix
-    losses = np.empty(n_test)
-    for lo in range(0, n_test, _MC_BLOCK):
-        block = slice(lo, lo + _MC_BLOCK)
-        err = estimator.apply(test.noisy[:, block])
-        err -= u @ test.coeff[:, block]
-        losses[block] = np.sum(err * err, axis=0)
-    losses /= test.params.d
-    mean = float(np.mean(losses))
-    std_err = float(np.std(losses, ddof=1) / math.sqrt(n_test))
-    return RiskReport(mean=mean, std_err=std_err, n_test=n_test)
+    u, coeff = test.basis.matrix, test.coeff
+    dims = [estimator.ambient_dim for estimator in estimators]
+    if not dims or set(dims) != {u.shape[0]}:
+        raise DimensionError(f"need estimators acting on R^{u.shape[0]}, got ambient dims {dims}")
+    stacked = np.hstack([estimator.basis for estimator in estimators])
+    coords = (stacked.T @ u) @ coeff
+    if test.params.sigma_z > 0:
+        coords += test.params.sigma_z * test.noise_projection(stacked)
+    ends = np.cumsum([estimator.rank for estimator in estimators])
+    reports = []
+    for estimator, a in zip(estimators, np.split(coords, ends[:-1])):
+        r = np.linalg.qr(np.hstack([u, estimator.left]), mode="r")
+        err = r @ np.vstack([-coeff, a])
+        losses = np.sum(err * err, axis=0) / test.params.d
+        mean = float(np.mean(losses))
+        std_err = float(np.std(losses, ddof=1) / math.sqrt(n_test))
+        reports.append(RiskReport(mean=mean, std_err=std_err, n_test=n_test))
+    return tuple(reports)
 
 
 def pca_risk_specialized(

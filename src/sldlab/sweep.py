@@ -163,8 +163,8 @@ def _evaluate_cell(
     basis = sample_basis(params.n, params.d, cell_seed)
     ds = sample_dataset(params, basis, n_train, cell_seed)
     cache = svd_of(ds, grid_only=True) if config.estimators != ("OPT",) else None
-    # Every closed-form risk comes before the Monte-Carlo block draws the test Y,
-    # so the QR of Y that PINV reads on a certified cache never runs beside it.
+    # Every closed-form risk comes before the Monte-Carlo block streams the test
+    # noise, so the QR of Y that PINV reads on a certified cache runs first.
     risks: list[float] = []
     stop_k: dict[str, int | float] = {"PINV": INFINITY}
     for name in config.estimators:
@@ -181,18 +181,17 @@ def _evaluate_cell(
     if not mc:
         return tuple((risk, math.nan, math.nan) for risk in risks)
 
-    test = sample_dataset(params, basis, mc, derive_seed(cell_seed, "mc-test"))
-    records: list[tuple[float, float, float]] = []
-    for name, risk in zip(config.estimators, risks):
+    estimators = []
+    for name in config.estimators:
         if name == "OPT":
-            estimator = optimal_estimator(basis, params)
+            estimators.append(optimal_estimator(basis, params))
         elif name == "PCA":
-            estimator = pca_estimator(cache)
+            estimators.append(pca_estimator(cache))
         else:  # ESGD or PINV
-            estimator = gd_estimator_closed(cache, stop_k[name])
-        report = risk_monte_carlo(estimator, test)
-        records.append((risk, report.mean, report.std_err))
-    return tuple(records)
+            estimators.append(gd_estimator_closed(cache, stop_k[name]))
+    test = sample_dataset(params, basis, mc, derive_seed(cell_seed, "mc-test"))
+    reports = risk_monte_carlo(estimators, test)
+    return tuple((risk, r.mean, r.std_err) for risk, r in zip(risks, reports))
 
 
 # =====================================================================

@@ -74,7 +74,7 @@ def test_criterion_1_optimal_risk_exact_and_monte_carlo():
         floor = sigma**2 / (1.0 + sigma**2)
         worst_exact = max(worst_exact, abs(risk_closed_form(star, basis, params) - floor))
         test = sample_dataset(params, basis, 20000, derive_seed(101, "mc-test", i))
-        report = risk_monte_carlo(star, test)
+        (report,) = risk_monte_carlo([star], test)
         gap = abs(report.mean - floor)
         # At sigma = 0 every loss is roundoff, so the 3-SE band degenerates;
         # absolute agreement far below the exactness tolerance still counts.

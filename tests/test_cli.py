@@ -350,6 +350,24 @@ def test_a_command_does_not_overwrite_another_outputs_manifest(tmp_path, capsys)
     capsys.readouterr()
 
 
+def test_plot_and_fit_refuse_to_overwrite_their_input(tmp_path, capsys):
+    # c.csv's manifest lists c.csv, so only the --in check stops these: each
+    # exits 2 with one line, before any read or write, from any spelling.
+    curve, manifest = tmp_path / "c.csv", tmp_path / "c.manifest.json"
+    assert main(_simulate_args(curve)) == 0
+    before = curve.read_bytes()
+    capsys.readouterr()
+    for out in (curve, tmp_path / "sub" / ".." / "c.csv"):
+        assert main(["plot", "--in", str(curve), "--out", str(out)]) == 2
+        assert main(["fit", "--in", str(curve), "--col", "PCA_M", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith("sldlab: ") for line in err)
+        assert "is the --in file" in err[0]
+    assert not (tmp_path / "sub").exists()
+    assert curve.read_bytes() == before
+    assert json.loads(manifest.read_text())["command"] == "simulate"
+
+
 @pytest.mark.parametrize("bad", ["curve-table", "alpha"])
 def test_plot_rejects_a_bad_fits_table(tmp_path, capsys, bad):
     # A fits table without the overlay columns, or with a value that is not

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sldlab import model
 from sldlab.errors import DimensionError, InsufficientDataError
 from sldlab.model import (
     LinearEstimator,
@@ -23,8 +25,8 @@ from sldlab.risk import (
     risk_monte_carlo,
     theory_diagnostics,
 )
-from sldlab.estimators import gd_estimator_closed, oracle_stop, pca_estimator, svd_of
-from sldlab.rng import derive_seed
+from sldlab.estimators import INFINITY, gd_estimator_closed, oracle_stop, pca_estimator, svd_of
+from sldlab.rng import derive_seed, stream
 
 
 def test_closed_form_matches_hand_computation():
@@ -84,46 +86,164 @@ def test_monte_carlo_matches_closed_form_within_3_se():
     exact = risk_closed_form(est, basis, params)
     hits = 0
     for rep in range(100):
-        report = risk_monte_carlo(est, sample_dataset(params, basis, 400, derive_seed(999, rep)))
+        (report,) = risk_monte_carlo([est], sample_dataset(params, basis, 400, derive_seed(999, rep)))
         if abs(report.mean - exact) <= 3.0 * report.std_err:
             hits += 1
     assert hits >= 95
 
 
-def test_monte_carlo_zero_noise_is_near_exact():
+def test_monte_carlo_zero_noise_is_near_exact(monkeypatch):
     # With sigma_z = 0 the optimal estimator reconstructs test points exactly
-    # up to floating-point roundoff.
+    # up to floating-point roundoff, and no noise is drawn at all.
+    def no_noise(*args):
+        raise AssertionError("a noiseless test set drew noise")
+
+    monkeypatch.setattr(model, "_noise_blocks", no_noise)
     params = ModelParams(d=2, n=10, sigma_z=0.0)
     basis = sample_basis(10, 2, seed=2)
-    report = risk_monte_carlo(optimal_estimator(basis, params), sample_dataset(params, basis, 500, 3))
+    test = sample_dataset(params, basis, 500, 3)
+    (report,) = risk_monte_carlo([optimal_estimator(basis, params)], test)
     assert report.mean < 1e-28
+
+
+def _cell_estimators(params, basis, seed=8, n_train=60):
+    """OPT, PCA, ESGD at k_opt, ESGD at k = 0 and PINV of one training draw."""
+    cache = svd_of(sample_dataset(params, basis, n_train, seed))
+    return [
+        optimal_estimator(basis, params),
+        pca_estimator(cache),
+        gd_estimator_closed(cache, oracle_stop(cache)[0]),
+        gd_estimator_closed(cache, 0),
+        gd_estimator_closed(cache, INFINITY),
+    ]
+
+
+def _whole_losses(est, test):
+    """Per-column losses scored against the whole test Y and the dense clean X."""
+    err = est.apply(test.noisy) - test.clean
+    return np.sum(err * err, axis=0) / test.params.d
+
+
+def _spy_on_blocks(monkeypatch):
+    """The height of every row block of noise drawn, in order."""
+    heights = []
+    blocks = model._noise_blocks
+
+    def spy(*args):
+        for rows, z in blocks(*args):
+            heights.append(z.shape[0])
+            yield rows, z
+
+    monkeypatch.setattr(model, "_noise_blocks", spy)
+    return heights
 
 
 @pytest.mark.parametrize("n_test", [2, 255, 256, 2000])
 def test_monte_carlo_blocks_match_unblocked(n_test):
-    # Scoring the test columns block by block, with each clean block formed
-    # as U C, must give the mean and standard error of scoring them all at
-    # once against the dense clean matrix X.
+    # One streamed call scores all five estimators of a cell; each report
+    # must give the mean and standard error of scoring the whole test Y
+    # against the dense clean matrix X.
     params = ModelParams(d=3, n=40, sigma_z=0.3)
     basis = sample_basis(40, 3, seed=8)
-    ds = sample_dataset(params, basis, n_train=60, seed=8)
-    cache = svd_of(ds)
-    est = gd_estimator_closed(cache, oracle_stop(cache)[0])
+    estimators = _cell_estimators(params, basis)
     test = sample_dataset(params, basis, n_test, seed=9)
-    err = est.apply(test.noisy) - test.clean
-    losses = np.sum(err * err, axis=0) / params.d
-    report = risk_monte_carlo(est, test)
-    assert report.n_test == n_test
-    expected_se = float(np.std(losses, ddof=1)) / math.sqrt(n_test)
-    assert report.mean == pytest.approx(float(np.mean(losses)), rel=1e-12, abs=0)
-    assert report.std_err == pytest.approx(expected_se, rel=1e-12, abs=0)
+    reports = risk_monte_carlo(estimators, test)
+    assert "noisy" not in vars(test)
+    assert len(reports) == len(estimators)
+    for est, report in zip(estimators, reports):
+        losses = _whole_losses(est, test)
+        assert report.n_test == n_test
+        expected_se = float(np.std(losses, ddof=1)) / math.sqrt(n_test)
+        assert report.mean == pytest.approx(float(np.mean(losses)), rel=1e-12, abs=0)
+        assert report.std_err == pytest.approx(expected_se, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("block_rows,heights", [(7, [7] * 5 + [5]), (1, [1] * 40)],
+                         ids=["ragged", "one-row"])
+def test_monte_carlo_row_blocks_match_unblocked(monkeypatch, block_rows, heights):
+    # Shrinking the stream's blocks to 7 rows (a ragged last block of 5) or to
+    # one row changes only the order of the B^T Z sums.
+    params = ModelParams(d=3, n=40, sigma_z=0.3)
+    basis = sample_basis(40, 3, seed=8)
+    estimators = _cell_estimators(params, basis)
+    n_test = 256
+    monkeypatch.setattr(model, "_STREAM_BYTES", 8 * n_test * block_rows)
+    drawn = _spy_on_blocks(monkeypatch)
+    test = sample_dataset(params, basis, n_test, seed=9)
+    reports = risk_monte_carlo(estimators, test)
+    assert drawn == heights  # one pass over the noise for all five estimators
+    for est, report in zip(estimators, reports):
+        losses = _whole_losses(est, test)
+        expected_se = float(np.std(losses, ddof=1)) / math.sqrt(n_test)
+        assert report.mean == pytest.approx(float(np.mean(losses)), rel=1e-12, abs=0)
+        assert report.std_err == pytest.approx(expected_se, rel=1e-12, abs=0)
+
+
+def test_monte_carlo_small_noise_matches_extended_precision():
+    # At sigma = 1e-6 each loss is ~1e-12 while y and x are ~1, so both the
+    # streamed and the whole-Y scorer lose digits to cancellation; the
+    # streamed reports must stay within 1e-10 relative of the losses taken in
+    # np.longdouble from the same C, Z and estimator factors.
+    params = ModelParams(d=3, n=40, sigma_z=1e-6)
+    basis = sample_basis(40, 3, seed=8)
+    estimators = _cell_estimators(params, basis)
+    test = sample_dataset(params, basis, 2000, seed=9)
+    reports = risk_monte_carlo(estimators, test)
+    wide = np.longdouble
+    u, coeff = basis.matrix.astype(wide), test.coeff.astype(wide)
+    z = stream(test.seed, "noise").standard_normal((params.n, test.n_train)).astype(wide)
+    x = u @ coeff
+    y = x + wide(params.sigma_z) * z
+    for est, report in zip(estimators, reports):
+        err = est.left.astype(wide) @ (est.basis.astype(wide).T @ y) - x
+        losses = np.sum(err * err, axis=0) / params.d
+        mean = losses.mean()
+        std_err = np.sqrt(np.sum((losses - mean) ** 2) / (losses.size - 1) / losses.size)
+        assert abs(report.mean - mean) <= 1e-10 * mean
+        assert abs(report.std_err - std_err) <= 1e-10 * std_err
+
+
+def test_monte_carlo_memory_does_not_grow_with_the_test_draw(monkeypatch):
+    # Four estimators on an n = 10^4, M = 500 test set: the test Y would take
+    # 40 MB.  The scorer holds the stacked bases (3.2 MB), one 4 MB block of
+    # Z and one QR of [L, U] at a time, and never reads Y; measured peak 7.9 MB.
+    params = ModelParams(d=10, n=10_000, sigma_z=0.1)
+    basis = sample_basis(params.n, params.d, seed=4)
+    cache = svd_of(sample_dataset(params, basis, 40, seed=4))
+    estimators = [
+        optimal_estimator(basis, params),
+        pca_estimator(cache),
+        gd_estimator_closed(cache, oracle_stop(cache)[0]),
+        gd_estimator_closed(cache, INFINITY),
+    ]
+    test = sample_dataset(params, basis, 500, seed=5)
+    tracemalloc.start()
+    try:
+        reports = risk_monte_carlo(estimators, test)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "noisy" not in vars(test)
+    assert peak <= 15e6
+    assert all(0.0 < report.mean < 2.0 for report in reports)
 
 
 def test_monte_carlo_requires_two_test_points():
     params = ModelParams(d=2, n=10, sigma_z=0.1)
     basis = sample_basis(10, 2, seed=2)
     with pytest.raises(InsufficientDataError):
-        risk_monte_carlo(optimal_estimator(basis, params), sample_dataset(params, basis, 1, 0))
+        risk_monte_carlo([optimal_estimator(basis, params)], sample_dataset(params, basis, 1, 0))
+
+
+def test_monte_carlo_rejects_no_estimators_and_wrong_dimension():
+    params = ModelParams(d=2, n=10, sigma_z=0.1)
+    basis = sample_basis(10, 2, seed=2)
+    test = sample_dataset(params, basis, 20, 0)
+    with pytest.raises(DimensionError):
+        risk_monte_carlo([], test)
+    wrong = LinearEstimator.from_dense(np.eye(9))
+    with pytest.raises(DimensionError):
+        risk_monte_carlo([optimal_estimator(basis, params), wrong], test)
 
 
 def test_pca_specialized_equals_generic():

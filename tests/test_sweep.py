@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import sldlab.sweep as sweep_mod
+from sldlab import model
 from sldlab.errors import CsvFormatError, DimensionError, GridError, InvariantError, SweepCellError
 from sldlab.estimators import SvdCache, _direct_svd, pca_estimator, svd_of
 from sldlab.model import Dataset, ModelParams, sample_basis, sample_dataset
@@ -158,10 +159,12 @@ def test_cell_failures_carry_cell_identity(monkeypatch):
 
 
 def test_monte_carlo_cell_memory_at_large_n():
-    # One n = 10^4, N = 1000 cell scored on 500 test columns: Y takes 80 MB
-    # and the test draw 40 MB.  The ESGD and PINV maps are n x d factors, so
-    # the cell holds no n x r factor (with r = N = 1000 a pair of them, and
-    # the U_y they came from, took the peak to 371 MB).
+    # One n = 10^4, N = 1000 cell scored on 500 test columns: Y takes 80 MB.
+    # The test noise is streamed, so the 40 MB test Y is never formed (the
+    # cell peaked at 180 MB when it was; 111 MB since).  The ESGD and PINV
+    # maps are n x d factors, so the cell holds no n x r factor (with
+    # r = N = 1000 a pair of them, and the U_y they came from, took the peak
+    # to 371 MB).
     config = _small_config(params=ModelParams(d=10, n=10_000, sigma_z=0.1),
                            train_sizes=(1000,), n_seeds=1, mc_test_size=500)
     tracemalloc.start()
@@ -170,7 +173,7 @@ def test_monte_carlo_cell_memory_at_large_n():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 200e6
+    assert peak <= 150e6
     for risk, mc_mean, mc_err in records:
         assert abs(mc_mean - risk) <= 5 * mc_err
 
@@ -265,21 +268,24 @@ def test_gd_risks_do_not_depend_on_the_other_estimators(monkeypatch, n, n_train,
 
 def test_certified_cell_reads_the_qr_before_the_test_draw(monkeypatch):
     # PINV's QR of Y is formed while only the training draw is held: the
-    # pinv_factor computation comes before the first read of the test Y (the
-    # PINV build reads the cached factor later).
+    # pinv_factor computation comes before the test noise is streamed (the
+    # PINV build reads the cached factor later), and the test Y is never read.
     events = []
-    factor, draw = SvdCache.pinv_factor.func, Dataset.noisy.func
+    factor, draw, blocks = SvdCache.pinv_factor.func, Dataset.noisy.func, model._noise_blocks
     spy = functools.cached_property(lambda c: events.append("qr") or factor(c))
     spy.__set_name__(SvdCache, "pinv_factor")
     monkeypatch.setattr(SvdCache, "pinv_factor", spy)
     monkeypatch.setattr(Dataset, "noisy", property(
-        lambda ds: events.append("test" if ds.n_train == 50 else "train") or draw(ds)))
+        lambda ds: events.append("test Y" if ds.n_train == 50 else "train") or draw(ds)))
+    monkeypatch.setattr(model, "_noise_blocks", lambda n, n_cols, seed: events.append(
+        "test" if n_cols == 50 else "train") or blocks(n, n_cols, seed))
     routes = _spy_on_routes(monkeypatch)
     config = _small_config(params=ModelParams(d=10, n=300, sigma_z=0.05), train_sizes=(300,),
                            n_seeds=1, estimators=("ESGD", "PINV"), mc_test_size=50)
     sweep_mod._evaluate_cell(config, 300, 600)
     assert routes == ["gram-certified"]
     assert events.count("qr") == 1 and events.index("qr") < events.index("test")
+    assert events.count("test") == 1 and "test Y" not in events
 
 
 def test_curve_below_floor_is_rejected():
