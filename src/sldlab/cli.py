@@ -28,6 +28,7 @@ from .presets import load_preset
 from .risk import optimal_risk
 from .svgplot import FitOverlay, PlotSeries, render_scaling_plot
 from .sweep import (
+    RiskCurve,
     SweepConfig,
     default_train_grid,
     read_curve_csv,
@@ -463,19 +464,28 @@ def _read_fits_csv(path: str) -> list[FitOverlay]:
     return overlays
 
 
+def _curve_svg(
+    curve: RiskCurve, overlays: list[FitOverlay], title: str, floor: float | None = None
+) -> str:
+    """The SVG of a curve's closed-form series; with ``floor`` given, each minus the floor."""
+    series = []
+    for name in curve.estimators():
+        stats = curve.series[name]
+        label = name if floor is None else f"{name} excess"
+        values = stats.mean if floor is None else stats.mean - floor
+        series.append(PlotSeries(label, curve.train_sizes, values, stats.std))
+    return render_scaling_plot(
+        series, overlays, title=title, ylabel="risk" if floor is None else "excess risk"
+    )
+
+
 def _cmd_plot(args: argparse.Namespace) -> int:
     started = time.time()
     out = Path(args.out)
     manifest = _manifest_path(out, args.infile)
     curve = read_curve_csv(args.infile)
-    series = [
-        PlotSeries(label=name, sizes=curve.train_sizes, values=stats.mean, err=stats.std)
-        for name, stats in curve.series.items() if name in curve.estimators()
-    ]
     overlays = _read_fits_csv(args.fits) if args.fits else []
-    svg = render_scaling_plot(
-        series, overlays, title=args.title, xlabel="train size", ylabel="risk"
-    )
+    svg = _curve_svg(curve, overlays, args.title)
     _make_dirs(out.parent)
     out.write_text(svg, encoding="utf-8")
     _write_manifest(
@@ -495,43 +505,31 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     out_dir = _make_dirs(Path(args.out))
     outputs: list[Path] = []
     fit_rows: list[dict[str, str]] = []
-    for spec in preset.sweeps:
-        config = spec.to_config(base_seed=derive_seed(base_seed, "sweep", spec.label))
+    for label, config in preset.sweeps.items():
+        config = dataclasses.replace(config, base_seed=derive_seed(base_seed, "sweep", label))
+        params = config.params
         print(
-            f"[{preset.name}/{spec.label}] d={spec.d} n={spec.n} sigma_z={spec.sigma_z} "
-            f"sizes={len(config.train_sizes)} seeds={spec.n_seeds} ..."
+            f"[{preset.name}/{label}] d={params.d} n={params.n} sigma_z={params.sigma_z} "
+            f"sizes={len(config.train_sizes)} seeds={config.n_seeds} ..."
         )
         curve = run_sweep(config, workers=args.threads)
-        csv_path = out_dir / f"{preset.name}_{spec.label}.csv"
+        csv_path = out_dir / f"{preset.name}_{label}.csv"
         write_curve_csv(curve, csv_path)
         outputs.append(csv_path)
 
-        floor = optimal_risk(config.params) if fit is not None and fit.floor == "auto" else None
+        floor = optimal_risk(params) if fit is not None and fit.floor == "auto" else None
         # The plot shows values minus the floor exactly when the fit subtracts it.
         shown_floor = None if fit is None or fit.mode == "single" else floor
-        plot_series: list[PlotSeries] = []
         overlays: list[FitOverlay] = []
-        for name, stats in curve.series.items():
-            if fit is not None:
-                points = np.column_stack([curve.train_sizes.astype(float), stats.mean])
-                rows = _fit_rows(csv_path.name, f"{spec.label}/{name}", points, fit.mode,
-                                 floor, region=fit.region(config.train_sizes))
-                fit_rows.extend(rows)
-                overlays += [_fit_overlay(name, row, shown_floor is not None) for row in rows]
-            label, values = (
-                (name, stats.mean) if shown_floor is None
-                else (f"{name} excess", stats.mean - shown_floor)
-            )
-            plot_series.append(
-                PlotSeries(label=label, sizes=curve.train_sizes, values=values, err=stats.std)
-            )
-        svg_path = out_dir / f"{preset.name}_{spec.label}.svg"
+        for name in curve.estimators() if fit is not None else ():
+            points = np.column_stack([curve.train_sizes.astype(float), curve.series[name].mean])
+            rows = _fit_rows(csv_path.name, f"{label}/{name}", points, fit.mode, floor,
+                             region=fit.region(config.train_sizes))
+            fit_rows.extend(rows)
+            overlays += [_fit_overlay(name, row, shown_floor is not None) for row in rows]
+        svg_path = out_dir / f"{preset.name}_{label}.svg"
         svg_path.write_text(
-            render_scaling_plot(
-                plot_series, tuple(overlays), title=f"{preset.name} {spec.label}",
-                ylabel="risk" if shown_floor is None else "excess risk",
-            ),
-            encoding="utf-8",
+            _curve_svg(curve, overlays, f"{preset.name} {label}", shown_floor), encoding="utf-8"
         )
         outputs.append(svg_path)
     if fit is not None:

@@ -201,16 +201,6 @@ class LinearEstimator:
         """Materialize W as a dense n x n array."""
         return self.left @ self.basis.T
 
-    def apply(self, y: np.ndarray) -> np.ndarray:
-        """Compute W @ y as left @ (basis^T y), never forming W."""
-        y = np.asarray(y, dtype=float)
-        rows = y.shape[0]
-        if rows != self.ambient_dim:
-            raise DimensionError(
-                f"estimator acts on R^{self.ambient_dim}, got input with {rows} rows"
-            )
-        return self.left @ (self.basis.T @ y)
-
 
 # --- samplers ----------------------------------------------------------
 

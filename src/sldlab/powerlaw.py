@@ -212,35 +212,3 @@ def fit_segmented(
         single_sse=single.sse,
         breakpoint_evidence=improvement >= 0.05,
     )
-
-
-# =====================================================================
-# Using a fit
-# =====================================================================
-
-
-def predict(fit: PowerLawFit, size):
-    """Predicted value at ``size`` on the original scale.
-
-    For floor-subtracted fits the floor is added back, so the prediction is
-    directly comparable to the data that produced the fit.
-    """
-    size = np.asarray(size, dtype=float)
-    if np.any(size <= 0):
-        raise FitDomainError("size must be positive")
-    value = np.exp(fit.log_beta + fit.alpha * np.log(size))
-    if fit.floor is not None:
-        value = value + fit.floor
-    return float(value) if value.ndim == 0 else value
-
-
-def solve_for_size(fit: PowerLawFit, value: float) -> float:
-    """Size at which the fitted curve reaches ``value`` (inverse of predict)."""
-    excess = float(value) - (fit.floor or 0.0)
-    if excess <= 0:
-        raise FitDomainError(
-            f"value {value:g} is not above the fitted floor {fit.floor or 0.0:g}"
-        )
-    if fit.alpha == 0.0:
-        raise FitDomainError("fitted exponent is zero; size is not identifiable")
-    return float(math.exp((math.log(excess) - fit.log_beta) / fit.alpha))

@@ -38,63 +38,41 @@ class FitSpec:
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    """One sweep of a preset; converts to a SweepConfig given a base seed."""
-
-    label: str
-    d: int
-    n: int
-    sigma_z: float
-    grid: tuple[int, int, int]
-    n_seeds: int
-    estimators: tuple[str, ...]
-
-    def to_config(self, base_seed: int) -> SweepConfig:
-        return SweepConfig(
-            params=ModelParams(d=self.d, n=self.n, sigma_z=self.sigma_z),
-            train_sizes=default_train_grid(*self.grid),
-            n_seeds=self.n_seeds,
-            estimators=self.estimators,
-            base_seed=base_seed,
-        )
-
-
-@dataclass(frozen=True)
 class Preset:
+    """A preset's sweeps, by label, each at base seed 0, and how to fit their curves."""
+
     name: str
     version: int
     description: str
-    sweeps: tuple[SweepSpec, ...]
+    sweeps: dict[str, SweepConfig]
     fit: FitSpec | None
 
     def __post_init__(self) -> None:
-        """Check every sweep and the fit spec, so a bad preset fails before any sweep runs."""
+        """Check the fit spec against every sweep, so a bad preset fails before any sweep runs."""
         where = f"preset {self.name!r}"
         if not self.sweeps:
             raise UsageError(f"{where} declares no sweeps")
         fit = self.fit
-        if fit is not None:
-            if fit.mode not in ("single", "excess", "segmented"):
-                raise UsageError(f"{where} has unknown fit mode {fit.mode!r}")
-            if fit.floor not in ("auto", "none"):
-                raise UsageError(f"{where} has unknown fit floor {fit.floor!r} (auto or none)")
-            if fit.mode == "excess" and fit.floor == "none":
-                raise UsageError(f"{where}: fit mode 'excess' needs floor 'auto'")
-            if fit.mode == "single" and fit.floor == "auto":
-                raise UsageError(f"{where}: fit mode 'single' takes floor 'none'")
-        for spec in self.sweeps:
-            try:
-                sizes = spec.to_config(base_seed=0).train_sizes
-            except SldlabError as exc:
-                raise UsageError(f"{where}, sweep {spec.label!r}: {exc}") from exc
-            if fit is None:
-                continue
-            lo, hi = fit.region(sizes)
+        if fit is None:
+            return
+        if fit.mode not in ("single", "excess", "segmented"):
+            raise UsageError(f"{where} has unknown fit mode {fit.mode!r}")
+        if fit.floor not in ("auto", "none"):
+            raise UsageError(f"{where} has unknown fit floor {fit.floor!r} (auto or none)")
+        if fit.mode == "excess" and fit.floor == "none":
+            raise UsageError(f"{where}: fit mode 'excess' needs floor 'auto'")
+        if fit.mode == "single" and fit.floor == "auto":
+            raise UsageError(f"{where}: fit mode 'single' takes floor 'none'")
+        for label, config in self.sweeps.items():
+            lo, hi = fit.region(config.train_sizes)
             if hi - lo < 2:
                 raise UsageError(
-                    f"{where}, sweep {spec.label!r}: fewer than 2 grid points at or "
+                    f"{where}, sweep {label!r}: fewer than 2 grid points at or "
                     f"above min_train_size={fit.min_train_size}"
                 )
+            if fit.floor == "auto" and "OPT" in config.estimators:
+                # OPT's risk is the floor itself, so no point is left above it.
+                raise UsageError(f"{where}, sweep {label!r}: OPT cannot be fit above floor 'auto'")
 
 
 def list_presets() -> tuple[str, ...]:
@@ -107,19 +85,26 @@ def load_preset(name: str) -> Preset:
     if name not in available:
         raise UsageError(f"unknown preset {name!r}; available: {', '.join(available)}")
     raw = json.loads(resources.files(__name__).joinpath(f"{name}.json").read_text("utf-8"))
+    return _parse_preset(name, raw)
+
+
+def _parse_preset(name: str, raw: dict) -> Preset:
+    """The preset ``name`` from its decoded JSON; any bad value is a UsageError."""
     try:
-        sweeps = tuple(
-            SweepSpec(
-                label=str(s["label"]),
-                d=int(s["d"]),
-                n=int(s["n"]),
-                sigma_z=float(s["sigma_z"]),
-                grid=tuple(int(g) for g in s["grid"]),
-                n_seeds=int(s["n_seeds"]),
-                estimators=tuple(str(e) for e in s["estimators"]),
-            )
-            for s in raw["sweeps"]
-        )
+        sweeps: dict[str, SweepConfig] = {}
+        for s in raw["sweeps"]:
+            label = str(s["label"])
+            if label in sweeps:
+                raise UsageError(f"preset {name!r} repeats sweep label {label!r}")
+            try:
+                sweeps[label] = SweepConfig(
+                    params=ModelParams(d=int(s["d"]), n=int(s["n"]), sigma_z=float(s["sigma_z"])),
+                    train_sizes=default_train_grid(*(int(g) for g in s["grid"])),
+                    n_seeds=int(s["n_seeds"]),
+                    estimators=tuple(str(e) for e in s["estimators"]),
+                )
+            except SldlabError as exc:
+                raise UsageError(f"preset {name!r}, sweep {label!r}: {exc}") from exc
         fit = None
         if raw.get("fit") is not None:
             fit = FitSpec(
@@ -127,7 +112,7 @@ def load_preset(name: str) -> Preset:
                 floor=str(raw["fit"].get("floor", "none")),
                 min_train_size=int(raw["fit"].get("min_train_size", 1)),
             )
-        preset = Preset(
+        return Preset(
             name=str(raw["name"]),
             version=int(raw["version"]),
             description=str(raw.get("description", "")),
@@ -138,4 +123,3 @@ def load_preset(name: str) -> Preset:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"preset {name!r} is malformed: {exc}") from exc
-    return preset

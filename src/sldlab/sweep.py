@@ -93,7 +93,6 @@ class RiskCurve:
 
     train_sizes: np.ndarray
     series: dict[str, SeriesStats]
-    config: SweepConfig | None = None
 
     def estimators(self) -> tuple[str, ...]:
         """The closed-form series: all but an ``X_MC`` whose ``X`` is a series too."""
@@ -243,12 +242,8 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> RiskCurve:
         if config.mc_test_size:
             curve_series[f"{name}_MC"] = _seed_stats(cells[:, :, e_idx, 1])
 
-    curve = RiskCurve(
-        train_sizes=np.asarray(config.train_sizes, dtype=int),
-        series=curve_series,
-        config=config,
-    )
-    _validate_curve(curve)
+    curve = RiskCurve(train_sizes=np.asarray(config.train_sizes, dtype=int), series=curve_series)
+    _validate_curve(curve, config)
     return curve
 
 
@@ -258,13 +253,11 @@ def _seed_stats(values: np.ndarray) -> SeriesStats:
     return SeriesStats(mean=values.mean(axis=1), std=std)
 
 
-def _validate_curve(curve: RiskCurve) -> None:
-    """No closed-form mean may undercut the optimal floor beyond seed noise."""
-    if curve.config is None:
-        return
-    floor = optimal_risk(curve.config.params)
-    root_seeds = math.sqrt(curve.config.n_seeds)
-    for name in curve.config.estimators:
+def _validate_curve(curve: RiskCurve, config: SweepConfig) -> None:
+    """No closed-form mean of the sweep ``config`` may undercut the floor beyond seed noise."""
+    floor = optimal_risk(config.params)
+    root_seeds = math.sqrt(config.n_seeds)
+    for name in config.estimators:
         stats = curve.series[name]
         slack = 3.0 * stats.std / root_seeds + 1e-12
         bad = np.nonzero(stats.mean < floor - slack)[0]
@@ -328,7 +321,7 @@ def _read_table(path) -> tuple[list[str], np.ndarray]:
 
 
 def read_curve_csv(path) -> RiskCurve:
-    """Read a canonical curve table back into a RiskCurve (config unknown).
+    """Read a canonical curve table back into a RiskCurve.
 
     Each pair <NAME>_M,<NAME>_S is the series <NAME>, Monte-Carlo <EST>_MC included.
     """
@@ -352,7 +345,7 @@ def read_curve_csv(path) -> RiskCurve:
         raise CsvFormatError(f"{path}: train_size must hold integers")
     if np.any(np.diff(sizes) <= 0):
         raise CsvFormatError(f"{path}: train_size must be strictly ascending")
-    return RiskCurve(train_sizes=sizes.astype(int), series=series, config=None)
+    return RiskCurve(train_sizes=sizes.astype(int), series=series)
 
 
 def read_series_csv(path, column: str | None = None) -> tuple[np.ndarray, np.ndarray, str]:

@@ -55,8 +55,8 @@ def fig5_curves():
     """The three d=10, n=1000 sweeps, shared by criteria 2 and 6."""
     preset = load_preset("fig5")
     return {
-        spec.label: (spec.sigma_z, run_sweep(spec.to_config(base_seed=0)))
-        for spec in preset.sweeps
+        label: (config.params.sigma_z, run_sweep(config))
+        for label, config in preset.sweeps.items()
     }
 
 
@@ -135,12 +135,13 @@ def test_criterion_2_scaling_exponents(fig5_curves):
 
 
 def test_criterion_3_early_stopping_dominates_convergence():
-    spec = load_preset("fig4").sweeps[0]
-    curve = run_sweep(spec.to_config(base_seed=0))
+    (config,) = load_preset("fig4").sweeps.values()
+    curve = run_sweep(config)
     sizes = curve.train_sizes
     early = curve.series["ESGD"].mean
     converged = curve.series["PINV"].mean
-    floor = spec.sigma_z**2 / (1.0 + spec.sigma_z**2)
+    sigma = config.params.sigma_z
+    floor = sigma**2 / (1.0 + sigma**2)
     dominated = bool(np.all(early <= converged + 1e-15))
     ratio = float(converged[sizes == 100][0] / early[sizes == 100][0])
     big = sizes == 10000

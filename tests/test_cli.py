@@ -16,7 +16,9 @@ import pytest
 
 import sldlab.cli as cli
 from sldlab.cli import main
-from sldlab.presets import FitSpec, Preset, SweepSpec
+from sldlab.model import ModelParams
+from sldlab.presets import FitSpec, Preset, _parse_preset
+from sldlab.sweep import SweepConfig, default_train_grid
 
 
 def _simulate_args(out, **kw):
@@ -442,12 +444,15 @@ _TINY_PRESET = Preset(
     name="tiny",
     version=1,
     description="miniature preset for wiring tests",
-    sweeps=(
-        SweepSpec(label="main", d=2, n=10, sigma_z=0.2, grid=(2, 40, 2),
-                  n_seeds=2, estimators=("ESGD", "PCA")),
-    ),
+    sweeps={
+        "main": SweepConfig(params=ModelParams(d=2, n=10, sigma_z=0.2),
+                            train_sizes=default_train_grid(2, 40, 2), n_seeds=2,
+                            estimators=("ESGD", "PCA")),
+    },
     fit=FitSpec(mode="excess", floor="auto", min_train_size=2),
 )
+_TINY_RAW_SWEEP = {"label": "main", "d": 2, "n": 10, "sigma_z": 0.2, "grid": [2, 40, 2],
+                   "n_seeds": 2, "estimators": ["ESGD", "PCA"]}
 
 
 def test_reproduce_writes_full_artifact_set(tmp_path, capsys, monkeypatch):
@@ -477,27 +482,38 @@ def test_reproduce_is_deterministic_per_seed(tmp_path, capsys, monkeypatch):
     assert (a / "tiny_main.csv").read_bytes() != (c / "tiny_main.csv").read_bytes()
 
 
+def test_reproduce_without_fit_plots_like_the_plot_command(tmp_path, capsys, monkeypatch):
+    preset = dataclasses.replace(_TINY_PRESET, fit=None)
+    monkeypatch.setattr(cli, "load_preset", lambda name: preset)
+    out_dir, svg = tmp_path / "repro", tmp_path / "plot.svg"
+    assert main(["reproduce", "tiny", "--out", str(out_dir)]) == 0
+    assert main(["plot", "--in", str(out_dir / "tiny_main.csv"), "--title", "tiny main",
+                 "--out", str(svg)]) == 0
+    capsys.readouterr()
+    assert (out_dir / "tiny_main.svg").read_bytes() == svg.read_bytes()
+
+
 def test_reproduce_unknown_preset_exits_2(tmp_path, capsys):
     assert main(["reproduce", "fig99", "--out", str(tmp_path / "x")]) == 2
     capsys.readouterr()
 
 
 @pytest.mark.parametrize(
-    "sweeps,fit",
+    "second,fit",
     [
         # the second sweep has d >= n: nothing may run before it is rejected
-        ((_TINY_PRESET.sweeps[0], dataclasses.replace(_TINY_PRESET.sweeps[0], label="b", d=10)),
-         _TINY_PRESET.fit),
+        ({"d": 10}, {"mode": "excess", "floor": "auto", "min_train_size": 2}),
         # min_train_size above the grid leaves no fit region
-        (_TINY_PRESET.sweeps, FitSpec(mode="excess", floor="auto", min_train_size=1000)),
+        ({}, {"mode": "excess", "floor": "auto", "min_train_size": 1000}),
+        # OPT's risk is the floor itself, so no point of it is left above the floor
+        ({"estimators": ["PCA", "OPT"]}, {"mode": "segmented", "floor": "auto"}),
     ],
-    ids=["second-sweep-d-ge-n", "min-train-size-above-grid"],
+    ids=["second-sweep-d-ge-n", "min-train-size-above-grid", "second-sweep-opt-above-floor"],
 )
-def test_reproduce_rejects_bad_preset_before_any_sweep(tmp_path, capsys, monkeypatch, sweeps, fit):
-    def load(name):
-        return dataclasses.replace(_TINY_PRESET, sweeps=sweeps, fit=fit)
-
-    monkeypatch.setattr(cli, "load_preset", load)
+def test_reproduce_rejects_bad_preset_before_any_sweep(tmp_path, capsys, monkeypatch, second, fit):
+    sweeps = [_TINY_RAW_SWEEP, {**_TINY_RAW_SWEEP, "label": "b", **second}]
+    raw = {"name": "tiny", "version": 1, "sweeps": sweeps, "fit": fit}
+    monkeypatch.setattr(cli, "load_preset", lambda name: _parse_preset(name, raw))
     out_dir = tmp_path / "repro"
     assert main(["reproduce", "tiny", "--out", str(out_dir)]) == 2
     assert "sldlab: error: preset 'tiny'" in capsys.readouterr().err
@@ -505,7 +521,8 @@ def test_reproduce_rejects_bad_preset_before_any_sweep(tmp_path, capsys, monkeyp
 
 
 # sizes (3, 6, 10, 18, 32, 56, 100, 178, 316): enough points for a segmented fit
-_FIT_SWEEP = dataclasses.replace(_TINY_PRESET.sweeps[0], grid=(2, 400, 4))
+_FIT_SWEEP = dataclasses.replace(_TINY_PRESET.sweeps["main"],
+                                 train_sizes=default_train_grid(2, 400, 4))
 
 
 @pytest.mark.parametrize(
@@ -513,7 +530,7 @@ _FIT_SWEEP = dataclasses.replace(_TINY_PRESET.sweeps[0], grid=(2, 400, 4))
                    ("segmented", "none")],
 )
 def test_reproduce_fits_equal_fit_command_rows(tmp_path, capsys, monkeypatch, mode, floor):
-    preset = dataclasses.replace(_TINY_PRESET, sweeps=(_FIT_SWEEP,),
+    preset = dataclasses.replace(_TINY_PRESET, sweeps={"main": _FIT_SWEEP},
                                  fit=FitSpec(mode=mode, floor=floor, min_train_size=3))
     monkeypatch.setattr(cli, "load_preset", lambda name: preset)
     out_dir = tmp_path / "repro"
@@ -524,7 +541,7 @@ def test_reproduce_fits_equal_fit_command_rows(tmp_path, capsys, monkeypatch, mo
     for name in _FIT_SWEEP.estimators:
         fits = tmp_path / f"{name}.csv"
         assert main(["fit", "--in", str(out_dir / "tiny_main.csv"), "--col", f"{name}_M",
-                     "--mode", mode, "--floor", floor, "--sigma", str(_FIT_SWEEP.sigma_z),
+                     "--mode", mode, "--floor", floor, "--sigma", str(_FIT_SWEEP.params.sigma_z),
                      "--out", str(fits)]) == 0
         with open(fits, newline="") as fh:
             fitted += list(csv.DictReader(fh))
@@ -543,7 +560,7 @@ def test_reproduce_fits_equal_fit_command_rows(tmp_path, capsys, monkeypatch, mo
 )
 def test_reproduce_plot_matches_its_fits(tmp_path, capsys, monkeypatch, mode, floor, ylabel):
     # The plot subtracts the floor exactly when the fit does, and draws every fit row.
-    preset = dataclasses.replace(_TINY_PRESET, sweeps=(_FIT_SWEEP,),
+    preset = dataclasses.replace(_TINY_PRESET, sweeps={"main": _FIT_SWEEP},
                                  fit=FitSpec(mode=mode, floor=floor, min_train_size=3))
     monkeypatch.setattr(cli, "load_preset", lambda name: preset)
     out_dir = tmp_path / "repro"

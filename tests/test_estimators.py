@@ -422,8 +422,7 @@ def test_profile_accurate_near_noise_floor(n, n_train, sigma):
 
 def test_gd_estimators_stay_low_rank_at_large_n():
     # At n = 10^4 a dense W would take 800 MB; the estimators keep n x d
-    # factors, and building, applying and scoring them allocates the n x N
-    # output of apply plus a few n x d arrays.
+    # factors, and building and scoring them allocates a few n x d arrays.
     n, n_train = 10_000, 50
     params, basis, ds = _instance(n=n, d=5, sigma=0.1, n_train=n_train, seed=22)
     cache = svd_of(ds)
@@ -434,7 +433,6 @@ def test_gd_estimators_stay_low_rank_at_large_n():
         ests = (gd_estimator_closed(cache, 8), gd_estimator_closed(cache, INFINITY))
         for est, expected in zip(ests, profile):
             assert est.left.shape == est.basis.shape == (n, params.d)
-            assert est.apply(ds.noisy).shape == (n, n_train)
             assert risk_closed_form(est, basis, params) == pytest.approx(expected, rel=1e-8, abs=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -232,9 +232,8 @@ def test_estimator_factored_matches_dense():
     rng = np.random.default_rng(0)
     b, _ = np.linalg.qr(rng.standard_normal((9, 3)))
     est = LinearEstimator.scaled_projection(0.8, b)
-    w = est.as_matrix()
     y = rng.standard_normal((9, 5))
-    assert np.allclose(est.apply(y), w @ y, atol=1e-13)
+    assert np.allclose(est.as_matrix() @ y, 0.8 * b @ (b.T @ y), atol=1e-13)
     assert np.array_equal(est.basis, b) and np.array_equal(est.left, 0.8 * b)
     assert est.rank == 3 and est.ambient_dim == 9
 
@@ -245,8 +244,6 @@ def test_estimator_dense_roundtrip():
     assert np.array_equal(est.left, w) and np.array_equal(est.basis, np.eye(4))
     assert est.rank == 4 and est.ambient_dim == 4
     assert np.array_equal(est.as_matrix(), w)
-    y = np.ones(4)
-    assert np.allclose(est.apply(y), w @ y)
 
 
 def test_estimator_construction_errors():
@@ -260,12 +257,6 @@ def test_estimator_construction_errors():
         LinearEstimator.scaled_projection(1.0, np.ones((4, 2)))
     with pytest.raises(DimensionError):
         LinearEstimator(left=np.zeros((4, 2)), basis=np.eye(4)[:, :3])  # factors disagree
-
-
-def test_estimator_apply_rejects_wrong_rows():
-    est = LinearEstimator.from_dense(np.eye(4))
-    with pytest.raises(DimensionError):
-        est.apply(np.zeros((5, 2)))
 
 
 # --- the optimal denoiser ----------------------------------------------

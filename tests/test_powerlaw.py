@@ -12,8 +12,6 @@ from sldlab.powerlaw import (
     fit_excess_powerlaw,
     fit_powerlaw,
     fit_segmented,
-    predict,
-    solve_for_size,
 )
 
 
@@ -215,33 +213,3 @@ def test_segmented_with_floor_drops_then_splits():
     assert seg.left.alpha == pytest.approx(-0.4, abs=1e-8)
     assert seg.right.alpha == pytest.approx(-1.6, abs=1e-8)
     assert seg.left.floor == floor and seg.right.floor == floor
-
-
-# --- prediction and inversion ----------------------------------------------
-
-
-def test_predict_and_solve_round_trip():
-    fit = fit_powerlaw(_curve(-1.3, 6.0, GRID))
-    assert predict(fit, 500.0) == pytest.approx(6.0 * 500.0**-1.3, rel=1e-12)
-    assert solve_for_size(fit, predict(fit, 500.0)) == pytest.approx(500.0, rel=1e-10)
-    out = predict(fit, np.array([10.0, 100.0]))
-    assert out.shape == (2,)
-    with pytest.raises(FitDomainError):
-        predict(fit, 0.0)
-
-
-def test_predict_adds_floor_back():
-    floor = 0.25
-    pts = _curve(-1.0, 2.0, GRID)
-    pts[:, 1] += floor
-    fit = fit_excess_powerlaw(pts, floor=floor)
-    assert predict(fit, 100.0) == pytest.approx(2.0 / 100.0 + floor, rel=1e-10)
-    assert solve_for_size(fit, 2.0 / 100.0 + floor) == pytest.approx(100.0, rel=1e-8)
-    with pytest.raises(FitDomainError):
-        solve_for_size(fit, floor)  # at the floor: unreachable by the curve
-
-
-def test_solve_for_size_rejects_flat_fit():
-    fit = fit_powerlaw(np.column_stack([GRID, np.full(GRID.size, 4.2)]))
-    with pytest.raises(FitDomainError):
-        solve_for_size(fit, 1.0)

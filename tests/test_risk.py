@@ -120,7 +120,7 @@ def _cell_estimators(params, basis, seed=8, n_train=60):
 
 def _whole_losses(est, test):
     """Per-column losses scored against the whole test Y and the dense clean X."""
-    err = est.apply(test.noisy) - test.clean
+    err = est.as_matrix() @ test.noisy - test.clean
     return np.sum(err * err, axis=0) / test.params.d
 
 

@@ -295,10 +295,9 @@ def test_curve_below_floor_is_rejected():
         train_sizes=curve.train_sizes,
         series={"OPT": SeriesStats(mean=curve.series["OPT"].mean * 0.5,
                                    std=curve.series["OPT"].std)},
-        config=cfg,
     )
     with pytest.raises(InvariantError):
-        sweep_mod._validate_curve(doctored)
+        sweep_mod._validate_curve(doctored, cfg)
 
 
 def test_monte_carlo_series_is_not_held_to_the_floor():
@@ -308,9 +307,9 @@ def test_monte_carlo_series_is_not_held_to_the_floor():
     curve = run_sweep(cfg)
     opt = curve.series["OPT"]
     low = SeriesStats(mean=opt.mean * 0.5, std=opt.std)
-    sweep_mod._validate_curve(RiskCurve(curve.train_sizes, {"OPT": opt, "OPT_MC": low}, cfg))
+    sweep_mod._validate_curve(RiskCurve(curve.train_sizes, {"OPT": opt, "OPT_MC": low}), cfg)
     with pytest.raises(InvariantError, match="OPT mean risk"):
-        sweep_mod._validate_curve(RiskCurve(curve.train_sizes, {"OPT": low, "OPT_MC": opt}, cfg))
+        sweep_mod._validate_curve(RiskCurve(curve.train_sizes, {"OPT": low, "OPT_MC": opt}), cfg)
 
 
 def test_workers_must_be_positive():
