@@ -54,24 +54,31 @@ class SvdCache:
     """Thin SVD Y = U_y diag(S_y) V_y^T of a dataset's noisy training matrix.
 
     The cache holds the :class:`Dataset` it decomposed, and the estimator
-    functions take Y, the coefficients C, the true basis U and the model
+    functions take the coefficients C, the true basis U and the model
     parameters from it.  A decomposition route produces one singular
     factor: the direct SVD and the n x n Gram route store u_y, the N x N
-    Gram route stores v_y.  The N x N route reads the dataset's
-    :attr:`~sldlab.model.Dataset.noise_stats`, Z^T Z and W = U^T Z, in place
-    of Y: so do :attr:`ut_basis` and :meth:`leading_u_in_frame`, while
-    :meth:`u_matmul`, :meth:`leading_u`, :attr:`pinv_factor` and a missing
-    :attr:`u_y` read :attr:`~sldlab.model.Dataset.noisy`, which draws Y.
-    So no sweep builds anything n x r, and one without ``--mc-test`` forms Y
-    on that route only for the PINV entry of a "gram-certified" cache.
+    Gram route stores v_y.  Neither Gram route keeps Y.  The N x N route
+    reads the dataset's :attr:`~sldlab.model.Dataset.noise_stats`, Z^T Z
+    and W = U^T Z, in place of Y: so do :attr:`ut_basis` and
+    :meth:`leading_u_in_frame`.  The n x n route draws Y once, forms Y Y^T
+    and the d x n product C Y^T from it, and drops Y before the ``eigh``;
+    :attr:`coeff_v` and the certificate read the stored C Y^T.  The readers
+    that still need Y draw it again, bit for bit: :attr:`pinv_factor` and
+    the direct SVD through :meth:`~sldlab.model.Dataset.draw_noisy`, which
+    does not keep it, and :meth:`u_matmul`, :meth:`leading_u` and a missing
+    :attr:`u_y` or :attr:`v_y` through :attr:`~sldlab.model.Dataset.noisy`,
+    which does.  So no sweep builds anything n x r, and one without
+    ``--mc-test`` holds Y only while it forms a wide Gram, takes the direct
+    SVD or computes the PINV entry of a "gram-certified" cache.
 
-    s_y     -- r retained singular values, descending, all >= max(n, N) * eps * S_y[0]
-    route   -- "svd" (direct), "gram" (eigendecomposition of the small Gram,
-               passing the conditioning check) or "gram-certified" (a Gram
-               decomposition whose oracle stop and PCA passed
-               :func:`_gram_certified`; its k = INFINITY entries come from
-               :attr:`pinv_factor`)
-    dataset -- the Dataset whose noisy matrix Y was decomposed
+    s_y      -- r retained singular values, descending, all >= max(n, N) * eps * S_y[0]
+    route    -- "svd" (direct), "gram" (eigendecomposition of the small Gram,
+                passing the conditioning check) or "gram-certified" (a Gram
+                decomposition whose oracle stop and PCA passed
+                :func:`_gram_certified`; its k = INFINITY entries come from
+                :attr:`pinv_factor`)
+    dataset  -- the Dataset whose noisy matrix Y was decomposed
+    coeff_yt -- C Y^T (d x n), stored by a route that stores u_y but not v_y
     """
 
     s_y: np.ndarray
@@ -79,10 +86,11 @@ class SvdCache:
     dataset: Dataset = field(repr=False)
     _u_y: np.ndarray | None = field(default=None, repr=False)
     _v_y: np.ndarray | None = field(default=None, repr=False)
+    _coeff_yt: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self._u_y is None and self._v_y is None:
-            raise InvariantError("SvdCache needs at least one singular factor")
+        if self._v_y is None and (self._u_y is None or self._coeff_yt is None):
+            raise InvariantError("SvdCache needs v_y, or u_y together with C Y^T")
 
     @property
     def rank(self) -> int:
@@ -109,10 +117,10 @@ class SvdCache:
 
     @cached_property
     def coeff_v(self) -> np.ndarray:
-        """g = C V_y (d x r), through (C Y^T) U_y / S_y when V_y is not stored."""
+        """g = C V_y (d x r), through the stored (C Y^T) U_y / S_y when V_y is not stored."""
         if self._v_y is not None:
             return self.dataset.coeff @ self._v_y
-        return ((self.dataset.coeff @ self.dataset.noisy.T) @ self._u_y) / self.s_y
+        return (self._coeff_yt @ self._u_y) / self.s_y
 
     @cached_property
     def ut_basis(self) -> np.ndarray:
@@ -126,18 +134,29 @@ class SvdCache:
         """B = (C Y^+)^T (n x d), so that the PINV map is W^INFINITY = U B^T = U C Y^+.
 
         Formed from a Householder QR of Y, not from the spectrum: with
-        Y = Q R when N <= n, B = Q R^-T C^T; with Y^T = Q R otherwise,
-        B = R^-1 Q^T C^T.  B is then accurate to eps * kappa(Y), where the
+        Y = Q R when N <= n, B = Q (R^-T C^T); with Y^T = Q R otherwise,
+        B = R^-1 (Q^T C^T).  Q is never formed: LAPACK's reflectors are
+        applied to the n x d block R^-T C^T (padded with zeros) or to C^T,
+        and R is solved by :func:`_triangular_solve`, O(n N d) in all past
+        the QR itself.  B is then accurate to eps * kappa(Y), where the
         filter 1 / S_y of a Gram decomposition carries eps * kappa(Y)^2.
         Read for the k = INFINITY entries of a "gram-certified" cache; it
-        draws Y.
+        draws Y and does not keep it.
         """
-        y, coeff_t = self.dataset.noisy, self.dataset.coeff.T
-        if y.shape[1] <= y.shape[0]:
-            q, r = np.linalg.qr(y)
-            return q @ np.linalg.solve(r.T, coeff_t)
-        q, r = np.linalg.qr(y.T)
-        return np.linalg.solve(r, q.T @ coeff_t)
+        y, coeff_t = self.dataset.draw_noisy(), self.dataset.coeff.T
+        n, n_train = y.shape
+        if n_train <= n:
+            h, tau = np.linalg.qr(y, mode="raw")
+            del y
+            b = np.zeros((n, coeff_t.shape[1]))
+            b[:n_train] = _triangular_solve(h[:, :n_train].T, coeff_t, transpose=True)
+            _apply_reflectors(h, tau, b, reverse=True)
+            return b
+        h, tau = np.linalg.qr(y.T, mode="raw")
+        del y
+        qt_coeff = coeff_t.copy()
+        _apply_reflectors(h, tau, qt_coeff, reverse=False)
+        return _triangular_solve(h[:, :n].T, qt_coeff[:n], transpose=False)
 
     def u_matmul(self, a: np.ndarray) -> np.ndarray:
         """Return ``u_y @ a`` without forming u_y.
@@ -202,6 +221,49 @@ class SvdCache:
         return np.vstack([overlap, np.sqrt(np.clip(lam, 0.0, None))[:, None] * vec.T])
 
 
+def _apply_reflectors(h: np.ndarray, tau: np.ndarray, x: np.ndarray, reverse: bool) -> None:
+    """Multiply ``x`` in place by Q (``reverse=True``) or Q^T, from ``np.linalg.qr(a, mode="raw")``.
+
+    (h, tau) hold Q = H_0 H_1 ... H_{m-1}, m = len(tau), as LAPACK's
+    reflectors H_j = I - tau_j v_j v_j^T, where v_j is zero above entry j,
+    one at it and h[j, j+1:] below it.  Q x applies H_{m-1} first, Q^T x
+    applies H_0 first; each reflector costs O(rows * k) for a k-column x.
+    """
+    for j in (reversed(range(tau.size)) if reverse else range(tau.size)):
+        v = h[j, j + 1:]
+        w = x[j] + v @ x[j + 1:]
+        w *= tau[j]
+        x[j] -= w
+        x[j + 1:] -= np.outer(v, w)
+
+
+#: Rows per block of :func:`_triangular_solve`: each diagonal block is a small
+#: LAPACK solve, and the rows above or below it enter by one matrix product.
+_SOLVE_BLOCK = 64
+
+
+def _triangular_solve(r: np.ndarray, b: np.ndarray, transpose: bool) -> np.ndarray:
+    """x with R x = b, or R^T x = b when ``transpose``, for R the upper triangle of the m x m ``r``.
+
+    Substitution over _SOLVE_BLOCK-row blocks: each diagonal block is
+    solved by LAPACK, and the rows solved before it enter by one matrix
+    product, so k right-hand sides cost O(m^2 k).
+    """
+    m = r.shape[0]
+    x = b.copy()
+    starts = range(0, m, _SOLVE_BLOCK)
+    for lo in (starts if transpose else reversed(starts)):
+        hi = min(lo + _SOLVE_BLOCK, m)
+        diag = np.triu(r[lo:hi, lo:hi])
+        if transpose:  # R^T is lower triangular: forward substitution
+            x[lo:hi] -= r[:lo, lo:hi].T @ x[:lo]
+            x[lo:hi] = np.linalg.solve(diag.T, x[lo:hi])
+        else:
+            x[lo:hi] -= r[lo:hi, hi:] @ x[hi:]
+            x[lo:hi] = np.linalg.solve(diag, x[lo:hi])
+    return x
+
+
 #: Largest eps * lambda_max / lambda_min a Gram eigendecomposition may have
 #: without further checks.  Eigenvalues of the Gram matrix carry absolute error
 #: ~ eps * lambda_max, so each one -- and every spectral filter of it, which is
@@ -226,9 +288,10 @@ def svd_of(dataset: Dataset, grid_only: bool = False) -> SvdCache:
     Y's small side: the N x N Y^T Y when N < n (storing V_y, so U_y is
     formed only if a caller asks for it) from the dataset's noise
     statistics, so Y is not drawn, and the n x n Y Y^T otherwise (storing
-    U_y).  Squaring Y squares its condition number, so the route
-    ("gram") is kept when the run-time check eps * lambda_max / lambda_min <=
-    _GRAM_TOL passes.  Noiseless data (sigma_z = 0) is exactly rank-deficient
+    U_y and C Y^T, from a draw of Y that is dropped before the ``eigh``).
+    Squaring Y squares its condition number, so the route ("gram") is kept
+    when the run-time check eps * lambda_max / lambda_min <= _GRAM_TOL
+    passes.  Noiseless data (sigma_z = 0) is exactly rank-deficient
     whenever N > d and always takes the direct LAPACK SVD ("svd").
 
     ``grid_only=True`` declares that the caller reads GD risks only through
@@ -254,10 +317,11 @@ def _gram_svd(dataset: Dataset, grid_only: bool) -> SvdCache | None:
 
     For N < n the Gram is Y^T Y = C^T C + sigma (C^T W + W^T C) + sigma^2 Z^T Z,
     formed from :attr:`~sldlab.model.Dataset.noise_stats` (Y = U C + sigma Z,
-    W = U^T Z), so Y is not drawn; for N >= n it is Y Y^T.
+    W = U^T Z), so Y is not drawn; for N >= n it is Y Y^T, from
+    :func:`_wide_gram`.
     """
     tall = dataset.n_train < dataset.params.n
-    gram = _tall_gram(dataset) if tall else dataset.noisy @ dataset.noisy.T
+    gram, coeff_yt = (_tall_gram(dataset), None) if tall else _wide_gram(dataset)
     evals, evecs = np.linalg.eigh(gram)
     del gram  # one N x N array fewer while the factor is copied below
     lam_min, lam_max = float(evals[0]), float(evals[-1])
@@ -268,7 +332,7 @@ def _gram_svd(dataset: Dataset, grid_only: bool) -> SvdCache | None:
     factor = np.ascontiguousarray(evecs[:, ::-1])
     route = "gram-certified" if ill_conditioned else "gram"
     u, v = (None, factor) if tall else (factor, None)
-    cache = _truncated(dataset, s, route, u=u, v=v)
+    cache = _truncated(dataset, s, route, u=u, v=v, coeff_yt=coeff_yt)
     if ill_conditioned and not _gram_certified(cache)[0]:
         return None
     return cache
@@ -286,6 +350,12 @@ def _tall_gram(dataset: Dataset) -> np.ndarray:
     np.multiply(zz, sigma * sigma, out=scratch)
     gram += scratch
     return gram
+
+
+def _wide_gram(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Y Y^T (n x n) and C Y^T (d x n) from one draw of Y, which is not kept."""
+    y = dataset.draw_noisy()
+    return y @ y.T, dataset.coeff @ y.T
 
 
 def _yt_basis(dataset: Dataset) -> np.ndarray:
@@ -329,15 +399,21 @@ def _gram_certified(cache: SvdCache) -> tuple[bool, float]:
     ||W^k||_F moves by at most delta_k, so nu_k = 2 ||W^k||_F delta_k +
     delta_k^2.  Every finite-k risk is then within
       b_k = (2 ||misfit_k||_F delta_k + delta_k^2 + sigma^2 nu_k) / d
-    of its exact value.  h_k rises with k to 1 / lambda, and the misfit term
-    is nonnegative, so
-      risk_inf >= max over finite k of (sigma^2 ||W^k||_F^2 - sigma^2 nu_k) / d.
+    of its exact value.  On both routes the exact noise term
+    sigma^2 ||W^k||_F^2 / d is sigma^2 tr(C h_k(Y^T Y) C^T) / d, h_k rises
+    with k to 1 / lambda, and the misfit term is nonnegative, so every k,
+    finite or INFINITY, has the running noise bound
+      risk_k >= floor_k = max over finite k' <= k of
+                          (sigma^2 ||W^k'||_F^2 - sigma^2 nu_k') / d,
+    and risk_inf >= floor at the largest finite k.
 
     Rule.  With k* the argmin of the computed finite-k risks, the
     decomposition is certified when
       - b_k* <= _GRAM_TOL risk_k*;
       - every other finite k has b_k <= _GRAM_TOL risk_k, or
-        risk_k - b_k > risk_k* + b_k*, so it cannot be the true argmin;
+        risk_k - b_k > risk_k* + b_k*, or floor_k > risk_k* + b_k*, so it
+        cannot be the true argmin (the last settles the large k, whose b_k
+        grows as k^2 while the noise term has levelled off);
       - the k = INFINITY lower bound above exceeds risk_k* + b_k*, so the
         oracle argmin is finite and the computed risk_inf >= the computed
         risk_k* (its noise term alone exceeds the bound);
@@ -374,14 +450,15 @@ def _gram_certified(cache: SvdCache) -> tuple[bool, float]:
         delta = scale * eta**2 * k * (k - 1) / 2 * epsilon
         nu = float(np.sum(coeff * coeff)) * eta**2 * k * k * epsilon
     else:  # wide: G = Y Y^T
-        delta = np.linalg.norm(coeff @ dataset.noisy.T, 2) * eta**2 * k * (k - 1) / 2 * epsilon
+        delta = np.linalg.norm(cache._coeff_yt, 2) * eta**2 * k * (k - 1) / 2 * epsilon
         nu = 2.0 * np.sqrt(w_norm2) * delta + delta * delta
     bound = (2.0 * np.sqrt(misfit2) * delta + delta * delta + sig2 * nu) / d
-    risk_inf_floor = float(np.max(sig2 * (w_norm2 - nu))) / d
+    noise_floor = np.maximum.accumulate(sig2 * (w_norm2 - nu)) / d
+    risk_inf_floor = float(noise_floor[-1])
 
     best = int(np.argmin(risk))
     top = risk[best] + bound[best]
-    settled = (bound <= _GRAM_TOL * risk) | (risk - bound > top)
+    settled = (bound <= _GRAM_TOL * risk) | (risk - bound > top) | (noise_floor > top)
     gap = float(lam[d - 1] - lam[d])
     certified = bool(
         bound[best] <= _GRAM_TOL * risk[best]
@@ -394,13 +471,13 @@ def _gram_certified(cache: SvdCache) -> tuple[bool, float]:
 
 def _direct_svd(dataset: Dataset) -> SvdCache:
     """Direct LAPACK SVD of Y; the reference route, used whenever the Gram check fails."""
-    u, s, vt = np.linalg.svd(dataset.noisy, full_matrices=False)
+    u, s, vt = np.linalg.svd(dataset.draw_noisy(), full_matrices=False)
     return _truncated(dataset, s, "svd", u=u, v=vt.T)
 
 
 def _truncated(
     dataset: Dataset, s: np.ndarray, route: str,
-    u: np.ndarray | None = None, v: np.ndarray | None = None,
+    u: np.ndarray | None = None, v: np.ndarray | None = None, coeff_yt: np.ndarray | None = None,
 ) -> SvdCache:
     """Keep the singular triples at or above the numerical-rank threshold."""
     if s.size == 0 or s[0] <= 0.0:
@@ -413,6 +490,7 @@ def _truncated(
         dataset=dataset,
         _u_y=None if u is None else np.ascontiguousarray(u[:, :r]),
         _v_y=None if v is None else np.ascontiguousarray(v[:, :r]),
+        _coeff_yt=coeff_yt,
     )
 
 

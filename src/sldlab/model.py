@@ -85,9 +85,10 @@ class Dataset:
     C and the seed fix the draw, so the views of it are drawn on first read
     and kept: :attr:`noisy` draws Y whole, :attr:`noise_stats` streams Z^T Z
     and U^T Z over row blocks of Z without holding Y.  Both read the same
-    noise stream, so either order gives the same bits.  A Monte-Carlo test
-    set reads only :meth:`noise_projection`, B^T Z over the same blocks, which
-    is streamed on each call.  X lies in span(U) by construction and is
+    noise stream, so either order gives the same bits.  A reader that needs
+    Y once calls :meth:`draw_noisy`, which draws the same Y without keeping
+    it.  A Monte-Carlo test set reads only :meth:`noise_projection`, B^T Z
+    over the same blocks, which is streamed on each call.  X lies in span(U) by construction and is
     formed only by :attr:`clean`.
     """
 
@@ -114,7 +115,11 @@ class Dataset:
 
     @cached_property
     def noisy(self) -> np.ndarray:
-        """Y (n x N), drawn whole on the first read."""
+        """Y (n x N), drawn whole on the first read and kept."""
+        return self.draw_noisy()
+
+    def draw_noisy(self) -> np.ndarray:
+        """Y (n x N), drawn whole on each call and not kept: :attr:`noisy` bit for bit."""
         return _draw_noisy(self.params, self.basis, self.coeff, self.seed)
 
     @cached_property

@@ -137,10 +137,11 @@ def test_svd_of_small_sigma_wide_falls_back_to_direct():
 
 # Near-square cells that fail eps * kappa <= 1e-8 (3.5e-8, 8.0e-8, 2.0e-8,
 # 1.6e-8, 3.1e-8 and 1.6e-7 on these draws), so plain svd_of sends them to the
-# direct SVD: square, tall (N = n - 1) and wide (N = n + 2).
+# direct SVD: square, tall (N = n - 1) and wide (N = n + 2).  At sigma = 0.01
+# the certificate settles k = 2^19 and 2^20 only by its running noise bound.
 _NEAR_SQUARE = [(100, 100, 0.05, 200), (300, 300, 0.05, 600),
                 (1000, 1000, 0.1, 2000), (1000, 1000, 0.2, 1),
-                (1000, 999, 0.1, 1), (1000, 1002, 0.1, 7)]
+                (1000, 999, 0.1, 1), (1000, 1002, 0.1, 7), (1000, 1000, 0.01, 0)]
 
 
 @pytest.mark.parametrize("n,n_train,sigma,seed", _NEAR_SQUARE)
@@ -169,6 +170,41 @@ def test_certified_gram_matches_direct_on_near_square_cells(n, n_train, sigma, s
     # The certificate's lower bound on the PINV risk really is one.
     certified, risk_inf_floor = _gram_certified(cache)
     assert certified and 0.0 < risk_inf_floor <= direct[-2]
+
+
+def test_certificate_keeps_the_direct_svd_at_sigma_1e_3():
+    # At n = N = 1000 and sigma = 1e-3 the bound at the argmin itself is
+    # 6.8e-8 of the risk, so no settling rule saves the Gram.
+    params, basis, ds = _instance(n=1000, d=10, sigma=1e-3, n_train=1000, seed=0)
+    assert svd_of(ds, grid_only=True).route == "svd"
+
+
+def test_certified_risks_do_not_depend_on_an_earlier_read_of_y():
+    # The wide Gram route draws Y afresh and drops it, whether or not the
+    # dataset already holds it, and PINV's QR draws it once more: every risk
+    # a sweep reads is the same bits either way.
+    risks = []
+    for read_first in (False, True):
+        params, basis, ds = _instance(n=100, d=10, sigma=0.05, n_train=100, seed=200)
+        if read_first:
+            ds.noisy
+        cache = svd_of(ds, grid_only=True)
+        assert cache.route == "gram-certified"
+        risks.append((*oracle_stop(cache), pca_risk(cache), *gd_risk_profile(cache, (INFINITY,))))
+    assert risks[0] == risks[1]
+
+
+@pytest.mark.parametrize("n,n_train", [(1000, 999), (1000, 1000), (1000, 1002), (150, 40), (40, 150)])
+def test_pinv_factor_matches_least_squares(n, n_train):
+    # B = (C Y^+)^T solves Y^T B = C^T in the least-squares, minimum-norm
+    # sense.  The reflector QR agrees with LAPACK's SVD-based solver, to
+    # 3e-15 to 5e-14 here, on tall, square and wide near-square cells, whose
+    # R spans several substitution blocks, and on cells whose R is one
+    # partial block.
+    params, basis, ds = _instance(n=n, d=10, sigma=0.1, n_train=n_train, seed=n + n_train)
+    b = svd_of(ds, grid_only=True).pinv_factor
+    expected = np.linalg.lstsq(ds.noisy.T, ds.coeff.T, rcond=None)[0]
+    assert np.linalg.norm(b - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_certificate_rejects_small_sigma_wide_cell():

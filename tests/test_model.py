@@ -182,6 +182,9 @@ def test_streamed_draw_matches_one_whole_draw(n, d, n_train):
         assert np.array_equal(a, b)
     assert stats_first.noisy is stats_first.noisy  # drawn once, then kept
     assert noisy_first.noise_stats is noisy_first.noise_stats
+    transient = sample_dataset(params, basis, n_train, seed=5)
+    assert np.array_equal(transient.draw_noisy(), expected)
+    assert "noisy" not in vars(transient)  # drawn on each call, never kept
 
 
 def test_sample_dataset_zero_noise_copies():

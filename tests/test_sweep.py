@@ -198,6 +198,49 @@ def test_streamed_cell_never_forms_y(monkeypatch):
     assert all(0.0 < risk < 1.0 for risk, _, _ in records)
 
 
+@pytest.mark.parametrize("mc", [0, 50])
+@pytest.mark.parametrize("n_train,cell_seed,route", [(600, 1, "gram"), (300, 600, "gram-certified")],
+                         ids=["wide", "square-certified"])
+def test_wide_cell_does_not_keep_y(monkeypatch, n_train, cell_seed, route, mc):
+    # An ESGD + PCA cell with N >= n draws Y once, for Y Y^T and C Y^T, and
+    # its dataset never keeps it: the decomposition, the certificate, the
+    # risks and the estimator builds read the stored U_y and C Y^T.
+    datasets, draws = [], []
+    draw = model._draw_noisy
+    monkeypatch.setattr(model, "_draw_noisy", lambda *args: draws.append(args[2].shape) or draw(*args))
+
+    def spy(dataset, **kwargs):
+        datasets.append(dataset)
+        return svd_of(dataset, **kwargs)
+
+    monkeypatch.setattr(sweep_mod, "svd_of", spy)
+    config = _small_config(params=ModelParams(d=10, n=300, sigma_z=0.05), train_sizes=(n_train,),
+                           n_seeds=1, estimators=("ESGD", "PCA"), mc_test_size=mc)
+    sweep_mod._evaluate_cell(config, n_train, cell_seed)
+    (dataset,) = datasets
+    assert "noisy" not in vars(dataset)
+    assert draws == [(10, n_train)]
+    assert svd_of(dataset, grid_only=True).route == route
+
+
+def test_wide_cell_drops_y_before_the_eigh():
+    # One ESGD + PCA cell at n = 1000, N = 4000: Y is 32 MB and Y Y^T 8 MB.
+    # Y is dropped before the eigh, so the peak is Y and the Gram while the
+    # Gram forms: 41.2 MB, against 49.1 MB when the dataset kept Y through
+    # the eigh and its two n x n outputs.
+    n, n_train = 1000, 4000
+    config = _small_config(params=ModelParams(d=10, n=n, sigma_z=0.1), train_sizes=(n_train,),
+                           n_seeds=1, estimators=("ESGD", "PCA"))
+    tracemalloc.start()
+    try:
+        records = sweep_mod._evaluate_cell(config, n_train, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n * n_train + 1.5 * 8 * n * n
+    assert all(0.0 < risk < 1.0 for risk, _, _ in records)
+
+
 def _spy_on_routes(monkeypatch):
     """The route of every decomposition the sweep asks for, in call order."""
     routes = []
