@@ -57,19 +57,14 @@ class SvdCache:
     functions take the coefficients C, the true basis U and the model
     parameters from it.  A decomposition route produces one singular
     factor: the direct SVD and the n x n Gram route store u_y, the N x N
-    Gram route stores v_y.  Neither Gram route keeps Y.  The N x N route
-    reads the dataset's :attr:`~sldlab.model.Dataset.noise_stats`, Z^T Z
-    and W = U^T Z, in place of Y: so do :attr:`ut_basis` and
-    :meth:`leading_u_in_frame`.  The n x n route draws Y once, forms Y Y^T
-    and the d x n product C Y^T from it, and drops Y before the ``eigh``;
-    :attr:`coeff_v` and the certificate read the stored C Y^T.  The readers
-    that still need Y draw it again, bit for bit: :attr:`pinv_factor` and
-    the direct SVD through :meth:`~sldlab.model.Dataset.draw_noisy`, which
-    does not keep it, and :meth:`u_matmul`, :meth:`leading_u` and a missing
-    :attr:`u_y` or :attr:`v_y` through :attr:`~sldlab.model.Dataset.noisy`,
-    which does.  So no sweep builds anything n x r, and one without
-    ``--mc-test`` holds Y only while it forms a wide Gram, takes the direct
-    SVD or computes the PINV entry of a "gram-certified" cache.
+    Gram route stores v_y.  The N x N route reads the dataset's
+    :attr:`~sldlab.model.Dataset.noise_stats`, Z^T Z and W = U^T Z, in
+    place of Y: so do :attr:`ut_basis` and :meth:`leading_u_in_frame`, and
+    its :meth:`u_matmul` and :meth:`leading_u` read Y only through
+    :meth:`~sldlab.model.Dataset.noisy_matmul`.  The n x n route forms Y Y^T
+    and the d x n product C Y^T from one draw of Y, dropped before the
+    ``eigh``; :attr:`coeff_v` and the certificate read the stored C Y^T.
+    So no sweep builds anything n x r, and no tall Gram cell forms Y.
 
     s_y      -- r retained singular values, descending, all >= max(n, N) * eps * S_y[0]
     route    -- "svd" (direct), "gram" (eigendecomposition of the small Gram,
@@ -104,9 +99,7 @@ class SvdCache:
     @property
     def u_y(self) -> np.ndarray:
         """n x r left singular vectors (Y V_y / S_y, formed on each access if not stored)."""
-        if self._u_y is None:
-            return (self.dataset.noisy @ self._v_y) / self.s_y
-        return self._u_y
+        return self.u_matmul(np.eye(self.rank)) if self._u_y is None else self._u_y
 
     @property
     def v_y(self) -> np.ndarray:
@@ -140,10 +133,9 @@ class SvdCache:
         and R is solved by :func:`_triangular_solve`, O(n N d) in all past
         the QR itself.  B is then accurate to eps * kappa(Y), where the
         filter 1 / S_y of a Gram decomposition carries eps * kappa(Y)^2.
-        Read for the k = INFINITY entries of a "gram-certified" cache; it
-        draws Y and does not keep it.
+        Read for the k = INFINITY entries of a "gram-certified" cache.
         """
-        y, coeff_t = self.dataset.draw_noisy(), self.dataset.coeff.T
+        y, coeff_t = self.dataset.noisy, self.dataset.coeff.T
         n, n_train = y.shape
         if n_train <= n:
             h, tau = np.linalg.qr(y, mode="raw")
@@ -161,26 +153,27 @@ class SvdCache:
     def u_matmul(self, a: np.ndarray) -> np.ndarray:
         """Return ``u_y @ a`` without forming u_y.
 
-        Uses Y V_y diag(1/S_y) a, O(n N k) for an r x k ``a``.
+        Uses Y V_y diag(1/S_y) a, O(n N k) for an r x k ``a``, through
+        :meth:`~sldlab.model.Dataset.noisy_matmul`, so Y is not formed.
         """
         if self._u_y is not None:
             return self._u_y @ a
-        return self.dataset.noisy @ (self._v_y @ (a / self.s_y[:, None]))
+        return self.dataset.noisy_matmul(self._v_y @ (a / self.s_y[:, None]))
 
     def leading_u(self, k: int) -> np.ndarray:
         """The first ``k`` columns of u_y, orthonormal to working precision.
 
-        Without a stored u_y they are formed as Y V_y[:, :k] / S_y[:k], whose
-        columns drift from orthonormal by up to eps * lambda_max / lambda_k
-        (<= _GRAM_TOL on the "gram" route, reached when k covers the whole
-        spectrum, as for N <= d; a "gram-certified" route has rank > d, so
-        PCA's k = d stops above its smallest eigenvalues).  One QR
-        pass, signed so that R has a positive diagonal, removes that drift
-        while moving each column by no more than it.
+        Without a stored u_y they are formed by :meth:`u_matmul` as
+        Y V_y[:, :k] / S_y[:k], whose columns drift from orthonormal by up to
+        eps * lambda_max / lambda_k (<= _GRAM_TOL on the "gram" route, reached
+        when k covers the whole spectrum, as for N <= d; a "gram-certified"
+        route has rank > d, so PCA's k = d stops above its smallest
+        eigenvalues).  One QR pass, signed so that R has a positive diagonal,
+        removes that drift while moving each column by no more than it.
         """
         if self._u_y is not None:
             return self._u_y[:, :k]
-        q, r = np.linalg.qr((self.dataset.noisy @ self._v_y[:, :k]) / self.s_y[:k])
+        q, r = np.linalg.qr(self.u_matmul(np.eye(self.rank, k)))
         return q * np.sign(np.diagonal(r))
 
     def leading_u_in_frame(self, k: int) -> np.ndarray:
@@ -266,18 +259,22 @@ def _triangular_solve(r: np.ndarray, b: np.ndarray, transpose: bool) -> np.ndarr
 
 #: Largest eps * lambda_max / lambda_min a Gram eigendecomposition may have
 #: without further checks.  Eigenvalues of the Gram matrix carry absolute error
-#: ~ eps * lambda_max, so each one -- and every spectral filter of it, which is
-#: all the estimators and risks use -- is accurate to relative error
-#: eps * kappa <= _GRAM_TOL.  1e-8 equals the relative tolerance of the
-#: closed-form gates and of the route-agreement tests, and is 100x inside the
-#: 1e-6 the benchmark's reference curves are checked at.  At sigma = 0.1 it
-#: rejects only cells near N = n, where the smallest singular value of a
-#: near-square Y collapses.  It is far stricter than the error a finite-k risk
-#: sees, so a caller that reads only the oracle stop may keep a rejected
-#: decomposition when :func:`_gram_certified` bounds the risk at the argmin
-#: to the same relative _GRAM_TOL (every other finite k is either as accurate
-#: or cannot be the argmin); the k = INFINITY entry, which inherits the full
-#: eps * kappa, is then taken from a QR of Y (:attr:`SvdCache.pinv_factor`).
+#: ~ eps * lambda_max, so each one, and every spectral filter of it, is
+#: accurate to relative error eps * kappa <= _GRAM_TOL.  The check does not
+#: bound the cancellation in a risk's misfit g D_k M - I when N <= d: Y^+ Y = I
+#: there, so the misfit is of size sigma beside g D_k M ~ I and a risk loses
+#: ~eps / sigma relative (1.4e-8 off a 50-digit PINV risk at n = 200,
+#: N = d = 10, sigma = 1e-7, on a route that passed).  1e-8 equals the
+#: relative tolerance of the closed-form gates and of the route-agreement
+#: tests, and is 100x inside the 1e-6 the benchmark's reference curves are
+#: checked at.  At sigma = 0.1 it rejects only cells near N = n, where the
+#: smallest singular value of a near-square Y collapses.  It is far stricter
+#: than the error a finite-k risk sees, so a caller that reads only the oracle
+#: stop may keep a rejected decomposition when :func:`_gram_certified` bounds
+#: the risk at the argmin to the same relative _GRAM_TOL (every other finite k
+#: is either as accurate or cannot be the argmin); the k = INFINITY entry,
+#: which inherits the full eps * kappa, is then taken from a QR of Y
+#: (:attr:`SvdCache.pinv_factor`).
 _GRAM_TOL = 1e-8
 
 
@@ -353,8 +350,8 @@ def _tall_gram(dataset: Dataset) -> np.ndarray:
 
 
 def _wide_gram(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Y Y^T (n x n) and C Y^T (d x n) from one draw of Y, which is not kept."""
-    y = dataset.draw_noisy()
+    """Y Y^T (n x n) and C Y^T (d x n) from one draw of Y."""
+    y = dataset.noisy
     return y @ y.T, dataset.coeff @ y.T
 
 
@@ -471,7 +468,7 @@ def _gram_certified(cache: SvdCache) -> tuple[bool, float]:
 
 def _direct_svd(dataset: Dataset) -> SvdCache:
     """Direct LAPACK SVD of Y; the reference route, used whenever the Gram check fails."""
-    u, s, vt = np.linalg.svd(dataset.draw_noisy(), full_matrices=False)
+    u, s, vt = np.linalg.svd(dataset.noisy, full_matrices=False)
     return _truncated(dataset, s, "svd", u=u, v=vt.T)
 
 

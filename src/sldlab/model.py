@@ -20,17 +20,12 @@ from .rng import stream
 
 _ORTHO_TOL = 1e-10
 
-#: Columns of U C added to Y per block in :func:`_draw_noisy`.  The
-#: temporary is then n x 64 (5 MB at n = 10^4) whatever N is, so the draw
-#: holds Y as its only n x N array; at this width the blocked sum ran as fast
-#: as forming U C whole.
-_BLOCK = 64
-
 #: Bytes of Z per row block in :func:`_noise_blocks` (524 rows at N = 1000).
 #: The n = 10^4, N = 1000 draw took 1.13-1.42 s with 64-row blocks, 0.55-0.60 s
 #: with 524 and 0.48-0.70 s with 2048 (2 cores, numpy 2.4.6 with OpenBLAS
 #: 0.3.31): thinner blocks starve the Z^T Z product, while a 4 MB block stays
-#: a fixed cost, half the Z^T Z of an N = 1000 cell.
+#: a fixed cost, half the Z^T Z of an N = 1000 cell.  Y is filled over the
+#: same blocks, so U[rows] C is the one other block-sized temporary of a draw.
 _STREAM_BYTES = 4 * 2**20
 
 
@@ -82,14 +77,12 @@ class Dataset:
     basis  -- the SubspaceBasis U the data was drawn with
     seed   -- the draw's seed; Z (n x N) is its "noise" stream
 
-    C and the seed fix the draw, so the views of it are drawn on first read
-    and kept: :attr:`noisy` draws Y whole, :attr:`noise_stats` streams Z^T Z
-    and U^T Z over row blocks of Z without holding Y.  Both read the same
-    noise stream, so either order gives the same bits.  A reader that needs
-    Y once calls :meth:`draw_noisy`, which draws the same Y without keeping
-    it.  A Monte-Carlo test set reads only :meth:`noise_projection`, B^T Z
-    over the same blocks, which is streamed on each call.  X lies in span(U) by construction and is
-    formed only by :attr:`clean`.
+    C and the seed fix the draw, so every view of it is read from the row
+    blocks of Z in :func:`_noise_blocks`: :attr:`noisy` draws Y on each read,
+    :meth:`noisy_matmul` gives Y A without forming Y, :attr:`noise_stats`
+    (kept once read) sums Z^T Z and U^T Z, and :meth:`noise_projection` sums
+    B^T Z.  Y is never kept, so no read depends on an earlier one.  X lies
+    in span(U) by construction and is formed only by :attr:`clean`.
     """
 
     coeff: np.ndarray
@@ -113,13 +106,9 @@ class Dataset:
     def n_train(self) -> int:
         return self.coeff.shape[1]
 
-    @cached_property
+    @property
     def noisy(self) -> np.ndarray:
-        """Y (n x N), drawn whole on the first read and kept."""
-        return self.draw_noisy()
-
-    def draw_noisy(self) -> np.ndarray:
-        """Y (n x N), drawn whole on each call and not kept: :attr:`noisy` bit for bit."""
+        """Y (n x N), drawn on each read and not kept."""
         return _draw_noisy(self.params, self.basis, self.coeff, self.seed)
 
     @cached_property
@@ -139,6 +128,14 @@ class Dataset:
         for rows, z in _noise_blocks(self.params.n, self.n_train, self.seed):
             proj += b[rows].T @ z
         return proj
+
+    def noisy_matmul(self, a: np.ndarray) -> np.ndarray:
+        """Y A = U (C A) + sigma_z Z A (n x k) for an N x k A, summed over :func:`_noise_blocks`."""
+        out = self.basis.matrix @ (self.coeff @ a)
+        if self.params.sigma_z > 0:
+            for rows, z in _noise_blocks(self.params.n, self.n_train, self.seed):
+                out[rows] += self.params.sigma_z * (z @ a)
+        return out
 
     @property
     def clean(self) -> np.ndarray:
@@ -233,8 +230,8 @@ def sample_dataset(params: ModelParams, basis: SubspaceBasis, n_train: int, seed
     Coefficients and noise come from independent named streams of the same
     seed, so changing sigma_z rescales the identical noise draw rather than
     producing an unrelated dataset.  Only C (d x N) is drawn here: the
-    :class:`Dataset` draws Y or the noise statistics on first read, so the
-    caller's reads decide which n x N work a draw costs.
+    :class:`Dataset` reads the noise stream when a caller asks for Y, a
+    product with it or the noise statistics.
     """
     if n_train < 1:
         raise EmptyDataError(f"n_train must be >= 1, got {n_train}")
@@ -263,21 +260,14 @@ def _noise_blocks(n: int, n_cols: int, seed: int) -> Iterator[tuple[slice, np.nd
 def _draw_noisy(
     params: ModelParams, basis: SubspaceBasis, coeff: np.ndarray, seed: int
 ) -> np.ndarray:
-    """Y = U C + sigma_z Z, with Z the whole "noise" stream of ``seed``.
-
-    The noise is drawn into the array that becomes Y and U C is added
-    _BLOCK columns at a time, so Y is the only n x N array the draw holds.
-    """
-    n_train = coeff.shape[1]
-    if params.sigma_z > 0:
-        noisy = stream(seed, "noise").standard_normal((params.n, n_train))
-        noisy *= params.sigma_z
-    else:
-        noisy = np.zeros((params.n, n_train))
+    """Y = U C + sigma_z Z, filled over :func:`_noise_blocks` as sigma_z Z[rows] + U[rows] C."""
     u = basis.matrix
-    for lo in range(0, n_train, _BLOCK):
-        block = slice(lo, lo + _BLOCK)
-        noisy[:, block] += u @ coeff[:, block]
+    if params.sigma_z == 0:
+        return u @ coeff
+    noisy = np.empty((params.n, coeff.shape[1]))
+    for rows, z in _noise_blocks(params.n, coeff.shape[1], seed):
+        np.multiply(z, params.sigma_z, out=noisy[rows])
+        noisy[rows] += u[rows] @ coeff
     return noisy
 
 

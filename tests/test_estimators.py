@@ -180,9 +180,9 @@ def test_certificate_keeps_the_direct_svd_at_sigma_1e_3():
 
 
 def test_certified_risks_do_not_depend_on_an_earlier_read_of_y():
-    # The wide Gram route draws Y afresh and drops it, whether or not the
-    # dataset already holds it, and PINV's QR draws it once more: every risk
-    # a sweep reads is the same bits either way.
+    # A read of Y leaves the dataset as it was: the wide Gram route and
+    # PINV's QR each draw Y afresh, so every risk a sweep reads is the same
+    # bits whether or not Y was read first.
     risks = []
     for read_first in (False, True):
         params, basis, ds = _instance(n=100, d=10, sigma=0.05, n_train=100, seed=200)
@@ -458,12 +458,12 @@ def test_profile_accurate_near_noise_floor(n, n_train, sigma):
 
 def test_gd_estimators_stay_low_rank_at_large_n():
     # At n = 10^4 a dense W would take 800 MB; the estimators keep n x d
-    # factors, and building and scoring them allocates a few n x d arrays.
+    # factors, and building and scoring them allocates a few n x d arrays and
+    # one block of the noise stream (here all of Z, 4 MB), never Y.
     n, n_train = 10_000, 50
     params, basis, ds = _instance(n=n, d=5, sigma=0.1, n_train=n_train, seed=22)
     cache = svd_of(ds)
     profile = gd_risk_profile(cache, (8, INFINITY))
-    ds.noisy  # draw Y first: the build reads it, and it is not the build's
     tracemalloc.start()
     try:
         ests = (gd_estimator_closed(cache, 8), gd_estimator_closed(cache, INFINITY))

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sldlab import model
 from sldlab.errors import DimensionError, EmptyDataError, InvariantError
 from sldlab.model import (
     Dataset,
@@ -127,9 +128,9 @@ def test_sample_dataset_noise_rescales_with_sigma():
     "n, d, n_train", [(25, 4, 40), (100, 10, 7), (8, 3, 1), (300, 5, 300), (10_000, 10, 500)]
 )
 def test_sample_dataset_is_basis_coeff_plus_scaled_noise(n, d, n_train, sigma):
-    # C is the "coeff" stream bit for bit and X is U C.  Y is built in place
-    # from the noise draw with U C added in column blocks, which can round
-    # differently from one whole product (it does at n = 10^4, N = 500).
+    # C is the "coeff" stream bit for bit and X is U C.  Y is filled over row
+    # blocks of the noise draw with U[rows] C added to each, which can round
+    # differently from one whole product U C.
     basis = sample_basis(n, d, seed=n)
     ds = sample_dataset(ModelParams(d, n, sigma), basis, n_train, seed=11)
     coeff = stream(11, "coeff").standard_normal((d, n_train))
@@ -161,38 +162,40 @@ def test_sample_dataset_draws_only_the_coefficients(n, n_train):
 def test_streamed_draw_matches_one_whole_draw(n, d, n_train):
     # noise_stats sums Z^T Z and W = U^T Z over row blocks of Z (ten blocks,
     # the last one short, at n = 10^4, N = 500).  They match the products of
-    # one whole draw, and noisy draws Y bit for bit as a whole draw forms
-    # it: reading the statistics first or Y first gives the same arrays.
+    # one whole draw.  noisy fills Y over the same blocks, bit for bit
+    # sigma Z[rows] + U[rows] C, on each read and without keeping it, so
+    # reading the statistics first or Y first gives the same arrays.
     sigma = 0.3
     params, basis = ModelParams(d, n, sigma), sample_basis(n, d, seed=n)
     stats_first = sample_dataset(params, basis, n_train, seed=5)
     noisy_first = sample_dataset(params, basis, n_train, seed=5)
     z = stream(5, "noise").standard_normal((n, n_train))
     gram, proj = stats_first.noise_stats
-    assert "noisy" not in vars(stats_first)
     for kept, product in [(gram, z.T @ z), (proj, basis.matrix.T @ z)]:
         assert np.linalg.norm(kept - product) <= 1e-14 * np.linalg.norm(product)
-    expected = sigma * z
-    for lo in range(0, n_train, 64):
-        expected[:, lo:lo + 64] += basis.matrix @ stats_first.coeff[:, lo:lo + 64]
-    assert np.array_equal(noisy_first.noisy, expected)
+    height = model._STREAM_BYTES // (8 * n_train)
+    expected = np.empty((n, n_train))
+    for lo in range(0, n, height):
+        rows = slice(lo, lo + height)
+        expected[rows] = sigma * z[rows] + basis.matrix[rows] @ noisy_first.coeff
+    y = noisy_first.noisy
+    assert np.array_equal(y, expected)
     assert "noise_stats" not in vars(noisy_first)
     assert np.array_equal(stats_first.noisy, expected)
     for a, b in zip(stats_first.noise_stats, noisy_first.noise_stats):
         assert np.array_equal(a, b)
-    assert stats_first.noisy is stats_first.noisy  # drawn once, then kept
-    assert noisy_first.noise_stats is noisy_first.noise_stats
-    transient = sample_dataset(params, basis, n_train, seed=5)
-    assert np.array_equal(transient.draw_noisy(), expected)
-    assert "noisy" not in vars(transient)  # drawn on each call, never kept
+    assert noisy_first.noise_stats is noisy_first.noise_stats  # kept once read
+    assert noisy_first.noisy is not y and "noisy" not in vars(noisy_first)  # drawn on each read
 
 
 def test_sample_dataset_zero_noise_copies():
     basis = sample_basis(12, 2, seed=0)
     ds = sample_dataset(ModelParams(2, 12, 0.0), basis, 6, seed=1)
+    y = ds.noisy
+    assert np.array_equal(ds.clean, y)
+    y[0, 0] += 1.0  # a read of Y must alias neither the clean matrix nor the next read
+    assert ds.clean[0, 0] != y[0, 0]
     assert np.array_equal(ds.clean, ds.noisy)
-    ds.noisy[0, 0] += 1.0  # must not alias the clean matrix
-    assert ds.clean[0, 0] != ds.noisy[0, 0]
 
 
 def test_sample_dataset_rejects_empty():

@@ -160,11 +160,12 @@ def test_cell_failures_carry_cell_identity(monkeypatch):
 
 def test_monte_carlo_cell_memory_at_large_n():
     # One n = 10^4, N = 1000 cell scored on 500 test columns: Y takes 80 MB.
-    # The test noise is streamed, so the 40 MB test Y is never formed (the
-    # cell peaked at 180 MB when it was; 111 MB since).  The ESGD and PINV
-    # maps are n x d factors, so the cell holds no n x r factor (with
-    # r = N = 1000 a pair of them, and the U_y they came from, took the peak
-    # to 371 MB).
+    # The estimators are built from Y V_y, streamed over row blocks of Z, and
+    # the test noise is streamed too, so neither Y is formed: the cell peaks
+    # at 30.6 MB (110.6 MB when it drew the training Y for its builds, 180 MB
+    # when it also formed the 40 MB test Y).  The ESGD and PINV maps are
+    # n x d factors, so the cell holds no n x r factor (with r = N = 1000 a
+    # pair of them, and the U_y they came from, took the peak to 371 MB).
     config = _small_config(params=ModelParams(d=10, n=10_000, sigma_z=0.1),
                            train_sizes=(1000,), n_seeds=1, mc_test_size=500)
     tracemalloc.start()
@@ -173,7 +174,7 @@ def test_monte_carlo_cell_memory_at_large_n():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 150e6
+    assert peak <= 45e6
     for risk, mc_mean, mc_err in records:
         assert abs(mc_mean - risk) <= 5 * mc_err
 
@@ -183,7 +184,7 @@ def test_streamed_cell_never_forms_y(monkeypatch):
     # Gram side of its decomposition (8 MB each at most), never Y (80 MB):
     # it peaked at 104 MB when it held Y.
     reads = []
-    draw = Dataset.noisy.func
+    draw = Dataset.noisy.fget
     monkeypatch.setattr(Dataset, "noisy", property(lambda ds: reads.append(ds) or draw(ds)))
     config = _small_config(params=ModelParams(d=10, n=10_000, sigma_z=0.1),
                            train_sizes=(1000,), n_seeds=1, estimators=("ESGD", "PCA"))
@@ -254,6 +255,23 @@ def _spy_on_routes(monkeypatch):
     return routes
 
 
+def test_tall_monte_carlo_cell_never_draws_y(monkeypatch):
+    # A tall cell on the plain Gram route builds PCA, ESGD and PINV from
+    # Y V_y through Dataset.noisy_matmul, which streams Z, and scores them on
+    # a streamed test set: no Y, training or test, is ever drawn.
+    draws = []
+    draw = model._draw_noisy
+    monkeypatch.setattr(model, "_draw_noisy", lambda *args: draws.append(args[2].shape) or draw(*args))
+    routes = _spy_on_routes(monkeypatch)
+    config = _small_config(params=ModelParams(d=10, n=300, sigma_z=0.1), train_sizes=(100,),
+                           n_seeds=1, mc_test_size=50)
+    records = sweep_mod._evaluate_cell(config, 100, 0)
+    assert routes == ["gram"]
+    assert draws == []
+    for risk, mc_mean, mc_err in records:
+        assert abs(mc_mean - risk) <= 5 * mc_err
+
+
 @pytest.mark.parametrize("estimators", [("ESGD", "PCA"), ("ESGD", "PCA", "PINV")],
                          ids=["esgd-pca", "esgd-pca-pinv"])
 def test_near_square_cell_keeps_certified_gram(monkeypatch, estimators):
@@ -314,7 +332,7 @@ def test_certified_cell_reads_the_qr_before_the_test_draw(monkeypatch):
     # pinv_factor computation comes before the test noise is streamed (the
     # PINV build reads the cached factor later), and the test Y is never read.
     events = []
-    factor, draw, blocks = SvdCache.pinv_factor.func, Dataset.noisy.func, model._noise_blocks
+    factor, draw, blocks = SvdCache.pinv_factor.func, Dataset.noisy.fget, model._noise_blocks
     spy = functools.cached_property(lambda c: events.append("qr") or factor(c))
     spy.__set_name__(SvdCache, "pinv_factor")
     monkeypatch.setattr(SvdCache, "pinv_factor", spy)
