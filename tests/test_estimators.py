@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sldlab import model
 from sldlab.errors import DimensionError, InvariantError
 from sldlab.estimators import (
     INFINITY,
@@ -107,15 +108,21 @@ def test_svd_routes_agree_on_risks(n, n_train, sigma):
     "n,n_train",
     [(100, 5), (100, 50), (100, 99), (100, 100), (100, 200), (1000, 400), (2000, 300)],
 )
-def test_pca_risk_matches_the_estimator_it_scores(n, n_train, sigma):
-    # pca_risk scores the PCA map in the coordinates of span(U, U_hat); on a
-    # tall Gram cell it reads only the streamed statistics, never Y.  With
-    # N = 5 < d the projector has rank 5.
+def test_pca_risk_matches_the_estimator_it_scores(monkeypatch, n, n_train, sigma):
+    # pca_risk scores the PCA map from its subspace error alone and never
+    # draws Y; on a tall Gram cell the decomposition does not either, so the
+    # cell reads only the streamed statistics.  With N = 5 < d the projector
+    # has rank 5.
     params, basis, ds = _instance(n=n, d=10, sigma=sigma, n_train=n_train, seed=n + n_train)
+    draws = []
+    draw = model._draw_noisy
+    monkeypatch.setattr(model, "_draw_noisy", lambda *args: draws.append(args[2].shape) or draw(*args))
     cache = svd_of(ds)
+    drawn_by_svd = len(draws)
     risk = pca_risk(cache)
+    assert len(draws) == drawn_by_svd
     if cache.route == "gram" and n_train < n:
-        assert "noisy" not in vars(ds)
+        assert draws == []
     expected = risk_closed_form(pca_estimator(cache), basis, params)
     if sigma == 0.0 and n_train >= params.d:  # the exact risk is 0; both are rounding noise
         assert max(risk, expected) <= 1e-25
@@ -164,6 +171,7 @@ def test_certified_gram_matches_direct_on_near_square_cells(n, n_train, sigma, s
     assert best == int(np.argmin(direct[:-1])) and best < len(K_GRID) - 1
     for i in (best, -2, -1):  # ESGD, PINV and PCA
         assert routed[i] == pytest.approx(direct[i], rel=1e-8)
+    assert pca_risk(cache) == pytest.approx(pca_risk(ref), rel=1e-8)  # the sweep's PCA risk
     for k in (K_GRID[best], INFINITY):
         w_gram, w_ref = (gd_estimator_closed(c, k).as_matrix() for c in (cache, ref))
         assert np.linalg.norm(w_gram - w_ref) <= 1e-8 * np.linalg.norm(w_ref)

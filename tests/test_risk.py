@@ -139,16 +139,19 @@ def _spy_on_blocks(monkeypatch):
 
 
 @pytest.mark.parametrize("n_test", [2, 255, 256, 2000])
-def test_monte_carlo_blocks_match_unblocked(n_test):
-    # One streamed call scores all five estimators of a cell; each report
-    # must give the mean and standard error of scoring the whole test Y
-    # against the dense clean matrix X.
+def test_monte_carlo_blocks_match_unblocked(monkeypatch, n_test):
+    # One streamed call scores all five estimators of a cell without drawing
+    # the test Y; each report must give the mean and standard error of
+    # scoring the whole test Y against the dense clean matrix X.
     params = ModelParams(d=3, n=40, sigma_z=0.3)
     basis = sample_basis(40, 3, seed=8)
     estimators = _cell_estimators(params, basis)
     test = sample_dataset(params, basis, n_test, seed=9)
+    draws = []
+    draw = model._draw_noisy
+    monkeypatch.setattr(model, "_draw_noisy", lambda *args: draws.append(args[2].shape) or draw(*args))
     reports = risk_monte_carlo(estimators, test)
-    assert "noisy" not in vars(test)
+    assert draws == []
     assert len(reports) == len(estimators)
     for est, report in zip(estimators, reports):
         losses = _whole_losses(est, test)
@@ -217,13 +220,16 @@ def test_monte_carlo_memory_does_not_grow_with_the_test_draw(monkeypatch):
         gd_estimator_closed(cache, INFINITY),
     ]
     test = sample_dataset(params, basis, 500, seed=5)
+    draws = []
+    draw = model._draw_noisy
+    monkeypatch.setattr(model, "_draw_noisy", lambda *args: draws.append(args[2].shape) or draw(*args))
     tracemalloc.start()
     try:
         reports = risk_monte_carlo(estimators, test)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert "noisy" not in vars(test)
+    assert draws == []
     assert peak <= 15e6
     assert all(0.0 < report.mean < 2.0 for report in reports)
 
@@ -247,8 +253,8 @@ def test_monte_carlo_rejects_no_estimators_and_wrong_dimension():
 
 
 def test_pca_specialized_equals_generic():
-    # Includes rank-deficient cases (n_train < d) where the correction term
-    # for the missing projector directions matters.
+    # Includes rank-deficient cases (n_train < d) where the term for the
+    # missing projector directions matters, and one projector of rank above d.
     rng = np.random.default_rng(11)
     for trial in range(60):
         n = int(rng.integers(6, 40))
@@ -263,6 +269,13 @@ def test_pca_specialized_equals_generic():
         generic = risk_closed_form(est, basis, params)
         special = pca_risk_specialized(est.basis, basis, params)
         assert special == pytest.approx(generic, abs=1e-10)
+    # A projector of rank r = 6 > d = 3: the noise term counts all r directions.
+    params = ModelParams(d=3, n=20, sigma_z=0.5)
+    basis = sample_basis(20, 3, seed=1)
+    u_hat = np.linalg.qr(rng.standard_normal((20, 6)))[0]
+    est = LinearEstimator.scaled_projection(1.0 / (1.0 + 0.5**2), u_hat)
+    generic = risk_closed_form(est, basis, params)
+    assert pca_risk_specialized(u_hat, basis, params) == pytest.approx(generic, abs=1e-10)
 
 
 def test_pca_specialized_rejects_bad_shape():

@@ -219,7 +219,6 @@ def test_wide_cell_does_not_keep_y(monkeypatch, n_train, cell_seed, route, mc):
                            n_seeds=1, estimators=("ESGD", "PCA"), mc_test_size=mc)
     sweep_mod._evaluate_cell(config, n_train, cell_seed)
     (dataset,) = datasets
-    assert "noisy" not in vars(dataset)
     assert draws == [(10, n_train)]
     assert svd_of(dataset, grid_only=True).route == route
 
