@@ -29,8 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, DivergenceError, InvariantError
-from .model import Dataset, LinearEstimator
-from .risk import pca_risk_of_subspace_error
+from .model import Dataset, LinearEstimator, SubspaceBasis
+from .risk import risk_closed_form
 
 #: Distinguished iteration count meaning "run gradient descent to convergence".
 INFINITY: float = math.inf
@@ -59,7 +59,7 @@ class SvdCache:
     factor: the direct SVD and the n x n Gram route store u_y, the N x N
     Gram route stores v_y.  The N x N route reads the dataset's
     :attr:`~sldlab.model.Dataset.noise_stats`, Z^T Z and W = U^T Z, in
-    place of Y: so do :attr:`ut_basis` and :meth:`subspace_error`, and
+    place of Y: so do :attr:`ut_basis` and :meth:`leading_u_in_frame`, and
     its :meth:`u_matmul` and :meth:`leading_u` read Y only through
     :meth:`~sldlab.model.Dataset.noisy_matmul`.  The n x n route forms Y Y^T
     and the d x n product C Y^T from one draw of Y, dropped before the
@@ -176,30 +176,42 @@ class SvdCache:
         q, r = np.linalg.qr(self.u_matmul(np.eye(self.rank, k)))
         return q * np.sign(np.diagonal(r))
 
-    def subspace_error(self, k: int) -> float:
-        """e = ||U_hat - U (U^T U_hat)||_F^2 for U_hat = ``leading_u(k)``, without reading Y.
+    def leading_u_in_frame(self, k: int) -> np.ndarray:
+        """:meth:`leading_u` in coordinates of span(U) + span(U_hat), a (d + k) x k array.
 
-        When U_y is stored, e is summed from U_hat itself.  Otherwise it comes
-        from the noise statistics: with U_hat = Y B L^-T, B = V_y[:, :k] / S_y[:k]
-        and L L^T = B^T Y^T Y B (the orthonormalization of :meth:`leading_u`),
-        the part of Y orthogonal to U is sigma (I - U U^T) Z, so
-            e = sigma^2 tr(L^-1 (B^T Z^T Z B - (W B)^T W B) L^-T),  W = U^T Z.
-        e is thus never formed as k - ||U^T U_hat||_F^2, and keeps its
-        relative accuracy when it is small.
+        With U_hat = leading_u(k) = U A + P, P orthogonal to U, the frame is
+        [U, F] with P = F T, so U_hat has coordinates [A; T] and U has
+        [I_d; 0].  Inner products among the columns of U and U_hat -- all a
+        risk reads -- are the same in these coordinates, and only the d x k
+        overlap A = U^T U_hat and the k x k Gram P^T P are needed; T is the
+        square root of P^T P.  When U_y is stored they come from U_hat.
+        Otherwise they come from the noise statistics, without Y: with
+        U_hat = Y B R^-1, B = V_y[:, :k] / S_y[:k] and R^T R = B^T Y^T Y B
+        (the orthonormalization of :meth:`leading_u`),
+            A = (C B + sigma W B) R^-1,
+            P^T P = sigma^2 R^-T (B^T Z^T Z B - (W B)^T W B) R^-1.
+        The subspace error tr(P^T P) is thus never formed as k - ||A||_F^2,
+        and keeps its relative accuracy when it is small.
         """
         if self._u_y is not None:
-            u_hat, basis = self._u_y[:, :k], self.dataset.basis.matrix
-            perp = u_hat - basis @ (basis.T @ u_hat)
-            return float(np.sum(perp * perp))
-        zz, w = self.dataset.noise_stats
-        sigma = self.dataset.params.sigma_z
-        b = self._v_y[:, :k] / self.s_y[:k]
-        cb, wb = self.dataset.coeff @ b, w @ b
-        bzzb = b.T @ (zz @ b)
-        cw = cb.T @ wb
-        chol = np.linalg.cholesky(cb.T @ cb + sigma * (cw + cw.T) + sigma**2 * bzzb)
-        inner = np.linalg.solve(chol, bzzb - wb.T @ wb)
-        return sigma**2 * float(np.trace(np.linalg.solve(chol, inner.T)))
+            u_hat = self._u_y[:, :k]
+            basis = self.dataset.basis.matrix
+            overlap = basis.T @ u_hat
+            perp = u_hat - basis @ overlap
+            perp_gram = perp.T @ perp
+        else:
+            zz, w = self.dataset.noise_stats
+            sigma = self.dataset.params.sigma_z
+            b = self._v_y[:, :k] / self.s_y[:k]
+            cb, wb = self.dataset.coeff @ b, w @ b
+            bzzb = b.T @ (zz @ b)
+            cw = cb.T @ wb
+            chol = np.linalg.cholesky(cb.T @ cb + sigma * (cw + cw.T) + sigma**2 * bzzb)
+            overlap = np.linalg.solve(chol, (cb + sigma * wb).T).T
+            inner = np.linalg.solve(chol, bzzb - wb.T @ wb)
+            perp_gram = sigma**2 * np.linalg.solve(chol, inner.T)
+        lam, vec = np.linalg.eigh(perp_gram)
+        return np.vstack([overlap, np.sqrt(np.clip(lam, 0.0, None))[:, None] * vec.T])
 
 
 def _apply_reflectors(h: np.ndarray, tau: np.ndarray, x: np.ndarray, reverse: bool) -> None:
@@ -484,29 +496,36 @@ def _truncated(
 # =====================================================================
 
 
-def pca_estimator(cache: SvdCache) -> LinearEstimator:
-    """Shrunken projector s U_hat U_hat^T, s = 1 / (1 + sigma^2), onto the top-d empirical directions.
+def pca_estimator(cache: SvdCache, frame: bool = False) -> LinearEstimator:
+    """Shrunken projector onto the top-d empirical singular directions.
 
     Uses min(d, rank) directions, so with fewer than d training columns the
-    projector is simply rank-deficient rather than an error.  The sweep
-    builds it only for a Monte-Carlo estimate; its closed-form risk is
-    :func:`pca_risk`, which does not build it.
+    projector is simply rank-deficient rather than an error.  ``frame=True``
+    gives the same map in the coordinates of
+    :meth:`SvdCache.leading_u_in_frame`, where U is [I_d; 0]: what
+    :func:`pca_risk` scores.
     """
     params = cache.dataset.params
     r_use = min(params.d, cache.rank)
     shrink = 1.0 / (1.0 + params.sigma_z**2)
-    return LinearEstimator.scaled_projection(shrink, cache.leading_u(r_use))
+    u_hat = cache.leading_u_in_frame(r_use) if frame else cache.leading_u(r_use)
+    return LinearEstimator.scaled_projection(shrink, u_hat)
 
 
 def pca_risk(cache: SvdCache) -> float:
-    """Exact risk of :func:`pca_estimator`, from the subspace error of its directions alone.
+    """Exact risk of :func:`pca_estimator`, scored without reading Y.
 
-    :func:`~sldlab.risk.pca_risk_of_subspace_error` at the projector's rank
-    and :meth:`SvdCache.subspace_error`, so neither Y nor U_hat is formed.
+    The risk (||(W - I) U||_F^2 + sigma^2 ||W||_F^2) / d of W = s U_hat U_hat^T
+    depends only on inner products among the columns of U and U_hat, so
+    :func:`~sldlab.risk.risk_closed_form` gives it in the (d + r)-dimensional
+    coordinates of :meth:`SvdCache.leading_u_in_frame`.  In terms of the
+    subspace error e of U_hat it is the closed form of
+    :func:`~sldlab.risk.pca_risk_specialized`.
     """
     params = cache.dataset.params
-    r_use = min(params.d, cache.rank)
-    return pca_risk_of_subspace_error(cache.subspace_error(r_use), r_use, params)
+    estimator = pca_estimator(cache, frame=True)
+    frame_basis = SubspaceBasis(np.eye(estimator.ambient_dim, params.d))
+    return risk_closed_form(estimator, frame_basis, params)
 
 
 # =====================================================================

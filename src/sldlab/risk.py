@@ -104,31 +104,20 @@ def risk_monte_carlo(
     return tuple(reports)
 
 
-def pca_risk_of_subspace_error(subspace_err: float, rank: int, params: ModelParams) -> float:
-    """Risk of the shrunken projector W = U_hat U_hat^T / (1 + sigma_z^2), from its subspace error.
+def pca_risk_specialized(
+    u_hat: np.ndarray, basis: SubspaceBasis, params: ModelParams
+) -> float:
+    """Risk of the shrunken projector U_hat U_hat^T / (1 + sigma_z^2), from its subspace error.
 
-    For an orthonormal n x r U_hat, with e = ||U_hat - U (U^T U_hat)||_F^2
+    For an orthonormal n x r ``u_hat``, with e = ||U_hat - U (U^T U_hat)||_F^2
     the squared distance of its columns from span(U) and s2 = sigma_z^2,
 
         R = s2 / (1 + s2) + (d - r) / (d (1 + s2)) + (1 + 2 s2) / (1 + s2)^2 * e / d:
 
     the floor of the optimal estimator, a term for the r != d directions of
     the projector (d - r < 0 when it has more than d), and the excess that
-    learning the subspace leaves.  This is the closed form of
-    :func:`risk_closed_form` for this W.
-    """
-    d, s2 = params.d, params.sigma_z**2
-    excess = (1.0 + 2.0 * s2) / (1.0 + s2) ** 2 * subspace_err / d
-    return s2 / (1.0 + s2) + (d - rank) / (d * (1.0 + s2)) + excess
-
-
-def pca_risk_specialized(
-    u_hat: np.ndarray, basis: SubspaceBasis, params: ModelParams
-) -> float:
-    """Risk of the shrunken projector onto span(u_hat), an orthonormal n x r array.
-
-    :func:`pca_risk_of_subspace_error` with e summed from u_hat - U (U^T u_hat),
-    so the orthogonal complement of U is never formed.
+    learning the subspace leaves.  This is :func:`risk_closed_form` of that
+    map, for any r; the orthogonal complement of U is never formed.
     """
     u_hat = np.asarray(u_hat, dtype=float)
     u = basis.matrix
@@ -137,7 +126,9 @@ def pca_risk_specialized(
             f"u_hat must be n x r with n={u.shape[0]}, got shape {u_hat.shape}"
         )
     perp = u_hat - u @ (u.T @ u_hat)
-    return pca_risk_of_subspace_error(float(np.sum(perp * perp)), u_hat.shape[1], params)
+    d, r, s2 = params.d, u_hat.shape[1], params.sigma_z**2
+    excess = (1.0 + 2.0 * s2) / (1.0 + s2) ** 2 * float(np.sum(perp * perp)) / d
+    return s2 / (1.0 + s2) + (d - r) / (d * (1.0 + s2)) + excess
 
 
 def theory_diagnostics(params: ModelParams, n_train: int) -> TheoryDiagnostics:

@@ -8,7 +8,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sldlab import model
 from sldlab.errors import DimensionError, InvariantError
 from sldlab.estimators import (
     INFINITY,
@@ -108,15 +107,13 @@ def test_svd_routes_agree_on_risks(n, n_train, sigma):
     "n,n_train",
     [(100, 5), (100, 50), (100, 99), (100, 100), (100, 200), (1000, 400), (2000, 300)],
 )
-def test_pca_risk_matches_the_estimator_it_scores(monkeypatch, n, n_train, sigma):
-    # pca_risk scores the PCA map from its subspace error alone and never
-    # draws Y; on a tall Gram cell the decomposition does not either, so the
-    # cell reads only the streamed statistics.  With N = 5 < d the projector
-    # has rank 5.
+def test_pca_risk_matches_the_estimator_it_scores(spy_draws, n, n_train, sigma):
+    # pca_risk scores the PCA map in the coordinates of span(U, U_hat) and
+    # never draws Y; on a tall Gram cell the decomposition does not either,
+    # so the cell reads only the streamed statistics.  With N = 5 < d the
+    # projector has rank 5.
     params, basis, ds = _instance(n=n, d=10, sigma=sigma, n_train=n_train, seed=n + n_train)
-    draws = []
-    draw = model._draw_noisy
-    monkeypatch.setattr(model, "_draw_noisy", lambda *args: draws.append(args[2].shape) or draw(*args))
+    draws = spy_draws()
     cache = svd_of(ds)
     drawn_by_svd = len(draws)
     risk = pca_risk(cache)

@@ -142,15 +142,13 @@ def test_sample_dataset_is_basis_coeff_plus_scaled_noise(n, d, n_train, sigma):
 
 
 @pytest.mark.parametrize("n, n_train", [(10_000, 500), (1000, 2000)])
-def test_sample_dataset_draws_only_the_coefficients(monkeypatch, n, n_train):
+def test_sample_dataset_draws_only_the_coefficients(spy_draws, n, n_train):
     # A draw is its coefficients C (d x N) and its seed: Y and the noise
     # statistics are drawn on first read, so sampling a tall or a wide
     # dataset allocates little more than C (40 KB and 160 KB here).
     d = 10
     basis = sample_basis(n, d, seed=3)
-    draws = []
-    draw = model._draw_noisy
-    monkeypatch.setattr(model, "_draw_noisy", lambda *args: draws.append(args[2].shape) or draw(*args))
+    draws = spy_draws()
     tracemalloc.start()
     try:
         ds = sample_dataset(ModelParams(d, n, 0.1), basis, n_train, seed=4)

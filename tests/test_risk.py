@@ -139,7 +139,7 @@ def _spy_on_blocks(monkeypatch):
 
 
 @pytest.mark.parametrize("n_test", [2, 255, 256, 2000])
-def test_monte_carlo_blocks_match_unblocked(monkeypatch, n_test):
+def test_monte_carlo_blocks_match_unblocked(spy_draws, n_test):
     # One streamed call scores all five estimators of a cell without drawing
     # the test Y; each report must give the mean and standard error of
     # scoring the whole test Y against the dense clean matrix X.
@@ -147,9 +147,7 @@ def test_monte_carlo_blocks_match_unblocked(monkeypatch, n_test):
     basis = sample_basis(40, 3, seed=8)
     estimators = _cell_estimators(params, basis)
     test = sample_dataset(params, basis, n_test, seed=9)
-    draws = []
-    draw = model._draw_noisy
-    monkeypatch.setattr(model, "_draw_noisy", lambda *args: draws.append(args[2].shape) or draw(*args))
+    draws = spy_draws()
     reports = risk_monte_carlo(estimators, test)
     assert draws == []
     assert len(reports) == len(estimators)
@@ -206,7 +204,7 @@ def test_monte_carlo_small_noise_matches_extended_precision():
         assert abs(report.std_err - std_err) <= 1e-10 * std_err
 
 
-def test_monte_carlo_memory_does_not_grow_with_the_test_draw(monkeypatch):
+def test_monte_carlo_memory_does_not_grow_with_the_test_draw(spy_draws):
     # Four estimators on an n = 10^4, M = 500 test set: the test Y would take
     # 40 MB.  The scorer holds the stacked bases (3.2 MB), one 4 MB block of
     # Z and one QR of [L, U] at a time, and never reads Y; measured peak 7.9 MB.
@@ -220,9 +218,7 @@ def test_monte_carlo_memory_does_not_grow_with_the_test_draw(monkeypatch):
         gd_estimator_closed(cache, INFINITY),
     ]
     test = sample_dataset(params, basis, 500, seed=5)
-    draws = []
-    draw = model._draw_noisy
-    monkeypatch.setattr(model, "_draw_noisy", lambda *args: draws.append(args[2].shape) or draw(*args))
+    draws = spy_draws()
     tracemalloc.start()
     try:
         reports = risk_monte_carlo(estimators, test)

@@ -202,13 +202,11 @@ def test_streamed_cell_never_forms_y(monkeypatch):
 @pytest.mark.parametrize("mc", [0, 50])
 @pytest.mark.parametrize("n_train,cell_seed,route", [(600, 1, "gram"), (300, 600, "gram-certified")],
                          ids=["wide", "square-certified"])
-def test_wide_cell_does_not_keep_y(monkeypatch, n_train, cell_seed, route, mc):
+def test_wide_cell_does_not_keep_y(monkeypatch, spy_draws, n_train, cell_seed, route, mc):
     # An ESGD + PCA cell with N >= n draws Y once, for Y Y^T and C Y^T, and
     # its dataset never keeps it: the decomposition, the certificate, the
     # risks and the estimator builds read the stored U_y and C Y^T.
-    datasets, draws = [], []
-    draw = model._draw_noisy
-    monkeypatch.setattr(model, "_draw_noisy", lambda *args: draws.append(args[2].shape) or draw(*args))
+    datasets, draws = [], spy_draws()
 
     def spy(dataset, **kwargs):
         datasets.append(dataset)
@@ -254,13 +252,11 @@ def _spy_on_routes(monkeypatch):
     return routes
 
 
-def test_tall_monte_carlo_cell_never_draws_y(monkeypatch):
+def test_tall_monte_carlo_cell_never_draws_y(monkeypatch, spy_draws):
     # A tall cell on the plain Gram route builds PCA, ESGD and PINV from
     # Y V_y through Dataset.noisy_matmul, which streams Z, and scores them on
     # a streamed test set: no Y, training or test, is ever drawn.
-    draws = []
-    draw = model._draw_noisy
-    monkeypatch.setattr(model, "_draw_noisy", lambda *args: draws.append(args[2].shape) or draw(*args))
+    draws = spy_draws()
     routes = _spy_on_routes(monkeypatch)
     config = _small_config(params=ModelParams(d=10, n=300, sigma_z=0.1), train_sizes=(100,),
                            n_seeds=1, mc_test_size=50)
