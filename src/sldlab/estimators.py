@@ -55,15 +55,16 @@ class SvdCache:
 
     The cache holds the :class:`Dataset` it decomposed, and the estimator
     functions take the coefficients C, the true basis U and the model
-    parameters from it.  A decomposition route produces one singular
-    factor: the direct SVD and the n x n Gram route store u_y, the N x N
-    Gram route stores v_y.  The N x N route reads the dataset's
+    parameters from it.  The direct SVD stores both singular factors, the
+    n x n Gram route stores u_y and the N x N Gram route v_y; every route
+    also hands over g = C V_y and M = U_y^T U, formed by :func:`_truncated`
+    from what the route holds.  The N x N route reads the dataset's
     :attr:`~sldlab.model.Dataset.noise_stats`, Z^T Z and W = U^T Z, in
-    place of Y: so do :attr:`ut_basis` and :meth:`leading_u_in_frame`, and
+    place of Y: so do its M and :meth:`leading_u_in_frame`, and
     its :meth:`u_matmul` and :meth:`leading_u` read Y only through
     :meth:`~sldlab.model.Dataset.noisy_matmul`.  The n x n route forms Y Y^T
     and the d x n product C Y^T from one draw of Y, dropped before the
-    ``eigh``; :attr:`coeff_v` and the certificate read the stored C Y^T.
+    ``eigh``; g is (C Y^T) U_y / S_y, and C Y^T is not kept.
     So no sweep builds anything n x r, and no tall Gram cell forms Y.
 
     s_y      -- r retained singular values, descending, all >= max(n, N) * eps * S_y[0]
@@ -73,19 +74,21 @@ class SvdCache:
                 :func:`_gram_certified`; its k = INFINITY entries come from
                 :attr:`pinv_factor`)
     dataset  -- the Dataset whose noisy matrix Y was decomposed
-    coeff_yt -- C Y^T (d x n), stored by a route that stores u_y but not v_y
+    coeff_v  -- g = C V_y (d x r), read by the GD profile and every GD estimator
+    ut_basis -- M = U_y^T U (r x d), read by the GD profile
     """
 
     s_y: np.ndarray
     route: str
     dataset: Dataset = field(repr=False)
+    coeff_v: np.ndarray = field(repr=False)
+    ut_basis: np.ndarray = field(repr=False)
     _u_y: np.ndarray | None = field(default=None, repr=False)
     _v_y: np.ndarray | None = field(default=None, repr=False)
-    _coeff_yt: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self._v_y is None and (self._u_y is None or self._coeff_yt is None):
-            raise InvariantError("SvdCache needs v_y, or u_y together with C Y^T")
+        if self._u_y is None and self._v_y is None:
+            raise InvariantError("SvdCache needs u_y or v_y")
 
     @property
     def rank(self) -> int:
@@ -104,23 +107,7 @@ class SvdCache:
     @property
     def v_y(self) -> np.ndarray:
         """N x r right singular vectors (Y^T U_y / S_y, formed on each access if not stored)."""
-        if self._v_y is None:
-            return (self.dataset.noisy.T @ self._u_y) / self.s_y
-        return self._v_y
-
-    @cached_property
-    def coeff_v(self) -> np.ndarray:
-        """g = C V_y (d x r), through the stored (C Y^T) U_y / S_y when V_y is not stored."""
-        if self._v_y is not None:
-            return self.dataset.coeff @ self._v_y
-        return (self._coeff_yt @ self._u_y) / self.s_y
-
-    @cached_property
-    def ut_basis(self) -> np.ndarray:
-        """M = U_y^T U (r x d), through diag(1/S_y) V_y^T (Y^T U) when U_y is not stored."""
-        if self._u_y is not None:
-            return self._u_y.T @ self.dataset.basis.matrix
-        return (self._v_y.T @ _yt_basis(self.dataset)) / self.s_y[:, None]
+        return (self.dataset.noisy.T @ self._u_y) / self.s_y if self._v_y is None else self._v_y
 
     @cached_property
     def pinv_factor(self) -> np.ndarray:
@@ -285,7 +272,8 @@ def svd_of(dataset: Dataset, grid_only: bool = False) -> SvdCache:
     Y's small side: the N x N Y^T Y when N < n (storing V_y, so U_y is
     formed only if a caller asks for it) from the dataset's noise
     statistics, so Y is not drawn, and the n x n Y Y^T otherwise (storing
-    U_y and C Y^T, from a draw of Y that is dropped before the ``eigh``).
+    U_y, from a draw of Y that is dropped before the ``eigh``; C Y^T from
+    the same draw gives g = C V_y and is not kept).
     Squaring Y squares its condition number, so the route ("gram") is kept
     when the run-time check eps * lambda_max / lambda_min <= _GRAM_TOL
     passes.  Noiseless data (sigma_z = 0) is exactly rank-deficient
@@ -325,8 +313,7 @@ def _gram_svd(dataset: Dataset, grid_only: bool) -> SvdCache | None:
     ill_conditioned = _EPS * lam_max > _GRAM_TOL * lam_min
     if not lam_min > 0.0 or (ill_conditioned and not grid_only):
         return None
-    s = np.sqrt(evals[::-1])
-    factor = np.ascontiguousarray(evecs[:, ::-1])
+    s, factor = np.sqrt(evals[::-1]), evecs[:, ::-1]  # _truncated copies the factor
     route = "gram-certified" if ill_conditioned else "gram"
     u, v = (None, factor) if tall else (factor, None)
     cache = _truncated(dataset, s, route, u=u, v=v, coeff_yt=coeff_yt)
@@ -355,11 +342,6 @@ def _wide_gram(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return y @ y.T, dataset.coeff @ y.T
 
 
-def _yt_basis(dataset: Dataset) -> np.ndarray:
-    """Y^T U = C^T + sigma W^T (N x d), from the noise statistics."""
-    return dataset.coeff.T + dataset.params.sigma_z * dataset.noise_stats[1].T
-
-
 def _gram_certified(cache: SvdCache) -> tuple[bool, float]:
     """Whether a Gram decomposition gets the oracle stop of the grid, and PCA, right.
 
@@ -369,7 +351,11 @@ def _gram_certified(cache: SvdCache) -> tuple[bool, float]:
     are those of :func:`gd_risk_profile` at ``cache.eta`` = 1 / S[0]^2 over
     the finite k of :data:`K_GRID`, and of :func:`pca_estimator`.  The
     profile terms read g = C V_y and M = U_y^T U from the cache, so a kept
-    decomposition hands them on to the sweep.
+    decomposition hands them on to the sweep.  So do the two operator norms
+    below: S M = V_y^T (Y^T U) and g S = (C Y^T) U_y, so ||S M||_2 =
+    ||Y^T U||_2 and ||g S||_2 = ||C Y^T||_2 when V_y (tall, m = N) or U_y
+    (wide, m = n) is square and orthogonal, that is at rank = m, which the
+    rule requires (a cache of lower rank is never certified).
 
     Error model.  Rounding in forming G and LAPACK's backward-stable ``eigh``
     make G_hat the exact eigendecomposition of G + E with
@@ -443,11 +429,11 @@ def _gram_certified(cache: SvdCache) -> tuple[bool, float]:
 
     k = np.asarray(grid, dtype=float)
     if tall:  # G = Y^T Y
-        scale = np.linalg.norm(coeff, 2) * np.linalg.norm(_yt_basis(dataset), 2)
+        scale = np.linalg.norm(coeff, 2) * np.linalg.norm(cache.ut_basis * cache.s_y[:, None], 2)
         delta = scale * eta**2 * k * (k - 1) / 2 * epsilon
         nu = float(np.sum(coeff * coeff)) * eta**2 * k * k * epsilon
     else:  # wide: G = Y Y^T
-        delta = np.linalg.norm(cache._coeff_yt, 2) * eta**2 * k * (k - 1) / 2 * epsilon
+        delta = np.linalg.norm(cache.coeff_v * cache.s_y, 2) * eta**2 * k * (k - 1) / 2 * epsilon
         nu = 2.0 * np.sqrt(w_norm2) * delta + delta * delta
     bound = (2.0 * np.sqrt(misfit2) * delta + delta * delta + sig2 * nu) / d
     noise_floor = np.maximum.accumulate(sig2 * (w_norm2 - nu)) / d
@@ -476,19 +462,25 @@ def _truncated(
     dataset: Dataset, s: np.ndarray, route: str,
     u: np.ndarray | None = None, v: np.ndarray | None = None, coeff_yt: np.ndarray | None = None,
 ) -> SvdCache:
-    """Keep the singular triples at or above the numerical-rank threshold."""
+    """Keep the singular triples at or above the numerical-rank threshold, with g and M.
+
+    g = C V_y and M = U_y^T U come from what the route holds: V_y, or the
+    n x n route's ``coeff_yt`` = C Y^T as (C Y^T) U_y / S_y; U_y, or the noise
+    statistics as S_y^-1 V_y^T (Y^T U), so the N x N route draws no Y.
+    """
     if s.size == 0 or s[0] <= 0.0:
         raise InvariantError("training matrix is identically zero; no singular directions")
     tol = max(dataset.params.n, dataset.n_train) * _EPS * float(s[0])
     r = int(np.count_nonzero(s >= tol))
-    return SvdCache(
-        s_y=s[:r].copy(),
-        route=route,
-        dataset=dataset,
-        _u_y=None if u is None else np.ascontiguousarray(u[:, :r]),
-        _v_y=None if v is None else np.ascontiguousarray(v[:, :r]),
-        _coeff_yt=coeff_yt,
-    )
+    s, coeff = s[:r].copy(), dataset.coeff
+    u = None if u is None else np.ascontiguousarray(u[:, :r])
+    v = None if v is None else np.ascontiguousarray(v[:, :r])
+    g = coeff @ v if v is not None else (coeff_yt @ u) / s
+    if u is not None:
+        m = u.T @ dataset.basis.matrix
+    else:  # Y^T U = C^T + sigma W^T
+        m = (v.T @ (coeff.T + dataset.params.sigma_z * dataset.noise_stats[1].T)) / s[:, None]
+    return SvdCache(s_y=s, route=route, dataset=dataset, coeff_v=g, ut_basis=m, _u_y=u, _v_y=v)
 
 
 # =====================================================================

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,17 +200,15 @@ def _evaluate_cell(
 def run_sweep(config: SweepConfig, workers: int = 1) -> RiskCurve:
     """Run every (train size, seed) cell and aggregate mean/std per size.
 
-    ``workers > 1`` distributes cells over spawned processes; results are
+    ``workers > 1`` distributes cells over worker processes; results are
     aggregated in fixed (train size, seed) order either way, so the output
-    is byte-identical for any worker count.
+    is byte-identical for any worker count.  A worker that dies without
+    returning its cell (killed, e.g. out of memory) fails the sweep with
+    :class:`~sldlab.errors.SweepCellError`; no cell is run twice.
     """
     if workers < 1:
         raise DimensionError(f"workers must be >= 1, got {workers}")
-    tasks = [
-        (config, i, j)
-        for i in range(len(config.train_sizes))
-        for j in range(config.n_seeds)
-    ]
+    tasks = [(config, i, j) for i in range(len(config.train_sizes)) for j in range(config.n_seeds)]
     if workers == 1 or len(tasks) == 1:
         results = [_run_cell(t) for t in tasks]
     else:
@@ -227,12 +224,9 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> RiskCurve:
         try:
             with ProcessPoolExecutor(max_workers=min(workers, len(tasks)), mp_context=ctx) as pool:
                 results = list(pool.map(_run_cell, tasks, chunksize=1))
-        except BrokenProcessPool:
-            # Worker startup can fail in exotic embeddings (e.g. stdin
-            # scripts); cells are order-independent, so falling back to the
-            # serial path yields byte-identical results, just slower.
-            print("sldlab: worker pool unavailable, running cells serially", file=sys.stderr)
-            results = [_run_cell(t) for t in tasks]
+        except BrokenProcessPool as exc:
+            raise SweepCellError("a worker process ended without returning its cell (killed, "
+                                 "e.g. out of memory); rerun with fewer --threads") from exc
 
     # cells[i, j, e] = (risk, mc mean, mc std error) of estimator e at size i, seed j
     cells = np.asarray(results).reshape(len(config.train_sizes), config.n_seeds, -1, 3)

@@ -69,9 +69,9 @@ def test_svd_cache_truncates_exact_rank():
 
 
 def test_svd_cache_coeff_v_and_ut_basis_agree_with_materialized():
-    # g = C V_y and M = U_y^T U, formed through Y where a factor is not
-    # stored, match the products with the materialized factors on the tall
-    # Gram, wide Gram and direct routes.
+    # g = C V_y and M = U_y^T U, formed by each route from what it holds,
+    # match the products with the materialized factors on the tall Gram,
+    # wide Gram and direct routes.
     for n, n_train, sigma, route, stores_u in [
         (200, 50, 0.1, "gram", False), (10, 30, 0.2, "gram", True), (60, 40, 0.0, "svd", True),
     ]:
@@ -175,6 +175,13 @@ def test_certified_gram_matches_direct_on_near_square_cells(n, n_train, sigma, s
     # The certificate's lower bound on the PINV risk really is one.
     certified, risk_inf_floor = _gram_certified(cache)
     assert certified and 0.0 < risk_inf_floor <= direct[-2]
+    # At full rank the certificate's norms, read from g and M, are those of
+    # C Y^T and Y^T U: the cells cover the wide (N >= n) and tall routes.
+    y = ds.noisy
+    assert np.linalg.norm(cache.coeff_v * cache.s_y, 2) == pytest.approx(
+        np.linalg.norm(ds.coeff @ y.T, 2), rel=1e-12)
+    assert np.linalg.norm(cache.ut_basis * cache.s_y[:, None], 2) == pytest.approx(
+        np.linalg.norm(y.T @ basis.matrix, 2), rel=1e-12)
 
 
 def test_certificate_keeps_the_direct_svd_at_sigma_1e_3():

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -156,6 +158,25 @@ def test_cell_failures_carry_cell_identity(monkeypatch):
     monkeypatch.setattr(sweep_mod, "_evaluate_cell", explode)
     with pytest.raises(SweepCellError, match=r"train_size=3 .*seed index 0"):
         run_sweep(_small_config())
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the patched cell reaches the workers only through fork")
+def test_dead_worker_fails_the_sweep(monkeypatch):
+    # A worker killed mid-cell (here it exits at once; in practice, e.g. the
+    # out-of-memory killer) fails the sweep: no cell is rerun serially.  The
+    # guard on the parent's pid lets a serial rerun in this process succeed,
+    # so a fallback would return a curve instead of raising.
+    parent, evaluate = os.getpid(), sweep_mod._evaluate_cell
+
+    def die_in_worker(config, n_train, cell_seed):
+        if os.getpid() != parent:
+            os._exit(1)
+        return evaluate(config, n_train, cell_seed)
+
+    monkeypatch.setattr(sweep_mod, "_evaluate_cell", die_in_worker)
+    with pytest.raises(SweepCellError, match=r"worker process ended .*fewer --threads"):
+        run_sweep(_small_config(), workers=2)
 
 
 def test_monte_carlo_cell_memory_at_large_n():
