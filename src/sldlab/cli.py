@@ -301,13 +301,27 @@ def _fit_rows(
             raise UsageError("--mode excess requires --floor auto or an explicit value")
         fit = fit_excess_powerlaw(points, floor, region)
         return [_fit_row(source, series, mode, "all", fit, span)]
-    seg = fit_segmented(points[lo:hi], min_seg=min_seg, floor=floor)
-    improvement = 0.0 if seg.single_sse <= 1e-300 else 1.0 - seg.total_sse / seg.single_sse
-    extra = (seg.break_size, improvement, seg.breakpoint_evidence)
+    seg = fit_segmented(points, min_seg=min_seg, floor=floor, region=region)
+    extra = (seg.break_size, seg.sse_improvement, seg.breakpoint_evidence)
     return [
         _fit_row(source, series, mode, "left", seg.left, (span[0], seg.break_size), *extra),
         _fit_row(source, series, mode, "right", seg.right, (seg.break_size, span[1]), *extra),
     ]
+
+
+def _report_fit(source: str, column: str, n_points: int, mode: str, rows: list[dict[str, str]]) -> None:
+    """Print one fit of ``fit`` or ``reproduce``: its input, a line per row, and a segmented fit's break."""
+    print(f"{source}: column {column}, {n_points} points, mode {mode}")
+    for row in rows:
+        print(_describe_row(row))
+    if mode == "segmented":
+        left = rows[0]
+        verdict = "yes" if left["breakpoint_evidence"] == "true" else "no"
+        print(  # the left segment's points are the points before the break
+            f"  break at size~{float(left['break_size']):.6g} (index {left['n_points']}), "
+            f"SSE improvement {float(left['sse_improvement']):.1%}, "
+            f"breakpoint evidence: {verdict}"
+        )
 
 
 def _describe_row(row: dict[str, str]) -> str:
@@ -393,19 +407,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     sizes, values, column = read_series_csv(args.infile, args.col)
     floor = _resolve_floor(args.floor, args.sigma)
     source = str(args.infile)
-    print(f"{source}: column {column}, {len(sizes)} points, mode {args.mode}")
     rows = _fit_rows(source, column, np.column_stack([sizes, values]), args.mode, floor,
                      args.min_seg)
-    for row in rows:
-        print(_describe_row(row))
-    if args.mode == "segmented":
-        left = rows[0]
-        verdict = "yes" if left["breakpoint_evidence"] == "true" else "no"
-        print(  # the left segment's points are the points before the break
-            f"  break at size~{float(left['break_size']):.6g} (index {left['n_points']}), "
-            f"SSE improvement {float(left['sse_improvement']):.1%}, "
-            f"breakpoint evidence: {verdict}"
-        )
+    _report_fit(source, column, len(sizes), args.mode, rows)
     if out:
         _make_dirs(out.parent)
         _write_fits_csv(out, rows)
@@ -525,6 +529,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
             points = np.column_stack([curve.train_sizes.astype(float), curve.series[name].mean])
             rows = _fit_rows(csv_path.name, f"{label}/{name}", points, fit.mode, floor,
                              region=fit.region(config.train_sizes))
+            _report_fit(csv_path.name, f"{name}_M", len(points), fit.mode, rows)
             fit_rows.extend(rows)
             overlays += [_fit_overlay(name, row, shown_floor is not None) for row in rows]
         svg_path = out_dir / f"{preset.name}_{label}.svg"
@@ -536,11 +541,6 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         fits_path = out_dir / f"{preset.name}_fits.csv"
         _write_fits_csv(fits_path, fit_rows)
         outputs.append(fits_path)
-        for row in fit_rows:
-            print(
-                f"  {row['series']} [{row['segment']}]: alpha={float(row['alpha']):.6g} "
-                f"r2={float(row['r_squared']):.6g}"
-            )
     manifest = out_dir / f"{preset.name}_manifest.json"
     _write_manifest(
         manifest, "reproduce", sys.argv[1:],

@@ -69,10 +69,10 @@ class SvdCache:
 
     s_y      -- r retained singular values, descending, all >= max(n, N) * eps * S_y[0]
     route    -- "svd" (direct), "gram" (eigendecomposition of the small Gram,
-                passing the conditioning check) or "gram-certified" (a Gram
-                decomposition whose oracle stop and PCA passed
-                :func:`_gram_certified`; its k = INFINITY entries come from
-                :attr:`pinv_factor`)
+                passing the conditioning check) or "gram-certified" (an n x n
+                Gram decomposition of an N >= n cell whose oracle stop and PCA
+                passed :func:`_gram_certified`; its k = INFINITY entries come
+                from :attr:`pinv_factor`)
     dataset  -- the Dataset whose noisy matrix Y was decomposed
     coeff_v  -- g = C V_y (d x r), read by the GD profile and every GD estimator
     ut_basis -- M = U_y^T U (r x d), read by the GD profile
@@ -113,29 +113,22 @@ class SvdCache:
     def pinv_factor(self) -> np.ndarray:
         """B = (C Y^+)^T (n x d), so that the PINV map is W^INFINITY = U B^T = U C Y^+.
 
-        Formed from a Householder QR of Y, not from the spectrum: with
-        Y = Q R when N <= n, B = Q (R^-T C^T); with Y^T = Q R otherwise,
+        Formed from a Householder QR Y^T = Q R, not from the spectrum, as
         B = R^-1 (Q^T C^T).  Q is never formed: LAPACK's reflectors are
-        applied to the n x d block R^-T C^T (padded with zeros) or to C^T,
-        and R is solved by :func:`_triangular_solve`, O(n N d) in all past
-        the QR itself.  B is then accurate to eps * kappa(Y), where the
-        filter 1 / S_y of a Gram decomposition carries eps * kappa(Y)^2.
-        Read for the k = INFINITY entries of a "gram-certified" cache.
+        applied to C^T, and R is solved by :func:`_triangular_solve`,
+        O(n N d) in all past the QR itself.  B is then accurate to
+        eps * kappa(Y), where the filter 1 / S_y of a Gram decomposition
+        carries eps * kappa(Y)^2.  Read for the k = INFINITY entries of a
+        "gram-certified" cache, which always has N >= n; a cache with N < n
+        raises InvariantError.
         """
-        y, coeff_t = self.dataset.noisy, self.dataset.coeff.T
-        n, n_train = y.shape
-        if n_train <= n:
-            h, tau = np.linalg.qr(y, mode="raw")
-            del y
-            b = np.zeros((n, coeff_t.shape[1]))
-            b[:n_train] = _triangular_solve(h[:, :n_train].T, coeff_t, transpose=True)
-            _apply_reflectors(h, tau, b, reverse=True)
-            return b
-        h, tau = np.linalg.qr(y.T, mode="raw")
-        del y
-        qt_coeff = coeff_t.copy()
-        _apply_reflectors(h, tau, qt_coeff, reverse=False)
-        return _triangular_solve(h[:, :n].T, qt_coeff[:n], transpose=False)
+        n = self.dataset.params.n
+        if self.dataset.n_train < n:
+            raise InvariantError(f"pinv_factor needs N >= n, got N = {self.dataset.n_train} < n = {n}")
+        h, tau = np.linalg.qr(self.dataset.noisy.T, mode="raw")
+        qt_coeff = self.dataset.coeff.T.copy()
+        _apply_reflectors(h, tau, qt_coeff)
+        return _triangular_solve(h[:, :n].T, qt_coeff[:n])
 
     def u_matmul(self, a: np.ndarray) -> np.ndarray:
         """Return ``u_y @ a`` without forming u_y.
@@ -152,11 +145,11 @@ class SvdCache:
 
         Without a stored u_y they are formed by :meth:`u_matmul` as
         Y V_y[:, :k] / S_y[:k], whose columns drift from orthonormal by up to
-        eps * lambda_max / lambda_k (<= _GRAM_TOL on the "gram" route, reached
-        when k covers the whole spectrum, as for N <= d; a "gram-certified"
-        route has rank > d, so PCA's k = d stops above its smallest
-        eigenvalues).  One QR pass, signed so that R has a positive diagonal,
-        removes that drift while moving each column by no more than it.
+        eps * lambda_max / lambda_k (<= _GRAM_TOL: only the N x N "gram"
+        route, which passed the conditioning check, stores no u_y; reached
+        when k covers the whole spectrum, as for N <= d).  One QR pass,
+        signed so that R has a positive diagonal, removes that drift while
+        moving each column by no more than it.
         """
         if self._u_y is not None:
             return self._u_y[:, :k]
@@ -201,15 +194,15 @@ class SvdCache:
         return np.vstack([overlap, np.sqrt(np.clip(lam, 0.0, None))[:, None] * vec.T])
 
 
-def _apply_reflectors(h: np.ndarray, tau: np.ndarray, x: np.ndarray, reverse: bool) -> None:
-    """Multiply ``x`` in place by Q (``reverse=True``) or Q^T, from ``np.linalg.qr(a, mode="raw")``.
+def _apply_reflectors(h: np.ndarray, tau: np.ndarray, x: np.ndarray) -> None:
+    """Multiply ``x`` in place by Q^T, from ``np.linalg.qr(a, mode="raw")``.
 
     (h, tau) hold Q = H_0 H_1 ... H_{m-1}, m = len(tau), as LAPACK's
     reflectors H_j = I - tau_j v_j v_j^T, where v_j is zero above entry j,
-    one at it and h[j, j+1:] below it.  Q x applies H_{m-1} first, Q^T x
-    applies H_0 first; each reflector costs O(rows * k) for a k-column x.
+    one at it and h[j, j+1:] below it.  Q^T x applies H_0 first; each
+    reflector costs O(rows * k) for a k-column x.
     """
-    for j in (reversed(range(tau.size)) if reverse else range(tau.size)):
+    for j in range(tau.size):
         v = h[j, j + 1:]
         w = x[j] + v @ x[j + 1:]
         w *= tau[j]
@@ -222,25 +215,19 @@ def _apply_reflectors(h: np.ndarray, tau: np.ndarray, x: np.ndarray, reverse: bo
 _SOLVE_BLOCK = 64
 
 
-def _triangular_solve(r: np.ndarray, b: np.ndarray, transpose: bool) -> np.ndarray:
-    """x with R x = b, or R^T x = b when ``transpose``, for R the upper triangle of the m x m ``r``.
+def _triangular_solve(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with R x = b, for R the upper triangle of the m x m ``r``.
 
-    Substitution over _SOLVE_BLOCK-row blocks: each diagonal block is
+    Back substitution over _SOLVE_BLOCK-row blocks: each diagonal block is
     solved by LAPACK, and the rows solved before it enter by one matrix
     product, so k right-hand sides cost O(m^2 k).
     """
     m = r.shape[0]
     x = b.copy()
-    starts = range(0, m, _SOLVE_BLOCK)
-    for lo in (starts if transpose else reversed(starts)):
+    for lo in reversed(range(0, m, _SOLVE_BLOCK)):
         hi = min(lo + _SOLVE_BLOCK, m)
-        diag = np.triu(r[lo:hi, lo:hi])
-        if transpose:  # R^T is lower triangular: forward substitution
-            x[lo:hi] -= r[:lo, lo:hi].T @ x[:lo]
-            x[lo:hi] = np.linalg.solve(diag.T, x[lo:hi])
-        else:
-            x[lo:hi] -= r[lo:hi, hi:] @ x[hi:]
-            x[lo:hi] = np.linalg.solve(diag, x[lo:hi])
+        x[lo:hi] -= r[lo:hi, hi:] @ x[hi:]
+        x[lo:hi] = np.linalg.solve(np.triu(r[lo:hi, lo:hi]), x[lo:hi])
     return x
 
 
@@ -257,11 +244,12 @@ def _triangular_solve(r: np.ndarray, b: np.ndarray, transpose: bool) -> np.ndarr
 #: checked at.  At sigma = 0.1 it rejects only cells near N = n, where the
 #: smallest singular value of a near-square Y collapses.  It is far stricter
 #: than the error a finite-k risk sees, so a caller that reads only the oracle
-#: stop may keep a rejected decomposition when :func:`_gram_certified` bounds
-#: the risk at the argmin to the same relative _GRAM_TOL (every other finite k
-#: is either as accurate or cannot be the argmin); the k = INFINITY entry,
-#: which inherits the full eps * kappa, is then taken from a QR of Y
-#: (:attr:`SvdCache.pinv_factor`).
+#: stop may keep a rejected n x n Gram (N >= n) when :func:`_gram_certified`
+#: bounds the risk at the argmin to the same relative _GRAM_TOL (every other
+#: finite k is either as accurate or cannot be the argmin); the k = INFINITY
+#: entry, which inherits the full eps * kappa, is then taken from a QR of Y
+#: (:attr:`SvdCache.pinv_factor`).  A rejected N x N Gram (N < n) always goes
+#: to the direct SVD: the log grids of the sweeps put no N that close below n.
 _GRAM_TOL = 1e-8
 
 
@@ -281,17 +269,17 @@ def svd_of(dataset: Dataset, grid_only: bool = False) -> SvdCache:
 
     ``grid_only=True`` declares that the caller reads GD risks only through
     :func:`oracle_stop` and the k = INFINITY entry, GD estimators only at
-    those k, and the PCA risk and estimator.  A full-rank Gram decomposition
+    those k, and the PCA risk and estimator.  A full-rank n x n Gram (N >= n)
     that fails the check is then kept ("gram-certified") when
     :func:`_gram_certified` bounds the risk at the finite-k argmin and PCA's
     subspace to relative _GRAM_TOL, and shows that no other k of
     :data:`K_GRID` can be the argmin; on such a cache the k = INFINITY
     (PINV) risk and estimator come from a QR of Y
     (:attr:`SvdCache.pinv_factor`), accurate to eps * kappa.  This is what
-    saves the direct SVD of near-square cells.  Otherwise -- tiny sigma_z,
-    or any rank deficiency -- the matrix goes to the direct SVD.  The
-    default, ``grid_only=False``, keeps only a Gram that passes the check,
-    so the profile may be read at any k.
+    saves the direct SVD of square and near-square wide cells.  Otherwise --
+    an N x N Gram (N < n), tiny sigma_z, or any rank deficiency -- the
+    matrix goes to the direct SVD.  The default, ``grid_only=False``, keeps
+    only a Gram that passes the check, so the profile may be read at any k.
     """
     cache = _gram_svd(dataset, grid_only) if dataset.params.sigma_z > 0 else None
     return cache if cache is not None else _direct_svd(dataset)
@@ -302,8 +290,9 @@ def _gram_svd(dataset: Dataset, grid_only: bool) -> SvdCache | None:
 
     For N < n the Gram is Y^T Y = C^T C + sigma (C^T W + W^T C) + sigma^2 Z^T Z,
     formed from :attr:`~sldlab.model.Dataset.noise_stats` (Y = U C + sigma Z,
-    W = U^T Z), so Y is not drawn; for N >= n it is Y Y^T, from
-    :func:`_wide_gram`.
+    W = U^T Z), so Y is not drawn, and kept only if it passes the check; for
+    N >= n it is Y Y^T, from :func:`_wide_gram`, and ``grid_only`` lets it
+    be certified.
     """
     tall = dataset.n_train < dataset.params.n
     gram, coeff_yt = (_tall_gram(dataset), None) if tall else _wide_gram(dataset)
@@ -311,7 +300,7 @@ def _gram_svd(dataset: Dataset, grid_only: bool) -> SvdCache | None:
     del gram  # one N x N array fewer while the factor is copied below
     lam_min, lam_max = float(evals[0]), float(evals[-1])
     ill_conditioned = _EPS * lam_max > _GRAM_TOL * lam_min
-    if not lam_min > 0.0 or (ill_conditioned and not grid_only):
+    if not lam_min > 0.0 or (ill_conditioned and (tall or not grid_only)):
         return None
     s, factor = np.sqrt(evals[::-1]), evecs[:, ::-1]  # _truncated copies the factor
     route = "gram-certified" if ill_conditioned else "gram"
@@ -343,23 +332,22 @@ def _wide_gram(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gram_certified(cache: SvdCache) -> tuple[bool, float]:
-    """Whether a Gram decomposition gets the oracle stop of the grid, and PCA, right.
+    """Whether an n x n Gram decomposition gets the oracle stop of the grid, and PCA, right.
 
     Returns (certified, lower bound on the k = INFINITY risk).  ``cache`` is
-    the full-rank eigendecomposition G_hat = V diag(S^2) V^T of the m x m
-    Gram G of its dataset's Y's small side (m = min(n, N)), and the risks
-    are those of :func:`gd_risk_profile` at ``cache.eta`` = 1 / S[0]^2 over
-    the finite k of :data:`K_GRID`, and of :func:`pca_estimator`.  The
-    profile terms read g = C V_y and M = U_y^T U from the cache, so a kept
-    decomposition hands them on to the sweep.  So do the two operator norms
-    below: S M = V_y^T (Y^T U) and g S = (C Y^T) U_y, so ||S M||_2 =
-    ||Y^T U||_2 and ||g S||_2 = ||C Y^T||_2 when V_y (tall, m = N) or U_y
-    (wide, m = n) is square and orthogonal, that is at rank = m, which the
-    rule requires (a cache of lower rank is never certified).
+    the full-rank eigendecomposition G_hat = U_y diag(S^2) U_y^T of the
+    n x n Gram G = Y Y^T of its dataset's Y (N >= n), and the risks are
+    those of :func:`gd_risk_profile` at ``cache.eta`` = 1 / S[0]^2 over the
+    finite k of :data:`K_GRID`, and of :func:`pca_estimator`.  The profile
+    terms read g = C V_y and M = U_y^T U from the cache, so a kept
+    decomposition hands them on to the sweep.  So does the operator norm
+    below: g S = (C Y^T) U_y, so ||g S||_2 = ||C Y^T||_2 when U_y is square
+    and orthogonal, that is at rank = n, which the rule requires (a cache of
+    lower rank, and so any cache with N < n, is never certified).
 
     Error model.  Rounding in forming G and LAPACK's backward-stable ``eigh``
     make G_hat the exact eigendecomposition of G + E with
-    ||E||_F <= epsilon = c * eps * ||G_hat||_F, c = m.  This is a model, not
+    ||E||_F <= epsilon = c * eps * ||G_hat||_F, c = n.  This is a model, not
     a proof: a priori bounds on the Gram product grow with the inner dimension
     and ||Y||_F^2, and eigh states none with a constant.  The tests check the
     resulting bounds against the direct SVD.
@@ -368,24 +356,18 @@ def _gram_certified(cache: SvdCache) -> tuple[bool, float]:
     both spectra lie in [0, 2 / eta] (x in [0, 2]) as long as epsilon <=
     lambda_max, and there
       p_k(lambda) = (1 - (1 - eta lambda)^k) / lambda has Lipschitz constant
-        Lp_k = eta^2 k (k - 1) / 2, and
-      h_k(lambda) = lambda p_k(lambda)^2 has Lipschitz constant
-        Lh_k = eta^2 k^2.
+        Lp_k = eta^2 k (k - 1) / 2.
     For symmetric arguments ||f(A) - f(B)||_F <= Lip(f) ||A - B||_F.  The
-    computed misfit is C p_k(G_hat) Y^T U - I on the tall route (N < n,
-    G = Y^T Y) and C Y^T p_k(G_hat) U - I on the wide one (G = Y Y^T), so it
-    moves by at most delta_k = ||C||_2 ||Y^T U||_2 Lp_k epsilon (tall) or
-    ||C Y^T||_2 Lp_k epsilon (wide).  The computed ||W^k||_F^2 is
-    tr(C h_k(G_hat) C^T) on the tall route, so it moves by at most
-    nu_k = ||C||_F^2 Lh_k epsilon; on the wide route it is
-    ||C Y^T p_k(G_hat)||_F^2, not a spectral function of G_hat, and
-    ||W^k||_F moves by at most delta_k, so nu_k = 2 ||W^k||_F delta_k +
-    delta_k^2.  Every finite-k risk is then within
+    computed misfit is C Y^T p_k(G_hat) U - I, so it moves by at most
+    delta_k = ||C Y^T||_2 Lp_k epsilon.  The computed ||W^k||_F^2 is
+    ||C Y^T p_k(G_hat)||_F^2, and ||W^k||_F moves by at most delta_k, so
+    ||W^k||_F^2 moves by at most nu_k = 2 ||W^k||_F delta_k + delta_k^2.
+    Every finite-k risk is then within
       b_k = (2 ||misfit_k||_F delta_k + delta_k^2 + sigma^2 nu_k) / d
-    of its exact value.  On both routes the exact noise term
-    sigma^2 ||W^k||_F^2 / d is sigma^2 tr(C h_k(Y^T Y) C^T) / d, h_k rises
-    with k to 1 / lambda, and the misfit term is nonnegative, so every k,
-    finite or INFINITY, has the running noise bound
+    of its exact value.  The exact noise term sigma^2 ||W^k||_F^2 / d is
+    sigma^2 tr(C h_k(Y^T Y) C^T) / d with h_k(lambda) = lambda p_k(lambda)^2,
+    which rises with k to 1 / lambda, and the misfit term is nonnegative, so
+    every k, finite or INFINITY, has the running noise bound
       risk_k >= floor_k = max over finite k' <= k of
                           (sigma^2 ||W^k'||_F^2 - sigma^2 nu_k') / d,
     and risk_inf >= floor at the largest finite k.
@@ -400,11 +382,10 @@ def _gram_certified(cache: SvdCache) -> tuple[bool, float]:
       - the k = INFINITY lower bound above exceeds risk_k* + b_k*, so the
         oracle argmin is finite and the computed risk_inf >= the computed
         risk_k* (its noise term alone exceeds the bound);
-      - rank > d and Davis-Kahan certifies PCA's top-d subspace:
-        epsilon / (lambda_d - lambda_{d+1} - epsilon) <= _GRAM_TOL, where
-        the - epsilon covers the shift of G's own lambda_{d+1} (Weyl).  On
-        the tall route Y V_d spans the PCA directions; mapping through Y
-        scales the angle by s_{d+1} / s_d < 1.
+      - Davis-Kahan certifies PCA's top-d subspace (rank n > d, so
+        lambda_{d+1} exists): epsilon / (lambda_d - lambda_{d+1} - epsilon)
+        <= _GRAM_TOL, where the - epsilon covers the shift of G's own
+        lambda_{d+1} (Weyl).
     Then the reported ESGD risk (the computed minimum) and the PCA subspace
     are accurate to relative _GRAM_TOL; any other finite-k entry is either as
     accurate or cannot be the argmin, which is all the certificate says of
@@ -413,28 +394,20 @@ def _gram_certified(cache: SvdCache) -> tuple[bool, float]:
     :func:`oracle_stop` searches the finite k alone, since the lower bound
     shows that INFINITY is not the argmin.
     """
-    dataset = cache.dataset
-    coeff, params = dataset.coeff, dataset.params
-    d, sig2 = params.d, params.sigma_z**2
-    tall = dataset.n_train < params.n
-    m = min(dataset.n_train, params.n)
-    if cache.rank != m or m <= d:
+    params = cache.dataset.params
+    d, n, sig2 = params.d, params.n, params.sigma_z**2
+    if cache.rank != n:
         return False, 0.0
     lam = cache.s_y**2
-    epsilon = m * _EPS * float(np.sqrt(np.sum(lam * lam)))
+    epsilon = n * _EPS * float(np.sqrt(np.sum(lam * lam)))
     eta = cache.eta
     grid = K_GRID[:-1]  # every k but INFINITY
     misfit2, w_norm2 = _profile_terms(cache, grid)
     risk = (misfit2 + sig2 * w_norm2) / d
 
     k = np.asarray(grid, dtype=float)
-    if tall:  # G = Y^T Y
-        scale = np.linalg.norm(coeff, 2) * np.linalg.norm(cache.ut_basis * cache.s_y[:, None], 2)
-        delta = scale * eta**2 * k * (k - 1) / 2 * epsilon
-        nu = float(np.sum(coeff * coeff)) * eta**2 * k * k * epsilon
-    else:  # wide: G = Y Y^T
-        delta = np.linalg.norm(cache.coeff_v * cache.s_y, 2) * eta**2 * k * (k - 1) / 2 * epsilon
-        nu = 2.0 * np.sqrt(w_norm2) * delta + delta * delta
+    delta = np.linalg.norm(cache.coeff_v * cache.s_y, 2) * eta**2 * k * (k - 1) / 2 * epsilon
+    nu = 2.0 * np.sqrt(w_norm2) * delta + delta * delta
     bound = (2.0 * np.sqrt(misfit2) * delta + delta * delta + sig2 * nu) / d
     noise_floor = np.maximum.accumulate(sig2 * (w_norm2 - nu)) / d
     risk_inf_floor = float(noise_floor[-1])

@@ -44,8 +44,10 @@ class SegmentedFit:
     break_index is the number of points in the left segment (indices are
     relative to the points the search ran on, i.e. after floor drops);
     break_size is the geometric mean of the sizes adjacent to the split.
-    breakpoint_evidence is False when the two-segment fit improves the
-    single-fit SSE by less than 5%.
+    Each segment's region and n_dropped count input points, as in
+    :func:`fit_excess_powerlaw`; the left region ends at the right one's start.
+    sse_improvement is 1 - total_sse / single_sse, and breakpoint_evidence is
+    False when it is below 5%.
     """
 
     left: PowerLawFit
@@ -54,6 +56,7 @@ class SegmentedFit:
     break_size: float
     total_sse: float
     single_sse: float
+    sse_improvement: float
     breakpoint_evidence: bool
 
 
@@ -164,8 +167,9 @@ def fit_segmented(
     points,
     min_seg: int = 3,
     floor: float | None = None,
+    region: tuple[int, int] | None = None,
 ) -> SegmentedFit:
-    """Exhaustive best two-segment power-law fit with >= min_seg points a side.
+    """Exhaustive best two-segment power-law fit over points[region] with >= min_seg points a side.
 
     Points must be sorted by size.  The breakpoint minimizing total SSE
     wins; ties go to the earliest break.  With a floor given, sub-floor
@@ -175,10 +179,13 @@ def fit_segmented(
     if min_seg < 2:
         raise InsufficientDataError(f"min_seg must be >= 2, got {min_seg}")
     pts = _as_points(points)
+    lo, hi = _check_region(region, pts.shape[0])
+    pts, kept = pts[lo:hi], np.arange(lo, hi)  # kept: the input index of each point searched
     if np.any(np.diff(pts[:, 0]) <= 0):
         raise FitDomainError("points must be sorted by strictly ascending size")
     if floor is not None:
         pts, keep = _above_floor(pts, floor)
+        kept = kept[keep]
     m = pts.shape[0]
     if m < 2 * min_seg:
         raise InsufficientDataError(
@@ -198,10 +205,10 @@ def fit_segmented(
             best_b = b
             best_pair = (left, right)
     assert best_pair is not None
-    left, right = best_pair
-    if floor is not None:
-        left = replace(left, n_dropped=keep.size - m, floor=float(floor))
-        right = replace(right, n_dropped=keep.size - m, floor=float(floor))
+    split = int(kept[best_b])  # the input index of the right segment's first point
+    floor = None if floor is None else float(floor)
+    left = replace(best_pair[0], region=(lo, split), n_dropped=split - lo - best_b, floor=floor)
+    right = replace(best_pair[1], region=(split, hi), n_dropped=hi - split - (m - best_b), floor=floor)
     improvement = 0.0 if single.sse <= 1e-300 else 1.0 - best_sse / single.sse
     return SegmentedFit(
         left=left,
@@ -210,5 +217,6 @@ def fit_segmented(
         break_size=float(math.sqrt(pts[best_b - 1, 0] * pts[best_b, 0])),
         total_sse=best_sse,
         single_sse=single.sse,
+        sse_improvement=improvement,
         breakpoint_evidence=improvement >= 0.05,
     )

@@ -12,6 +12,7 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sldlab.cli as cli
@@ -264,6 +265,23 @@ def test_fit_segmented_reports_break(tmp_path, capsys):
     assert float(left["alpha"]) == pytest.approx(-0.3, abs=1e-9)
     assert float(right["alpha"]) == pytest.approx(-1.7, abs=1e-9)
     assert left["breakpoint_evidence"] == "true"
+
+
+def test_segmented_rows_index_the_curve_like_the_other_modes():
+    # Over a region of the curve with one point at the floor, each segment's
+    # region indexes the curve, as the excess fit's does: the two tile the
+    # fit region, and each n_dropped counts the drops of its own region.
+    sizes = np.geomspace(10, 100000, 12)
+    floor = 0.01
+    points = np.column_stack([sizes, floor + 2.0 * sizes**-0.5])
+    points[5, 1] = floor
+    (excess,) = cli._fit_rows("c.csv", "R", points, "excess", floor, region=(1, 10))
+    left, right = cli._fit_rows("c.csv", "R", points, "segmented", floor, region=(1, 10))
+    assert (excess["region_lo"], excess["region_hi"], excess["n_dropped"]) == ("1", "10", "1")
+    assert (left["region_lo"], left["region_hi"], right["region_hi"]) == ("1", right["region_lo"], "10")
+    assert int(left["n_dropped"]) + int(right["n_dropped"]) == 1
+    for row in (left, right):
+        assert int(row["region_hi"]) - int(row["region_lo"]) == int(row["n_points"]) + int(row["n_dropped"])
 
 
 def test_fit_min_seg_below_two_exits_2_before_reading(tmp_path, capsys):

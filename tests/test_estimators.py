@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import sldlab.sweep as sweep_mod
 from sldlab.errors import DimensionError, InvariantError
 from sldlab.estimators import (
     INFINITY,
@@ -24,6 +25,7 @@ from sldlab.estimators import (
 )
 from sldlab.model import Dataset, LinearEstimator, ModelParams, sample_basis, sample_dataset
 from sldlab.risk import risk_closed_form
+from sldlab.sweep import SweepConfig
 
 
 def _instance(n=20, d=3, sigma=0.2, n_train=15, seed=0):
@@ -141,11 +143,11 @@ def test_svd_of_small_sigma_wide_falls_back_to_direct():
 
 # Near-square cells that fail eps * kappa <= 1e-8 (3.5e-8, 8.0e-8, 2.0e-8,
 # 1.6e-8, 3.1e-8 and 1.6e-7 on these draws), so plain svd_of sends them to the
-# direct SVD: square, tall (N = n - 1) and wide (N = n + 2).  At sigma = 0.01
-# the certificate settles k = 2^19 and 2^20 only by its running noise bound.
+# direct SVD: square and wide (N = n + 2).  At sigma = 0.01 the certificate
+# settles k = 2^19 and 2^20 only by its running noise bound.
 _NEAR_SQUARE = [(100, 100, 0.05, 200), (300, 300, 0.05, 600),
                 (1000, 1000, 0.1, 2000), (1000, 1000, 0.2, 1),
-                (1000, 999, 0.1, 1), (1000, 1002, 0.1, 7), (1000, 1000, 0.01, 0)]
+                (1000, 1002, 0.1, 7), (1000, 1000, 0.01, 0)]
 
 
 @pytest.mark.parametrize("n,n_train,sigma,seed", _NEAR_SQUARE)
@@ -175,13 +177,24 @@ def test_certified_gram_matches_direct_on_near_square_cells(n, n_train, sigma, s
     # The certificate's lower bound on the PINV risk really is one.
     certified, risk_inf_floor = _gram_certified(cache)
     assert certified and 0.0 < risk_inf_floor <= direct[-2]
-    # At full rank the certificate's norms, read from g and M, are those of
-    # C Y^T and Y^T U: the cells cover the wide (N >= n) and tall routes.
-    y = ds.noisy
+    # At full rank the certificate's norm, read from g, is that of C Y^T.
     assert np.linalg.norm(cache.coeff_v * cache.s_y, 2) == pytest.approx(
-        np.linalg.norm(ds.coeff @ y.T, 2), rel=1e-12)
-    assert np.linalg.norm(cache.ut_basis * cache.s_y[:, None], 2) == pytest.approx(
-        np.linalg.norm(y.T @ basis.matrix, 2), rel=1e-12)
+        np.linalg.norm(ds.coeff @ ds.noisy.T, 2), rel=1e-12)
+
+
+def test_ill_conditioned_tall_gram_takes_the_direct_svd(monkeypatch):
+    # Only the n x n Gram is certified.  The tall N = n - 1 cell fails the
+    # conditioning check, so even read on the grid alone it takes the direct
+    # SVD, and a sweep cell scores it exactly as the direct SVD does.
+    params, basis, ds = _instance(n=1000, d=10, sigma=0.1, n_train=999, seed=1)
+    cache = svd_of(ds, grid_only=True)
+    assert cache.route == "svd" and cache.rank == 999
+    assert np.finfo(float).eps * (cache.s_y[0] / cache.s_y[-1]) ** 2 > 1e-8
+    config = SweepConfig(params=params, train_sizes=(999,), n_seeds=1,
+                         estimators=("ESGD", "PCA", "PINV"))
+    records = sweep_mod._evaluate_cell(config, 999, 1)
+    monkeypatch.setattr(sweep_mod, "svd_of", lambda dataset, **kwargs: _direct_svd(dataset))
+    assert np.array_equal(records, sweep_mod._evaluate_cell(config, 999, 1), equal_nan=True)
 
 
 def test_certificate_keeps_the_direct_svd_at_sigma_1e_3():
@@ -206,17 +219,30 @@ def test_certified_risks_do_not_depend_on_an_earlier_read_of_y():
     assert risks[0] == risks[1]
 
 
-@pytest.mark.parametrize("n,n_train", [(1000, 999), (1000, 1000), (1000, 1002), (150, 40), (40, 150)])
+@pytest.mark.parametrize("n,n_train", [(1000, 1000), (1000, 1002), (40, 150)])
 def test_pinv_factor_matches_least_squares(n, n_train):
     # B = (C Y^+)^T solves Y^T B = C^T in the least-squares, minimum-norm
-    # sense.  The reflector QR agrees with LAPACK's SVD-based solver, to
-    # 3e-15 to 5e-14 here, on tall, square and wide near-square cells, whose
-    # R spans several substitution blocks, and on cells whose R is one
+    # sense.  The reflector QR of Y^T agrees with LAPACK's SVD-based solver,
+    # to 3e-15 to 5e-14 here, on square and wide near-square cells, whose R
+    # spans several substitution blocks, and on a cell whose R is one
     # partial block.
     params, basis, ds = _instance(n=n, d=10, sigma=0.1, n_train=n_train, seed=n + n_train)
     b = svd_of(ds, grid_only=True).pinv_factor
     expected = np.linalg.lstsq(ds.noisy.T, ds.coeff.T, rcond=None)[0]
     assert np.linalg.norm(b - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("n,n_train", [(1000, 999), (150, 40)])
+def test_pinv_factor_refuses_a_tall_cache(spy_draws, n, n_train):
+    # A "gram-certified" cache always has N >= n, so the QR of Y^T is the only
+    # orientation: a cache with N < n (here the direct SVD and the N x N Gram)
+    # is refused before Y is drawn.
+    params, basis, ds = _instance(n=n, d=10, sigma=0.1, n_train=n_train, seed=n + n_train)
+    cache = svd_of(ds, grid_only=True)
+    draws = spy_draws()
+    with pytest.raises(InvariantError, match="N >= n"):
+        cache.pinv_factor
+    assert draws == []
 
 
 def test_certificate_rejects_small_sigma_wide_cell():
@@ -229,7 +255,9 @@ def test_certificate_rejects_small_sigma_wide_cell():
 
 @pytest.mark.parametrize("n_train", [5, 10])
 def test_certificate_needs_a_top_d_gap(n_train):
-    # With N <= d there is no lambda_{d+1}, so Davis-Kahan cannot bound PCA.
+    # With N <= d there is no lambda_{d+1}, so Davis-Kahan cannot bound PCA;
+    # the certificate refuses such a cache, as it refuses every cache whose
+    # rank is not n.
     params, basis, ds = _instance(n=100, d=10, sigma=0.1, n_train=n_train, seed=n_train)
     cache = svd_of(ds)
     assert cache.rank == n_train

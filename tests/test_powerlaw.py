@@ -209,7 +209,9 @@ def test_segmented_with_floor_drops_then_splits():
     pts[:, 1] += floor
     pts[-2:, 1] = floor
     seg = fit_segmented(pts, min_seg=3, floor=floor)
-    assert seg.left.n_dropped == 2 and seg.right.n_dropped == 2
+    # The two dropped points are the last two: both in the right segment.
+    assert seg.left.n_dropped == 0 and seg.right.n_dropped == 2
+    assert seg.left.region == (0, seg.break_index) and seg.right.region == (seg.break_index, 18)
     assert seg.left.alpha == pytest.approx(-0.4, abs=1e-8)
     assert seg.right.alpha == pytest.approx(-1.6, abs=1e-8)
     assert seg.left.floor == floor and seg.right.floor == floor
