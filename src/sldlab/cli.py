@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .errors import CsvFormatError, SldlabError, UsageError
 from .model import ModelParams
-from .powerlaw import PowerLawFit, fit_excess_powerlaw, fit_powerlaw, fit_segmented
+from .powerlaw import FIT_MODES, PowerLawFit, check_fit_mode, fit_powerlaw, fit_segmented
 from .presets import load_preset
 from .risk import optimal_risk
 from .svgplot import FitOverlay, PlotSeries, render_scaling_plot
@@ -167,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="fit power laws to a curve CSV column")
     fit.add_argument("--in", dest="infile", required=True, help="input curve CSV")
     fit.add_argument("--col", default=None, help="value column (default: the only one)")
-    fit.add_argument("--mode", choices=("single", "excess", "segmented"), default="single")
+    fit.add_argument("--mode", choices=FIT_MODES, default="single")
     fit.add_argument("--floor", type=_floor_arg, default="none",
                      help="'auto' (= sigma^2/(1+sigma^2), needs --sigma), 'none', or a number")
     fit.add_argument("--sigma", type=_nonneg_float, default=None,
@@ -286,21 +286,16 @@ def _fit_rows(
 ) -> list[dict[str, str]]:
     """Fit points[region] in ``mode`` and return the fits-table rows.
 
-    The one fit dispatch of ``fit`` and ``reproduce``: a single fit takes
-    no ``floor``, an excess fit needs one, and a segmented fit subtracts it
-    when given.
+    The one fit dispatch of ``fit`` and ``reproduce``, after
+    :func:`check_fit_mode`: a single or excess fit is one
+    :func:`fit_powerlaw` line of the values minus ``floor``, if given,
+    and a segmented fit two lines.
     """
+    check_fit_mode(mode, floor is not None)
     lo, hi = (0, len(points)) if region is None else region
     span = (float(points[lo, 0]), float(points[hi - 1, 0]))
-    if mode == "single":
-        if floor is not None:
-            raise UsageError("--mode single fits the raw values; use --floor none")
-        return [_fit_row(source, series, mode, "all", fit_powerlaw(points, region), span)]
-    if mode == "excess":
-        if floor is None:
-            raise UsageError("--mode excess requires --floor auto or an explicit value")
-        fit = fit_excess_powerlaw(points, floor, region)
-        return [_fit_row(source, series, mode, "all", fit, span)]
+    if mode != "segmented":
+        return [_fit_row(source, series, mode, "all", fit_powerlaw(points, floor, region), span)]
     seg = fit_segmented(points, min_seg=min_seg, floor=floor, region=region)
     extra = (seg.break_size, seg.sse_improvement, seg.breakpoint_evidence)
     return [
@@ -521,9 +516,8 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         write_curve_csv(curve, csv_path)
         outputs.append(csv_path)
 
-        floor = optimal_risk(params) if fit is not None and fit.floor == "auto" else None
         # The plot shows values minus the floor exactly when the fit subtracts it.
-        shown_floor = None if fit is None or fit.mode == "single" else floor
+        floor = optimal_risk(params) if fit is not None and fit.floor == "auto" else None
         overlays: list[FitOverlay] = []
         for name in curve.estimators() if fit is not None else ():
             points = np.column_stack([curve.train_sizes.astype(float), curve.series[name].mean])
@@ -531,10 +525,10 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
                              region=fit.region(config.train_sizes))
             _report_fit(csv_path.name, f"{name}_M", len(points), fit.mode, rows)
             fit_rows.extend(rows)
-            overlays += [_fit_overlay(name, row, shown_floor is not None) for row in rows]
+            overlays += [_fit_overlay(name, row, floor is not None) for row in rows]
         svg_path = out_dir / f"{preset.name}_{label}.svg"
         svg_path.write_text(
-            _curve_svg(curve, overlays, f"{preset.name} {label}", shown_floor), encoding="utf-8"
+            _curve_svg(curve, overlays, f"{preset.name} {label}", floor), encoding="utf-8"
         )
         outputs.append(svg_path)
     if fit is not None:

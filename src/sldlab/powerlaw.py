@@ -1,20 +1,23 @@
-"""Power-law fitting in log-log space: single, floor-subtracted, segmented.
+"""Power-law fitting in log-log space: one line with an optional floor, or two.
 
 A power law value = beta * size^alpha is a line in (log size, log value),
 so fitting is ordinary least squares on the logs (natural log throughout).
-The excess variant subtracts a known risk floor before taking logs, which
+Given a known risk floor, the fit subtracts it before taking logs, which
 turns floor-plus-power-law curves back into straight lines; the segmented
-variant searches every admissible breakpoint for the best two-line fit.
+fit searches every admissible breakpoint for the best two-line fit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitDomainError, InsufficientDataError
+from .errors import FitDomainError, InsufficientDataError, UsageError
+
+#: The fit modes: one line of the raw values, one line of value - floor, two lines.
+FIT_MODES = ("single", "excess", "segmented")
 
 
 @dataclass(frozen=True)
@@ -45,9 +48,10 @@ class SegmentedFit:
     relative to the points the search ran on, i.e. after floor drops);
     break_size is the geometric mean of the sizes adjacent to the split.
     Each segment's region and n_dropped count input points, as in
-    :func:`fit_excess_powerlaw`; the left region ends at the right one's start.
-    sse_improvement is 1 - total_sse / single_sse, and breakpoint_evidence is
-    False when it is below 5%.
+    :func:`fit_powerlaw`; the left region ends at the right one's start.
+    sse_improvement is 1 - total_sse / single_sse, or 0 when the single
+    line is exact up to rounding (see :func:`fit_segmented`), and
+    breakpoint_evidence is False when it is below 5%.
     """
 
     left: PowerLawFit
@@ -60,67 +64,74 @@ class SegmentedFit:
     breakpoint_evidence: bool
 
 
+def check_fit_mode(mode: str, has_floor: bool, where: str = "") -> None:
+    """Refuse a fit mode that is unknown, or that cannot run with (or without) a floor.
+
+    A single fit is of the raw values, so it takes no floor; an excess fit
+    subtracts one, so it needs one; a segmented fit subtracts it when given.
+    ``where`` prefixes the message, e.g. with the preset that asked.
+    """
+    if mode not in FIT_MODES:
+        raise UsageError(f"{where}unknown fit mode {mode!r} ({', '.join(FIT_MODES)})")
+    if mode == "single" and has_floor:
+        raise UsageError(f"{where}fit mode 'single' fits the raw values; use --floor none")
+    if mode == "excess" and not has_floor:
+        raise UsageError(f"{where}fit mode 'excess' subtracts a floor; use --floor auto or a number")
+
+
 # =====================================================================
 # Input preparation
 # =====================================================================
 
 
-def _as_points(points) -> np.ndarray:
+def _prepare(
+    points, floor: float | None, region: tuple[int, int] | None, ascending: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int]]:
+    """The sizes and log values (minus any floor) of the points of points[region] that are fit.
+
+    Also returns the input index of each point kept, and the region.  Sizes
+    must be positive, finite and distinct (strictly ascending if
+    ``ascending``), and values finite, and positive without a floor;
+    offending points are reported by input index.  With a floor, points
+    whose excess is within 1e-12 * max(value) of zero carry no usable
+    log-scale information and are dropped.
+    """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise FitDomainError(f"points must be an (m, 2) array of (size, value), got shape {pts.shape}")
-    return pts
+    lo, hi = (0, pts.shape[0]) if region is None else (int(region[0]), int(region[1]))
+    if not (0 <= lo < hi <= pts.shape[0]):
+        raise FitDomainError(f"region {region} out of bounds for {pts.shape[0]} points")
+    sizes, values = pts[lo:hi, 0], pts[lo:hi, 1]
+    if sizes.size < 2:
+        raise InsufficientDataError(f"need at least 2 points to fit, got {sizes.size}")
+    if floor is not None and not (np.isfinite(floor) and floor >= 0.0):
+        raise FitDomainError(f"floor must be finite and >= 0, got {floor}")
 
-
-def _check_region(region: tuple[int, int] | None, m: int) -> tuple[int, int]:
-    if region is None:
-        return (0, m)
-    lo, hi = int(region[0]), int(region[1])
-    if not (0 <= lo < hi <= m):
-        raise FitDomainError(f"region {region} out of bounds for {m} points")
-    return (lo, hi)
-
-
-def _check_positive(sizes: np.ndarray, values: np.ndarray, offset: int) -> None:
-    bad = np.nonzero((sizes <= 0) | ~np.isfinite(sizes) | (values <= 0) | ~np.isfinite(values))[0]
+    bad = (sizes <= 0) | ~np.isfinite(sizes) | ~np.isfinite(values)
+    bad = np.nonzero(bad if floor is not None else bad | (values <= 0))[0]
     if bad.size:
-        idx = ", ".join(str(int(b) + offset) for b in bad[:8])
+        idx = ", ".join(str(int(b) + lo) for b in bad[:8])
         more = "" if bad.size <= 8 else f" (+{bad.size - 8} more)"
         raise FitDomainError(
             f"log-log fit needs positive finite sizes and values; offending indices: {idx}{more}"
         )
+    if ascending and np.any(np.diff(sizes) <= 0):
+        raise FitDomainError("points must be sorted by strictly ascending size")
     if np.unique(sizes).size != sizes.size:
         raise FitDomainError("duplicate sizes in fit input")
 
-
-def _above_floor(pts: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """Points (size, value - floor) that lie above the floor, and the keep mask.
-
-    Points whose excess is within 1e-12 * max(value) of zero carry no usable
-    log-scale information and are dropped.
-    """
-    if not (np.isfinite(floor) and floor >= 0.0):
-        raise FitDomainError(f"floor must be finite and >= 0, got {floor}")
-    excess = pts[:, 1] - floor
-    keep = excess > 1e-12 * float(np.max(pts[:, 1]))
-    return np.column_stack([pts[keep, 0], excess[keep]]), keep
+    index = np.arange(lo, hi)
+    if floor is not None:
+        keep = values - floor > 1e-12 * float(np.max(values))
+        sizes, values, index = sizes[keep], values[keep] - floor, index[keep]
+        if index.size < 2:
+            raise InsufficientDataError(f"only {index.size} points remain above the floor {floor:g}")
+    return sizes, np.log(values), index, (lo, hi)
 
 
-# =====================================================================
-# Fits
-# =====================================================================
-
-
-def fit_powerlaw(points, region: tuple[int, int] | None = None) -> PowerLawFit:
-    """Unweighted OLS power-law fit over points[region]."""
-    pts = _as_points(points)
-    lo, hi = _check_region(region, pts.shape[0])
-    sizes, values = pts[lo:hi, 0], pts[lo:hi, 1]
-    if sizes.size < 2:
-        raise InsufficientDataError(f"need at least 2 points to fit, got {sizes.size}")
-    _check_positive(sizes, values, offset=lo)
-
-    lx, lv = np.log(sizes), np.log(values)
+def _ols(lx: np.ndarray, lv: np.ndarray, region: tuple[int, int], floor: float | None) -> PowerLawFit:
+    """The least-squares line through (lx, lv), the kept points of ``region``."""
     x_bar = float(np.mean(lx))
     v_bar = float(np.mean(lv))
     sxx = float(np.sum((lx - x_bar) ** 2))
@@ -137,30 +148,28 @@ def fit_powerlaw(points, region: tuple[int, int] | None = None) -> PowerLawFit:
         log_beta=log_beta,
         r_squared=r_squared,
         sse=sse,
-        region=(lo, hi),
-        n_points=int(sizes.size),
+        region=region,
+        n_points=int(lx.size),
+        n_dropped=region[1] - region[0] - int(lx.size),
+        floor=None if floor is None else float(floor),
     )
 
 
-def fit_excess_powerlaw(
-    points, floor: float, region: tuple[int, int] | None = None
-) -> PowerLawFit:
-    """Fit value - floor against size, dropping points at or below the floor.
+# =====================================================================
+# Fits
+# =====================================================================
 
-    Points are dropped as in :func:`_above_floor`; the count is recorded on
-    the returned fit.
+
+def fit_powerlaw(
+    points, floor: float | None = None, region: tuple[int, int] | None = None
+) -> PowerLawFit:
+    """Unweighted OLS power-law fit over points[region]; with a floor, of value - floor.
+
+    With a floor, points at or below it are dropped as in :func:`_prepare`;
+    the count is recorded on the returned fit.
     """
-    pts = _as_points(points)
-    lo, hi = _check_region(region, pts.shape[0])
-    if hi - lo < 2:
-        raise InsufficientDataError(f"need at least 2 points to fit, got {hi - lo}")
-    kept, keep = _above_floor(pts[lo:hi], floor)
-    if kept.shape[0] < 2:
-        raise InsufficientDataError(
-            f"only {kept.shape[0]} points remain above the floor {floor:g}"
-        )
-    base = fit_powerlaw(kept)
-    return replace(base, region=(lo, hi), n_dropped=keep.size - kept.shape[0], floor=float(floor))
+    sizes, lv, _, region = _prepare(points, floor, region)
+    return _ols(np.log(sizes), lv, region, floor)
 
 
 def fit_segmented(
@@ -173,48 +182,38 @@ def fit_segmented(
 
     Points must be sorted by size.  The breakpoint minimizing total SSE
     wins; ties go to the earliest break.  With a floor given, sub-floor
-    points are dropped before the search exactly as in
-    :func:`fit_excess_powerlaw`.
+    points are dropped before the search exactly as in :func:`fit_powerlaw`.
+    The single line is exact, and shows no breakpoint, when its SSE is at
+    most 64 * sum(r^2), with r = eps * (1 + |log size| + |log excess| +
+    floor / excess) the rounding of each log excess (exact power laws, with
+    and without a floor, reached 6.1 * sum(r^2) over 59,914 random ones).
     """
     if min_seg < 2:
         raise InsufficientDataError(f"min_seg must be >= 2, got {min_seg}")
-    pts = _as_points(points)
-    lo, hi = _check_region(region, pts.shape[0])
-    pts, kept = pts[lo:hi], np.arange(lo, hi)  # kept: the input index of each point searched
-    if np.any(np.diff(pts[:, 0]) <= 0):
-        raise FitDomainError("points must be sorted by strictly ascending size")
-    if floor is not None:
-        pts, keep = _above_floor(pts, floor)
-        kept = kept[keep]
-    m = pts.shape[0]
+    sizes, lv, index, (lo, hi) = _prepare(points, floor, region, ascending=True)
+    lx, m = np.log(sizes), sizes.size
     if m < 2 * min_seg:
         raise InsufficientDataError(
             f"need at least 2*min_seg = {2 * min_seg} usable points, got {m}"
         )
 
-    single = fit_powerlaw(pts)
-    best_b = -1
-    best_sse = math.inf
-    best_pair: tuple[PowerLawFit, PowerLawFit] | None = None
-    for b in range(min_seg, m - min_seg + 1):
-        left = fit_powerlaw(pts, region=(0, b))
-        right = fit_powerlaw(pts, region=(b, m))
-        total = left.sse + right.sse
-        if total < best_sse:
-            best_sse = total
-            best_b = b
-            best_pair = (left, right)
-    assert best_pair is not None
-    split = int(kept[best_b])  # the input index of the right segment's first point
-    floor = None if floor is None else float(floor)
-    left = replace(best_pair[0], region=(lo, split), n_dropped=split - lo - best_b, floor=floor)
-    right = replace(best_pair[1], region=(split, hi), n_dropped=hi - split - (m - best_b), floor=floor)
-    improvement = 0.0 if single.sse <= 1e-300 else 1.0 - best_sse / single.sse
+    single = _ols(lx, lv, (lo, hi), floor)
+
+    def split_at(b: int) -> tuple[float, int, PowerLawFit, PowerLawFit]:
+        at = int(index[b])  # the input index of the right segment's first point
+        left, right = _ols(lx[:b], lv[:b], (lo, at), floor), _ols(lx[b:], lv[b:], (at, hi), floor)
+        return left.sse + right.sse, b, left, right
+
+    # The tuples compare by total SSE, then by b: ties go to the earliest break.
+    best_sse, best_b, left, right = min(map(split_at, range(min_seg, m - min_seg + 1)))
+    rounding = np.finfo(float).eps * (1.0 + np.abs(lx) + np.abs(lv) + (floor or 0.0) * np.exp(-lv))
+    exact = single.sse <= 64.0 * float(np.sum(rounding**2))
+    improvement = 0.0 if exact else 1.0 - best_sse / single.sse
     return SegmentedFit(
         left=left,
         right=right,
         break_index=best_b,
-        break_size=float(math.sqrt(pts[best_b - 1, 0] * pts[best_b, 0])),
+        break_size=float(math.sqrt(sizes[best_b - 1] * sizes[best_b])),
         total_sse=best_sse,
         single_sse=single.sse,
         sse_improvement=improvement,

@@ -16,6 +16,7 @@ from importlib import resources
 
 from ..errors import SldlabError, UsageError
 from ..model import ModelParams
+from ..powerlaw import check_fit_mode
 from ..sweep import SweepConfig, default_train_grid
 
 
@@ -24,8 +25,9 @@ class FitSpec:
     """How reproduce fits each curve.
 
     It is ``sldlab fit --mode M --floor F`` over the train sizes >=
-    min_train_size; floor "auto" is sigma_z^2 / (1 + sigma_z^2).  An
-    excess fit needs floor "auto" and a single fit takes "none".
+    min_train_size; floor "auto" is sigma_z^2 / (1 + sigma_z^2).  The
+    mode and floor obey :func:`sldlab.powerlaw.check_fit_mode`, as in
+    ``fit``: an excess fit needs floor "auto" and a single fit takes "none".
     """
 
     mode: str  # "single" | "excess" | "segmented"
@@ -55,14 +57,9 @@ class Preset:
         fit = self.fit
         if fit is None:
             return
-        if fit.mode not in ("single", "excess", "segmented"):
-            raise UsageError(f"{where} has unknown fit mode {fit.mode!r}")
         if fit.floor not in ("auto", "none"):
             raise UsageError(f"{where} has unknown fit floor {fit.floor!r} (auto or none)")
-        if fit.mode == "excess" and fit.floor == "none":
-            raise UsageError(f"{where}: fit mode 'excess' needs floor 'auto'")
-        if fit.mode == "single" and fit.floor == "auto":
-            raise UsageError(f"{where}: fit mode 'single' takes floor 'none'")
+        check_fit_mode(fit.mode, fit.floor == "auto", f"{where}: ")
         for label, config in self.sweeps.items():
             lo, hi = fit.region(config.train_sizes)
             if hi - lo < 2:

@@ -33,7 +33,7 @@ from sldlab.estimators import (
     svd_of,
 )
 from sldlab.model import ModelParams, optimal_estimator, sample_basis, sample_dataset
-from sldlab.powerlaw import fit_excess_powerlaw, fit_powerlaw, fit_segmented
+from sldlab.powerlaw import fit_powerlaw, fit_segmented
 from sldlab.presets import load_preset
 from sldlab.risk import (
     pca_risk_specialized,
@@ -116,7 +116,7 @@ def _fit_region_slope(curve, name: str, sigma: float) -> float:
     seg = fit_segmented(pts, min_seg=3, floor=floor)
     if seg.breakpoint_evidence:
         return seg.right.alpha
-    return fit_excess_powerlaw(pts, floor=floor).alpha
+    return fit_powerlaw(pts, floor=floor).alpha
 
 
 def test_criterion_2_scaling_exponents(fig5_curves):

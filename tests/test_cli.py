@@ -17,6 +17,7 @@ import pytest
 
 import sldlab.cli as cli
 from sldlab.cli import main
+from sldlab.errors import UsageError
 from sldlab.model import ModelParams
 from sldlab.presets import FitSpec, Preset, _parse_preset
 from sldlab.sweep import SweepConfig, default_train_grid
@@ -232,7 +233,7 @@ def test_fit_single_rejects_a_floor(tmp_path, capsys, floor):
     _write_powerlaw_csv(data, alpha=-1.0, beta=0.5)
     assert main(["fit", "--in", str(data), "--floor", floor, "--sigma", "0.1",
                  "--out", str(fits)]) == 2
-    assert "--mode single fits the raw values" in capsys.readouterr().err
+    assert "fit mode 'single' fits the raw values; use --floor none" in capsys.readouterr().err
     assert not fits.exists()
 
 
@@ -244,6 +245,25 @@ def test_fit_excess_with_auto_floor(tmp_path, capsys):
                  "--floor", "auto", "--sigma", "0.1"]) == 0
     printed = capsys.readouterr().out
     assert "alpha=-1" in printed
+
+
+@pytest.mark.parametrize("floor", ["none", "auto", "0.01"])
+@pytest.mark.parametrize("mode", ["single", "excess", "segmented"])
+def test_fit_and_preset_refuse_the_same_mode_floor_pairs(tmp_path, capsys, mode, floor):
+    # One rule for both: a single fit takes no floor and an excess fit needs
+    # one.  A preset's floor is "auto" or "none"; a number stands for "auto".
+    data = tmp_path / "data.csv"
+    _write_powerlaw_csv(data, alpha=-1.0, beta=2.0, floor=0.0099)
+    code = main(["fit", "--in", str(data), "--mode", mode, "--floor", floor, "--sigma", "0.1"])
+    raw_fit = {"mode": mode, "floor": "none" if floor == "none" else "auto"}
+    try:
+        _parse_preset("p", {"name": "p", "version": 1, "sweeps": [_TINY_RAW_SWEEP], "fit": raw_fit})
+        preset_refused = False
+    except UsageError:
+        preset_refused = True
+    refused = (mode, floor) in {("single", "auto"), ("single", "0.01"), ("excess", "none")}
+    assert code == (2 if refused else 0) and preset_refused == refused
+    assert ("--floor" in capsys.readouterr().err) == refused
 
 
 def test_fit_segmented_reports_break(tmp_path, capsys):

@@ -9,7 +9,6 @@ import pytest
 
 from sldlab.errors import FitDomainError, InsufficientDataError
 from sldlab.powerlaw import (
-    fit_excess_powerlaw,
     fit_powerlaw,
     fit_segmented,
 )
@@ -77,6 +76,22 @@ def test_rejects_nonpositive_values_listing_indices():
         fit_powerlaw(pts)
 
 
+@pytest.mark.parametrize("column,value", [(1, math.nan), (1, math.inf), (1, -math.inf),
+                                          (0, math.nan), (0, -5.0)])
+@pytest.mark.parametrize("mode", ["single", "excess", "segmented"])
+def test_bad_point_is_named_by_its_input_index(mode, column, value):
+    # Index 3 sits at the floor and is dropped by the floor fits, and the
+    # region starts at 2; the bad point is still reported as input index 6.
+    floor = None if mode == "single" else 0.01
+    pts = _curve(-0.5, 2.0, GRID)
+    pts[:, 1] += floor or 0.0
+    pts[3, 1] = floor or pts[3, 1]
+    pts[6, column] = value
+    fit = fit_segmented if mode == "segmented" else fit_powerlaw
+    with pytest.raises(FitDomainError, match=r"offending indices: 6$"):
+        fit(pts, floor=floor, region=(2, 14))
+
+
 def test_rejects_duplicate_sizes_and_tiny_input():
     with pytest.raises(FitDomainError, match="duplicate"):
         fit_powerlaw([(10.0, 1.0), (10.0, 2.0), (20.0, 3.0)])
@@ -94,7 +109,7 @@ def test_excess_fit_recovers_after_floor_subtraction():
     pts = _curve(-1.05, 0.8, GRID)
     pts[:, 1] += floor
     plain = fit_powerlaw(pts)
-    excess = fit_excess_powerlaw(pts, floor=floor)
+    excess = fit_powerlaw(pts, floor=floor)
     assert excess.alpha == pytest.approx(-1.05, abs=1e-10)
     assert excess.log_beta == pytest.approx(math.log(0.8), abs=1e-10)
     assert excess.floor == floor
@@ -107,7 +122,7 @@ def test_excess_fit_drops_points_at_the_floor():
     pts = _curve(-1.0, 10.0, GRID)
     pts[:, 1] += floor
     pts[-2:, 1] = floor  # saturated measurements carry no information
-    fit = fit_excess_powerlaw(pts, floor=floor)
+    fit = fit_powerlaw(pts, floor=floor)
     assert fit.n_dropped == 2
     assert fit.n_points == GRID.size - 2
     assert fit.alpha == pytest.approx(-1.0, abs=1e-10)
@@ -116,18 +131,18 @@ def test_excess_fit_drops_points_at_the_floor():
 def test_excess_fit_floor_validation():
     pts = _curve(-1.0, 1.0, GRID)
     with pytest.raises(FitDomainError):
-        fit_excess_powerlaw(pts, floor=-0.1)
+        fit_powerlaw(pts, floor=-0.1)
     with pytest.raises(FitDomainError):
-        fit_excess_powerlaw(pts, floor=float("nan"))
+        fit_powerlaw(pts, floor=float("nan"))
     with pytest.raises(InsufficientDataError):
         # Floor above every value leaves nothing to fit.
-        fit_excess_powerlaw(pts, floor=1e6)
+        fit_powerlaw(pts, floor=1e6)
 
 
 def test_excess_fit_zero_floor_equals_plain_fit():
     pts = _curve(-0.9, 1.7, GRID)
     a = fit_powerlaw(pts)
-    b = fit_excess_powerlaw(pts, floor=0.0)
+    b = fit_powerlaw(pts, floor=0.0)
     assert b.alpha == pytest.approx(a.alpha, abs=1e-14)
     assert b.log_beta == pytest.approx(a.log_beta, abs=1e-14)
 
@@ -198,8 +213,20 @@ def test_segmented_single_regime_lacks_evidence():
     pts = _curve(-1.0, 3.0, np.geomspace(10, 10000, 14))
     seg = fit_segmented(pts, min_seg=3)
     # A pure power law is explained by one line; the split may not claim
-    # meaningful evidence (both SSEs are ~0).
-    assert not seg.breakpoint_evidence or seg.single_sse < 1e-18
+    # evidence from SSEs that are rounding noise.
+    assert not seg.breakpoint_evidence
+    # The same over exact curves 2 * N^alpha (+ floor), fit with that floor:
+    # m = 8-24 points spanning 2 to 5 decades from N = 10.
+    claimed = []
+    for m in range(8, 25):
+        for top in (3, 4, 5, 6):
+            for floor in (None, 0.0, 1e-3, 1e-2, 5e-2):
+                for alpha in (-0.3, -0.5, -1.0, -1.7):
+                    pts = _curve(alpha, 2.0, np.geomspace(10, 10.0**top, m))
+                    pts[:, 1] += floor or 0.0
+                    if fit_segmented(pts, min_seg=3, floor=floor).breakpoint_evidence:
+                        claimed.append((m, top, floor, alpha))
+    assert claimed == []
 
 
 def test_segmented_with_floor_drops_then_splits():

@@ -85,7 +85,7 @@ def test_excess_fit_without_floor_is_rejected():
 
 def test_single_fit_with_floor_is_rejected():
     # A single fit is of the raw values; "auto" would be silently ignored.
-    with pytest.raises(UsageError, match="'single' takes floor 'none'"):
+    with pytest.raises(UsageError, match="preset 'p': fit mode 'single' fits the raw values"):
         _preset(fit=FitSpec(mode="single", floor="auto"))
 
 
