@@ -206,13 +206,14 @@ def _make_dirs(directory: Path) -> Path:
     return directory
 
 
-def _manifest_path(out: Path, infile: str | None = None) -> Path:
+def _manifest_path(out: Path, *inputs: tuple[str, str | None]) -> Path:
     """The manifest beside ``out``, refused if it records another output (curve.csv, curve.svg).
 
-    ``out`` is refused too when it resolves to the command's input file ``infile``.
+    ``out`` is refused too when it resolves to an input file, one of the (flag, path) ``inputs``.
     """
-    if infile is not None and out.resolve() == Path(infile).resolve():
-        raise UsageError(f"--out {out} is the --in file; choose another --out")
+    for flag, infile in inputs:
+        if infile is not None and out.resolve() == Path(infile).resolve():
+            raise UsageError(f"--out {out} is the {flag} file; choose another --out")
     path = out.with_suffix(".manifest.json")
     try:
         listed = json.loads(path.read_text(encoding="utf-8"))["outputs"]
@@ -398,7 +399,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     if args.min_seg < 2:
         raise UsageError(f"--min-seg must be >= 2 (a segment needs two points), got {args.min_seg}")
     out = Path(args.out) if args.out else None
-    manifest = _manifest_path(out, args.infile) if out else None
+    manifest = _manifest_path(out, ("--in", args.infile)) if out else None
     sizes, values, column = read_series_csv(args.infile, args.col)
     floor = _resolve_floor(args.floor, args.sigma)
     source = str(args.infile)
@@ -481,7 +482,7 @@ def _curve_svg(
 def _cmd_plot(args: argparse.Namespace) -> int:
     started = time.time()
     out = Path(args.out)
-    manifest = _manifest_path(out, args.infile)
+    manifest = _manifest_path(out, ("--in", args.infile), ("--fits", args.fits))
     curve = read_curve_csv(args.infile)
     overlays = _read_fits_csv(args.fits) if args.fits else []
     svg = _curve_svg(curve, overlays, args.title)

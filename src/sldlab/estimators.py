@@ -55,8 +55,8 @@ class SvdCache:
 
     The cache holds the :class:`Dataset` it decomposed, and the estimator
     functions take the coefficients C, the true basis U and the model
-    parameters from it.  The direct SVD stores both singular factors, the
-    n x n Gram route stores u_y and the N x N Gram route v_y; every route
+    parameters from it.  It stores one singular factor: U_y on the direct
+    SVD and n x n Gram routes, V_y on the N x N Gram route.  Every route
     also hands over g = C V_y and M = U_y^T U, formed by :func:`_truncated`
     from what the route holds.  The N x N route reads the dataset's
     :attr:`~sldlab.model.Dataset.noise_stats`, Z^T Z and W = U^T Z, in
@@ -87,8 +87,8 @@ class SvdCache:
     _v_y: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self._u_y is None and self._v_y is None:
-            raise InvariantError("SvdCache needs u_y or v_y")
+        if (self._u_y is None) == (self._v_y is None):
+            raise InvariantError("SvdCache holds exactly one of U_y and V_y")
 
     @property
     def rank(self) -> int:
@@ -99,24 +99,15 @@ class SvdCache:
         """The gradient-descent stepsize 1 / S_y[0]^2, which saturates the stability bound."""
         return 1.0 / float(self.s_y[0]) ** 2
 
-    @property
-    def u_y(self) -> np.ndarray:
-        """n x r left singular vectors (Y V_y / S_y, formed on each access if not stored)."""
-        return self.u_matmul(np.eye(self.rank)) if self._u_y is None else self._u_y
-
-    @property
-    def v_y(self) -> np.ndarray:
-        """N x r right singular vectors (Y^T U_y / S_y, formed on each access if not stored)."""
-        return (self.dataset.noisy.T @ self._u_y) / self.s_y if self._v_y is None else self._v_y
-
     @cached_property
     def pinv_factor(self) -> np.ndarray:
         """B = (C Y^+)^T (n x d), so that the PINV map is W^INFINITY = U B^T = U C Y^+.
 
         Formed from a Householder QR Y^T = Q R, not from the spectrum, as
-        B = R^-1 (Q^T C^T).  Q is never formed: LAPACK's reflectors are
-        applied to C^T, and R is solved by :func:`_triangular_solve`,
-        O(n N d) in all past the QR itself.  B is then accurate to
+        B = R^-1 (Q^T C^T), without Q: in one raw QR of [Y^T | C^T] the
+        reflectors past column n touch only rows past n, so R's last d columns
+        begin with (Q^T C^T)[:n] (``mode="r"`` would copy R).  R is solved by
+        :func:`_triangular_solve`, O(n^2 d).  B is then accurate to
         eps * kappa(Y), where the filter 1 / S_y of a Gram decomposition
         carries eps * kappa(Y)^2.  Read for the k = INFINITY entries of a
         "gram-certified" cache, which always has N >= n; a cache with N < n
@@ -125,13 +116,11 @@ class SvdCache:
         n = self.dataset.params.n
         if self.dataset.n_train < n:
             raise InvariantError(f"pinv_factor needs N >= n, got N = {self.dataset.n_train} < n = {n}")
-        h, tau = np.linalg.qr(self.dataset.noisy.T, mode="raw")
-        qt_coeff = self.dataset.coeff.T.copy()
-        _apply_reflectors(h, tau, qt_coeff)
-        return _triangular_solve(h[:, :n].T, qt_coeff[:n])
+        h, _ = np.linalg.qr(np.hstack([self.dataset.noisy.T, self.dataset.coeff.T]), mode="raw")
+        return _triangular_solve(h[:n, :n].T, h[n:, :n].T)
 
     def u_matmul(self, a: np.ndarray) -> np.ndarray:
-        """Return ``u_y @ a`` without forming u_y.
+        """Return ``U_y @ a`` without forming U_y.
 
         Uses Y V_y diag(1/S_y) a, O(n N k) for an r x k ``a``, through
         :meth:`~sldlab.model.Dataset.noisy_matmul`, so Y is not formed.
@@ -141,12 +130,12 @@ class SvdCache:
         return self.dataset.noisy_matmul(self._v_y @ (a / self.s_y[:, None]))
 
     def leading_u(self, k: int) -> np.ndarray:
-        """The first ``k`` columns of u_y, orthonormal to working precision.
+        """The first ``k`` columns of U_y, orthonormal to working precision.
 
-        Without a stored u_y they are formed by :meth:`u_matmul` as
+        Without a stored U_y they are formed by :meth:`u_matmul` as
         Y V_y[:, :k] / S_y[:k], whose columns drift from orthonormal by up to
         eps * lambda_max / lambda_k (<= _GRAM_TOL: only the N x N "gram"
-        route, which passed the conditioning check, stores no u_y; reached
+        route, which passed the conditioning check, stores no U_y; reached
         when k covers the whole spectrum, as for N <= d).  One QR pass,
         signed so that R has a positive diagonal, removes that drift while
         moving each column by no more than it.
@@ -192,22 +181,6 @@ class SvdCache:
             perp_gram = sigma**2 * np.linalg.solve(chol, inner.T)
         lam, vec = np.linalg.eigh(perp_gram)
         return np.vstack([overlap, np.sqrt(np.clip(lam, 0.0, None))[:, None] * vec.T])
-
-
-def _apply_reflectors(h: np.ndarray, tau: np.ndarray, x: np.ndarray) -> None:
-    """Multiply ``x`` in place by Q^T, from ``np.linalg.qr(a, mode="raw")``.
-
-    (h, tau) hold Q = H_0 H_1 ... H_{m-1}, m = len(tau), as LAPACK's
-    reflectors H_j = I - tau_j v_j v_j^T, where v_j is zero above entry j,
-    one at it and h[j, j+1:] below it.  Q^T x applies H_0 first; each
-    reflector costs O(rows * k) for a k-column x.
-    """
-    for j in range(tau.size):
-        v = h[j, j + 1:]
-        w = x[j] + v @ x[j + 1:]
-        w *= tau[j]
-        x[j] -= w
-        x[j + 1:] -= np.outer(v, w)
 
 
 #: Rows per block of :func:`_triangular_solve`: each diagonal block is a small
@@ -439,7 +412,8 @@ def _truncated(
 
     g = C V_y and M = U_y^T U come from what the route holds: V_y, or the
     n x n route's ``coeff_yt`` = C Y^T as (C Y^T) U_y / S_y; U_y, or the noise
-    statistics as S_y^-1 V_y^T (Y^T U), so the N x N route draws no Y.
+    statistics as S_y^-1 V_y^T (Y^T U), so the N x N route draws no Y.  The
+    direct SVD's V_y is dropped once it has given g: nothing else reads it.
     """
     if s.size == 0 or s[0] <= 0.0:
         raise InvariantError("training matrix is identically zero; no singular directions")
@@ -450,7 +424,7 @@ def _truncated(
     v = None if v is None else np.ascontiguousarray(v[:, :r])
     g = coeff @ v if v is not None else (coeff_yt @ u) / s
     if u is not None:
-        m = u.T @ dataset.basis.matrix
+        m, v = u.T @ dataset.basis.matrix, None
     else:  # Y^T U = C^T + sigma W^T
         m = (v.T @ (coeff.T + dataset.params.sigma_z * dataset.noise_stats[1].T)) / s[:, None]
     return SvdCache(s_y=s, route=route, dataset=dataset, coeff_v=g, ut_basis=m, _u_y=u, _v_y=v)

@@ -406,6 +406,16 @@ def test_plot_and_fit_refuse_to_overwrite_their_input(tmp_path, capsys):
     assert not (tmp_path / "sub").exists()
     assert curve.read_bytes() == before
     assert json.loads(manifest.read_text())["command"] == "simulate"
+    # A plot's --fits table is an input too; its manifest lists only itself.
+    fits = tmp_path / "f.csv"
+    assert main(["fit", "--in", str(curve), "--col", "PCA_M", "--out", str(fits)]) == 0
+    table = fits.read_bytes()
+    capsys.readouterr()
+    assert main(["plot", "--in", str(curve), "--fits", str(fits), "--out", str(fits)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "is the --fits file" in err[0]
+    assert fits.read_bytes() == table
+    assert json.loads((tmp_path / "f.manifest.json").read_text())["command"] == "fit"
 
 
 @pytest.mark.parametrize("bad", ["curve-table", "alpha"])

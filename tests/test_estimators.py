@@ -13,6 +13,7 @@ from sldlab.errors import DimensionError, InvariantError
 from sldlab.estimators import (
     INFINITY,
     K_GRID,
+    SvdCache,
     gd_estimator_closed,
     gd_estimator_iterative,
     gd_risk_profile,
@@ -38,10 +39,18 @@ def _instance(n=20, d=3, sigma=0.2, n_train=15, seed=0):
 # --- SVD cache ----------------------------------------------------------
 
 
+def _factors(cache):
+    """(U_y, V_y) of ``cache``: the factor it stores, and the other one formed through Y."""
+    if cache._u_y is not None:
+        return cache._u_y, (cache.dataset.noisy.T @ cache._u_y) / cache.s_y
+    return cache.u_matmul(np.eye(cache.rank)), cache._v_y
+
+
 def test_svd_cache_reconstructs_input():
     _, _, ds = _instance(n=12, d=2, sigma=0.3, n_train=8, seed=1)
     cache = svd_of(ds)
-    approx = (cache.u_y * cache.s_y) @ cache.v_y.T
+    u, v = _factors(cache)
+    approx = (u * cache.s_y) @ v.T
     assert np.allclose(approx, ds.noisy, atol=1e-10)
     assert cache.rank == 8  # noisy matrix has full column rank
     assert np.all(np.diff(cache.s_y) <= 0)  # descending
@@ -56,11 +65,11 @@ def test_svd_cache_gram_path_matches_direct():
     s_ref = np.linalg.svd(ds.noisy, compute_uv=False)
     assert cache.s_y == pytest.approx(s_ref, rel=1e-9)
     # Same column space: projectors agree even if individual signs differ.
-    u = cache.u_y
+    u, v = _factors(cache)
     u_ref = np.linalg.svd(ds.noisy, full_matrices=False)[0]
     assert np.allclose(u @ u.T, u_ref @ u_ref.T, atol=1e-8)
-    # And the lazy V factor still reconstructs the data.
-    assert np.allclose((cache.u_y * cache.s_y) @ cache.v_y.T, ds.noisy, atol=1e-8)
+    # And the V factor formed from Y still reconstructs the data.
+    assert np.allclose((u * cache.s_y) @ v.T, ds.noisy, atol=1e-8)
 
 
 def test_svd_cache_truncates_exact_rank():
@@ -73,15 +82,24 @@ def test_svd_cache_truncates_exact_rank():
 def test_svd_cache_coeff_v_and_ut_basis_agree_with_materialized():
     # g = C V_y and M = U_y^T U, formed by each route from what it holds,
     # match the products with the materialized factors on the tall Gram,
-    # wide Gram and direct routes.
+    # wide Gram and direct routes.  Each cache stores exactly one factor:
+    # V_y on the tall Gram route, U_y on the other two.
     for n, n_train, sigma, route, stores_u in [
         (200, 50, 0.1, "gram", False), (10, 30, 0.2, "gram", True), (60, 40, 0.0, "svd", True),
     ]:
         _, basis, ds = _instance(n=n, d=2, sigma=sigma, n_train=n_train, seed=4)
         cache = svd_of(ds)
         assert cache.route == route and (cache._u_y is not None) == stores_u
-        assert np.allclose(cache.coeff_v, ds.coeff @ cache.v_y, atol=1e-10)
-        assert np.allclose(cache.ut_basis, cache.u_y.T @ basis.matrix, atol=1e-10)
+        assert (cache._v_y is None) == stores_u
+        u, v = _factors(cache)
+        assert np.allclose(cache.coeff_v, ds.coeff @ v, atol=1e-10)
+        assert np.allclose(cache.ut_basis, u.T @ basis.matrix, atol=1e-10)
+    # A cache with both factors, or with neither, is refused.
+    fields = dict(s_y=cache.s_y, route=cache.route, dataset=ds, coeff_v=cache.coeff_v,
+                  ut_basis=cache.ut_basis)
+    for stored in ({"_u_y": u, "_v_y": v}, {}):
+        with pytest.raises(InvariantError, match="exactly one"):
+            SvdCache(**fields, **stored)
 
 
 def _route_risks(cache):
@@ -232,6 +250,23 @@ def test_pinv_factor_matches_least_squares(n, n_train):
     assert np.linalg.norm(b - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
+def test_pinv_factor_memory_is_two_copies_of_the_stacked_matrix():
+    # At n = N = 1000 the QR of [Y^T | C^T] peaks at the stacked N x (n + d)
+    # array and the copy LAPACK factors (2.03 times 8 N (n + d) bytes);
+    # mode="r" would add a copy of R and miss the bound.
+    n = n_train = 1000
+    params, basis, ds = _instance(n=n, d=10, sigma=0.1, n_train=n_train, seed=2000)
+    cache = svd_of(ds, grid_only=True)
+    assert cache.route == "gram-certified"
+    tracemalloc.start()
+    try:
+        cache.pinv_factor
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * 8 * n_train * (n + params.d)
+
+
 @pytest.mark.parametrize("n,n_train", [(1000, 999), (150, 40)])
 def test_pinv_factor_refuses_a_tall_cache(spy_draws, n, n_train):
     # A "gram-certified" cache always has N >= n, so the QR of Y^T is the only
@@ -290,12 +325,13 @@ def test_svd_of_tall_noisy_takes_small_gram_and_defers_u():
     for k in (64, INFINITY):  # an ESGD and the PINV estimator
         gd_estimator_closed(cache, k)
     assert cache._u_y is None  # no consumer materialized n x r U_y
-    assert np.allclose(cache.ut_basis, cache.u_y.T @ basis.matrix, atol=1e-10)
+    u, v = _factors(cache)
+    assert np.allclose(cache.ut_basis, u.T @ basis.matrix, atol=1e-10)
     b = np.random.default_rng(1).standard_normal((300, 3))
-    assert np.allclose(cache.u_matmul(b), cache.u_y @ b, atol=1e-10)
-    assert np.allclose(cache.leading_u(10), cache.u_y[:, :10], atol=1e-12)
-    assert np.allclose((cache.u_y * cache.s_y) @ cache.v_y.T, ds.noisy, atol=1e-10)
-    assert cache._u_y is None  # reading u_y formed it without storing it
+    assert np.allclose(cache.u_matmul(b), u @ b, atol=1e-10)
+    assert np.allclose(cache.leading_u(10), u[:, :10], atol=1e-12)
+    assert np.allclose((u * cache.s_y) @ v.T, ds.noisy, atol=1e-10)
+    assert cache._u_y is None  # forming U_y stored nothing
 
 
 def test_gram_route_pca_basis_orthonormal_when_d_covers_spectrum():
@@ -309,7 +345,8 @@ def test_gram_route_pca_basis_orthonormal_when_d_covers_spectrum():
     assert cache.route == "gram"
     u = pca_estimator(cache).basis
     assert np.max(np.abs(u.T @ u - np.eye(30))) <= 1e-12
-    assert np.allclose(u @ u.T, cache.u_y @ cache.u_y.T, atol=1e-8)
+    u_y = _factors(cache)[0]
+    assert np.allclose(u @ u.T, u_y @ u_y.T, atol=1e-8)
 
 
 def test_svd_of_zero_matrix_raises():
@@ -370,7 +407,7 @@ def test_gd_closed_matches_dense_reference_on_every_route(n, n_train, sigma, rou
     cache = svd_of(ds)
     assert cache.route == route and (cache._u_y is not None) == stores_u
     ref = _direct_svd(ds)
-    u_ref, v_ref = ref.u_y, ref.v_y
+    u_ref, v_ref = _factors(ref)
     for k in K_GRID:
         est = gd_estimator_closed(cache, k)
         assert est.left.shape == est.basis.shape == (n, params.d)
