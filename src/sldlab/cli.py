@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .errors import CsvFormatError, SldlabError, UsageError
-from .model import ModelParams
+from .model import SIGMA_MAX, ModelParams
 from .powerlaw import FIT_MODES, PowerLawFit, check_fit_mode, fit_powerlaw, fit_segmented
 from .presets import load_preset
 from .risk import optimal_risk
@@ -87,6 +87,12 @@ def _nonneg_float(text: str) -> float:
     return value
 
 
+def _sigma_arg(text: str) -> float:
+    if (value := _nonneg_float(text)) > SIGMA_MAX:
+        raise argparse.ArgumentTypeError(f"expected a noise std <= {SIGMA_MAX:g}, got {text!r}")
+    return value
+
+
 def _grid_arg(text: str) -> tuple[int, int, int]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -146,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a seeded risk sweep and write a curve CSV")
     sim.add_argument("--d", type=_positive_int, default=10, help="signal dimension (default 10)")
     sim.add_argument("--n", type=_positive_int, default=1000, help="ambient dimension (default 1000)")
-    sim.add_argument("--sigma", type=_nonneg_float, default=0.1, help="noise std (default 0.1)")
+    sim.add_argument("--sigma", type=_sigma_arg, default=0.1, help="noise std (default 0.1)")
     sim.add_argument(
         "--grid", type=_grid_arg, default=(1, 20000, 5), metavar="LO:HI:PPD",
         help="train-size grid as lo:hi:points_per_decade (default 1:20000:5)",
@@ -170,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--mode", choices=FIT_MODES, default="single")
     fit.add_argument("--floor", type=_floor_arg, default="none",
                      help="'auto' (= sigma^2/(1+sigma^2), needs --sigma), 'none', or a number")
-    fit.add_argument("--sigma", type=_nonneg_float, default=None,
+    fit.add_argument("--sigma", type=_sigma_arg, default=None,
                      help="noise std used by --floor auto")
     fit.add_argument("--min-seg", type=_positive_int, default=3,
                      help="minimum points (>= 2) per segment for --mode segmented (default 3)")
@@ -209,11 +215,13 @@ def _make_dirs(directory: Path) -> Path:
 def _manifest_path(out: Path, *inputs: tuple[str, str | None]) -> Path:
     """The manifest beside ``out``, refused if it records another output (curve.csv, curve.svg).
 
-    ``out`` is refused too when it resolves to an input file, one of the (flag, path) ``inputs``.
+    ``out`` is refused too when it names a manifest or is one of the (flag, path) ``inputs``.
     """
     for flag, infile in inputs:
         if infile is not None and out.resolve() == Path(infile).resolve():
             raise UsageError(f"--out {out} is the {flag} file; choose another --out")
+    if out.name.endswith(".manifest.json"):
+        raise UsageError(f"--out {out} names a manifest; choose another --out")
     path = out.with_suffix(".manifest.json")
     try:
         listed = json.loads(path.read_text(encoding="utf-8"))["outputs"]

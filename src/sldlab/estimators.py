@@ -216,56 +216,41 @@ def _triangular_solve(r: np.ndarray, b: np.ndarray) -> np.ndarray:
 #: tests, and is 100x inside the 1e-6 the benchmark's reference curves are
 #: checked at.  At sigma = 0.1 it rejects only cells near N = n, where the
 #: smallest singular value of a near-square Y collapses.  It is far stricter
-#: than the error a finite-k risk sees, so a caller that reads only the oracle
-#: stop may keep a rejected n x n Gram (N >= n) when :func:`_gram_certified`
-#: bounds the risk at the argmin to the same relative _GRAM_TOL (every other
-#: finite k is either as accurate or cannot be the argmin); the k = INFINITY
-#: entry, which inherits the full eps * kappa, is then taken from a QR of Y
-#: (:attr:`SvdCache.pinv_factor`).  A rejected N x N Gram (N < n) always goes
-#: to the direct SVD: the log grids of the sweeps put no N that close below n.
+#: than the error a finite-k risk sees, which is why :func:`svd_of` lets
+#: :func:`_gram_certified` keep a rejected n x n Gram; the log grids of the
+#: sweeps put no N close enough below n for a rejected N x N Gram to matter.
 _GRAM_TOL = 1e-8
 
 
-def svd_of(dataset: Dataset, grid_only: bool = False) -> SvdCache:
+def svd_of(dataset: Dataset) -> SvdCache:
     """Thin SVD of the noisy matrix, truncated at numerical rank.
 
     Noisy data (sigma_z > 0) is first decomposed through the Gram matrix of
-    Y's small side: the N x N Y^T Y when N < n (storing V_y, so U_y is
-    formed only if a caller asks for it) from the dataset's noise
-    statistics, so Y is not drawn, and the n x n Y Y^T otherwise (storing
-    U_y, from a draw of Y that is dropped before the ``eigh``; C Y^T from
-    the same draw gives g = C V_y and is not kept).
+    Y's small side: Y^T Y (N x N, from the noise statistics) when N < n and
+    Y Y^T (n x n) otherwise; :class:`SvdCache` says what each route reads.
     Squaring Y squares its condition number, so the route ("gram") is kept
-    when the run-time check eps * lambda_max / lambda_min <= _GRAM_TOL
-    passes.  Noiseless data (sigma_z = 0) is exactly rank-deficient
-    whenever N > d and always takes the direct LAPACK SVD ("svd").
-
-    ``grid_only=True`` declares that the caller reads GD risks only through
-    :func:`oracle_stop` and the k = INFINITY entry, GD estimators only at
-    those k, and the PCA risk and estimator.  A full-rank n x n Gram (N >= n)
-    that fails the check is then kept ("gram-certified") when
-    :func:`_gram_certified` bounds the risk at the finite-k argmin and PCA's
-    subspace to relative _GRAM_TOL, and shows that no other k of
-    :data:`K_GRID` can be the argmin; on such a cache the k = INFINITY
-    (PINV) risk and estimator come from a QR of Y
-    (:attr:`SvdCache.pinv_factor`), accurate to eps * kappa.  This is what
-    saves the direct SVD of square and near-square wide cells.  Otherwise --
-    an N x N Gram (N < n), tiny sigma_z, or any rank deficiency -- the
-    matrix goes to the direct SVD.  The default, ``grid_only=False``, keeps
-    only a Gram that passes the check, so the profile may be read at any k.
+    when eps * lambda_max / lambda_min <= _GRAM_TOL.  A full-rank n x n Gram
+    (N >= n) that fails that check is still kept ("gram-certified") when
+    :func:`_gram_certified` bounds the risk at the finite-k argmin of
+    :data:`K_GRID` and PCA's subspace to relative _GRAM_TOL, and shows that
+    no other k, INFINITY included, can be the argmin.  Such a cache takes
+    its k = INFINITY (PINV) risk and estimator from a QR of Y
+    (:attr:`SvdCache.pinv_factor`), accurate to eps * kappa.  The
+    certificate proves nothing of the other finite-k entries, though on 33
+    certified near-square cells they matched the direct SVD within 4.9e-10.
+    Everything else -- an N x N Gram that fails the check, a failed
+    certificate, rank deficiency, sigma_z = 0 -- takes the direct SVD ("svd").
     """
-    cache = _gram_svd(dataset, grid_only) if dataset.params.sigma_z > 0 else None
+    cache = _gram_svd(dataset) if dataset.params.sigma_z > 0 else None
     return cache if cache is not None else _direct_svd(dataset)
 
 
-def _gram_svd(dataset: Dataset, grid_only: bool) -> SvdCache | None:
-    """Singular triples from the Gram matrix of Y's small side, or None if not trusted.
+def _gram_svd(dataset: Dataset) -> SvdCache | None:
+    """The Gram route of :func:`svd_of`, or None where the direct SVD must run.
 
-    For N < n the Gram is Y^T Y = C^T C + sigma (C^T W + W^T C) + sigma^2 Z^T Z,
-    formed from :attr:`~sldlab.model.Dataset.noise_stats` (Y = U C + sigma Z,
-    W = U^T Z), so Y is not drawn, and kept only if it passes the check; for
-    N >= n it is Y Y^T, from :func:`_wide_gram`, and ``grid_only`` lets it
-    be certified.
+    For N < n the Gram is Y^T Y = C^T C + sigma (C^T W + W^T C) + sigma^2 Z^T Z
+    (Y = U C + sigma Z, W = U^T Z), so Y is not drawn.  Returning None frees
+    the eigenvectors before the direct SVD allocates its own.
     """
     tall = dataset.n_train < dataset.params.n
     gram, coeff_yt = (_tall_gram(dataset), None) if tall else _wide_gram(dataset)
@@ -273,7 +258,7 @@ def _gram_svd(dataset: Dataset, grid_only: bool) -> SvdCache | None:
     del gram  # one N x N array fewer while the factor is copied below
     lam_min, lam_max = float(evals[0]), float(evals[-1])
     ill_conditioned = _EPS * lam_max > _GRAM_TOL * lam_min
-    if not lam_min > 0.0 or (ill_conditioned and (tall or not grid_only)):
+    if not lam_min > 0.0 or (ill_conditioned and tall):
         return None
     s, factor = np.sqrt(evals[::-1]), evecs[:, ::-1]  # _truncated copies the factor
     route = "gram-certified" if ill_conditioned else "gram"

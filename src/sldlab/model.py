@@ -28,6 +28,12 @@ _ORTHO_TOL = 1e-10
 #: same blocks, so U[rows] C is the one other block-sized temporary of a draw.
 _STREAM_BYTES = 4 * 2**20
 
+#: Largest sigma_z a model accepts.  An n x n Gram's certificate sums lambda^2 ~
+#: sigma^4 N^2 and squares eta = 1 / lambda_max, which over- and underflow near
+#: sigma^4 n N^2 = 1e308: an n = N = 1000 sweep failed at sigma = 1e75 and ran
+#: clean at 1e70.  Past sigma = 1e8 the optimal risk already rounds to 1, the zero map's.
+SIGMA_MAX = 1e50
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -35,7 +41,7 @@ class ModelParams:
 
     d        -- subspace (signal) dimension, 1 <= d < n
     n        -- ambient dimension
-    sigma_z  -- noise standard deviation, >= 0
+    sigma_z  -- noise standard deviation, 0 <= sigma_z <= SIGMA_MAX
     """
 
     d: int
@@ -47,8 +53,8 @@ class ModelParams:
             raise DimensionError(f"d and n must be integers, got d={self.d!r}, n={self.n!r}")
         if not 1 <= self.d < self.n:
             raise DimensionError(f"d must satisfy 1 <= d < n, got d={self.d}, n={self.n}")
-        if not np.isfinite(self.sigma_z) or self.sigma_z < 0:
-            raise DimensionError(f"sigma_z must be finite and >= 0, got sigma_z={self.sigma_z}")
+        if not 0 <= self.sigma_z <= SIGMA_MAX:
+            raise DimensionError(f"sigma_z must be in [0, {SIGMA_MAX:g}], got {self.sigma_z}")
 
 
 @dataclass(eq=False)

@@ -19,6 +19,10 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64.0, 16.0, 34.0, 46.0
 
+#: Log-spaced sizes every fitted line is drawn through, since a floor
+#: (``FitOverlay.offset``) bends it on log axes; odd, so one is the range's geometric middle.
+_OVERLAY_VERTICES = 33
+
 
 def _escape(text: str) -> str:
     """xml.sax.saxutils.escape, whose import pulls in urllib, http and email."""
@@ -37,7 +41,7 @@ class PlotSeries:
 
 @dataclass(frozen=True)
 class FitOverlay:
-    """A fitted power law drawn as a dashed line across ``size_range``."""
+    """A fitted power law drawn as a dashed curve across ``size_range`` (positive sizes)."""
 
     label: str
     alpha: float
@@ -74,18 +78,19 @@ def render_scaling_plot(
     height: int = 540,
 ) -> str:
     """Render series and overlays to an SVG document string."""
-    xs, ys = [], []
+    curves, lines = [], []  # the drawable points of each series and of each fitted line
     for s in series:
         sizes, values = np.asarray(s.sizes, dtype=float), np.asarray(s.values, dtype=float)
         keep = _drawable(sizes, values)
-        xs.extend(sizes[keep])
-        ys.extend(values[keep])
+        err = None if s.err is None else np.asarray(s.err, dtype=float)[keep]
+        curves.append((sizes[keep], values[keep], err))
     for o in overlays:
-        for bound in o.size_range:
-            y = o.at(bound)
-            if bound > 0 and y > 0:
-                xs.append(float(bound))
-                ys.append(float(y))
+        sizes = np.geomspace(*o.size_range, _OVERLAY_VERTICES)
+        values = np.array([o.at(x) for x in sizes.tolist()])
+        keep = _drawable(sizes, values)
+        lines.append((sizes[keep], values[keep]))
+    xs = [x for drawn in (*curves, *lines) for x in drawn[0]]
+    ys = [y for drawn in (*curves, *lines) for y in drawn[1]]
     if not xs:
         raise EmptyDataError("nothing to plot: no positive (size, value) points")
 
@@ -156,13 +161,8 @@ def render_scaling_plot(
 
     y_floor = 10.0**y0  # clip for error bars that would leave the log plot
     legend: list[tuple[str, str, bool]] = []  # (color, label, dashed)
-    for i, s in enumerate(series):
+    for i, (s, (sizes, values, err)) in enumerate(zip(series, curves)):
         color = PALETTE[i % len(PALETTE)]
-        sizes = np.asarray(s.sizes, dtype=float)
-        values = np.asarray(s.values, dtype=float)
-        keep = _drawable(sizes, values)
-        sizes, values = sizes[keep], values[keep]
-        err = None if s.err is None else np.asarray(s.err, dtype=float)[keep]
         if sizes.size == 0:
             continue
         if err is not None:
@@ -186,10 +186,9 @@ def render_scaling_plot(
             )
         legend.append((color, s.label, False))
 
-    for i, o in enumerate(overlays):
+    for i, (o, (sizes, values)) in enumerate(zip(overlays, lines)):
         color = PALETTE[(len(series) + i) % len(PALETTE)]
-        lo_x, hi_x = o.size_range
-        pts = " ".join(f"{_fmt(px(x))},{_fmt(py(o.at(x)))}" for x in (lo_x, hi_x))
+        pts = " ".join(f"{_fmt(px(x))},{_fmt(py(v))}" for x, v in zip(sizes, values))
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="1.2" stroke-dasharray="6 4"/>'

@@ -160,7 +160,7 @@ def _evaluate_cell(
     params = config.params
     basis = sample_basis(params.n, params.d, cell_seed)
     ds = sample_dataset(params, basis, n_train, cell_seed)
-    cache = svd_of(ds, grid_only=True) if config.estimators != ("OPT",) else None
+    cache = svd_of(ds) if config.estimators != ("OPT",) else None
     # Every closed-form risk comes before the Monte-Carlo block streams the test
     # noise, so the QR of Y that PINV reads on a certified cache runs first.
     risks: list[float] = []

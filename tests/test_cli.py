@@ -18,7 +18,7 @@ import pytest
 import sldlab.cli as cli
 from sldlab.cli import main
 from sldlab.errors import UsageError
-from sldlab.model import ModelParams
+from sldlab.model import SIGMA_MAX, ModelParams
 from sldlab.presets import FitSpec, Preset, _parse_preset
 from sldlab.sweep import SweepConfig, default_train_grid
 
@@ -416,6 +416,50 @@ def test_plot_and_fit_refuse_to_overwrite_their_input(tmp_path, capsys):
     assert len(err) == 1 and "is the --fits file" in err[0]
     assert fits.read_bytes() == table
     assert json.loads((tmp_path / "f.manifest.json").read_text())["command"] == "fit"
+
+
+def test_no_command_writes_over_a_manifest(tmp_path, capsys):
+    # An --out named like a manifest would replace the record of another
+    # run: plot, fit and simulate each exit 2 and leave the file as it was.
+    curve, manifest = tmp_path / "curve.csv", tmp_path / "curve.manifest.json"
+    assert main(_simulate_args(curve)) == 0
+    record = manifest.read_bytes()
+    capsys.readouterr()
+    assert main(["plot", "--in", str(curve), "--out", str(manifest)]) == 2
+    assert main(["fit", "--in", str(curve), "--col", "PCA_M", "--out", str(manifest)]) == 2
+    assert main(_simulate_args(manifest)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3 and all("names a manifest" in line for line in err)
+    assert manifest.read_bytes() == record
+    assert not (tmp_path / "curve.manifest.manifest.json").exists()
+
+
+def test_sigma_above_the_bound_is_a_usage_error(tmp_path, capsys):
+    # sigma^2 would overflow in the fit's floor, and the Gram of a sweep:
+    # both commands refuse such a --sigma as they parse it.
+    data = tmp_path / "data.csv"
+    _write_powerlaw_csv(data, alpha=-1.0, beta=2.0, floor=0.0099)
+    for sigma in ("1e154", "1e200", "inf"):
+        assert main(["fit", "--in", str(data), "--mode", "excess", "--floor", "auto",
+                     "--sigma", sigma]) == 2
+        assert main(_simulate_args(tmp_path / "c.csv", sigma=sigma)) == 2
+        err = capsys.readouterr().err
+        assert err.count("argument --sigma") == 2
+    assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_simulate_runs_clean_at_the_sigma_bound(tmp_path, capsys):
+    # At SIGMA_MAX nothing over- or underflows on tall, square or wide cells,
+    # nor in the Monte-Carlo block.
+    curve = tmp_path / "c.csv"
+    assert main(_simulate_args(curve, sigma=repr(SIGMA_MAX), grid="3:100:2",
+                               est="opt,pca,esgd,pinv", mc_test=20)) == 0
+    capsys.readouterr()
+    with open(curve, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[0] for row in rows[1:]] == ["3", "10", "32", "100"]
+    assert all(math.isfinite(float(v)) for row in rows[1:] for v in row)
 
 
 @pytest.mark.parametrize("bad", ["curve-table", "alpha"])

@@ -24,7 +24,9 @@ from sldlab.estimators import (
     _direct_svd,
     _gram_certified,
 )
-from sldlab.model import Dataset, LinearEstimator, ModelParams, sample_basis, sample_dataset
+from sldlab.model import (
+    SIGMA_MAX, Dataset, LinearEstimator, ModelParams, sample_basis, sample_dataset,
+)
 from sldlab.risk import risk_closed_form
 from sldlab.sweep import SweepConfig
 
@@ -160,9 +162,10 @@ def test_svd_of_small_sigma_wide_falls_back_to_direct():
 
 
 # Near-square cells that fail eps * kappa <= 1e-8 (3.5e-8, 8.0e-8, 2.0e-8,
-# 1.6e-8, 3.1e-8 and 1.6e-7 on these draws), so plain svd_of sends them to the
-# direct SVD: square and wide (N = n + 2).  At sigma = 0.01 the certificate
-# settles k = 2^19 and 2^20 only by its running noise bound.
+# 1.6e-8, 3.1e-8 and 1.6e-7 on these draws), so svd_of keeps their n x n
+# Gram only through the certificate: square and wide (N = n + 2).  At
+# sigma = 0.01 the certificate settles k = 2^19 and 2^20 only by its running
+# noise bound.
 _NEAR_SQUARE = [(100, 100, 0.05, 200), (300, 300, 0.05, 600),
                 (1000, 1000, 0.1, 2000), (1000, 1000, 0.2, 1),
                 (1000, 1002, 0.1, 7), (1000, 1000, 0.01, 0)]
@@ -170,12 +173,13 @@ _NEAR_SQUARE = [(100, 100, 0.05, 200), (300, 300, 0.05, 600),
 
 @pytest.mark.parametrize("n,n_train,sigma,seed", _NEAR_SQUARE)
 def test_certified_gram_matches_direct_on_near_square_cells(n, n_train, sigma, seed):
-    # Read only on the grid, the Gram decomposition is kept, and everything a
-    # sweep reads from it matches the direct SVD: the oracle stop from the
-    # spectrum, without forming the QR of Y, and the k = INFINITY (PINV)
-    # entry from that QR.
+    # The Gram decomposition is certified, and everything a sweep reads from
+    # it matches the direct SVD: the oracle stop from the spectrum, without
+    # forming the QR of Y, and the k = INFINITY (PINV) entry from that QR.
+    # The certificate proves nothing of the other finite k, yet on these
+    # cells the whole profile matches too.
     params, basis, ds = _instance(n=n, d=10, sigma=sigma, n_train=n_train, seed=seed)
-    cache = svd_of(ds, grid_only=True)
+    cache = svd_of(ds)
     assert cache.route == "gram-certified"
     ref = _direct_svd(ds)
     k_opt, risk = oracle_stop(cache)
@@ -184,6 +188,7 @@ def test_certified_gram_matches_direct_on_near_square_cells(n, n_train, sigma, s
     assert k_opt == k_ref and risk == pytest.approx(risk_ref, rel=1e-8)
     routed, direct = _route_risks(cache), _route_risks(ref)
     assert "pinv_factor" in vars(cache)
+    np.testing.assert_allclose(routed[:-1], direct[:-1], rtol=1e-8, atol=0.0)
     best = int(np.argmin(routed[:-1]))  # the ESGD argmin over the grid, INFINITY included
     assert best == int(np.argmin(direct[:-1])) and best < len(K_GRID) - 1
     for i in (best, -2, -1):  # ESGD, PINV and PCA
@@ -200,18 +205,34 @@ def test_certified_gram_matches_direct_on_near_square_cells(n, n_train, sigma, s
         np.linalg.norm(ds.coeff @ ds.noisy.T, 2), rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_certificate_runs_clean_at_the_sigma_bound():
+    # The certificate sums lambda^2 ~ sigma^4 N^2 and squares eta = 1 / lambda_max;
+    # at SIGMA_MAX neither over- nor underflows, and what it proves -- the
+    # oracle stop, PINV and PCA -- matches the direct SVD.  It proves nothing
+    # of the other entries: here k = 2^20, which cannot be the argmin, is off
+    # by 2.6e-8.
+    params, basis, ds = _instance(n=100, d=10, sigma=SIGMA_MAX, n_train=100, seed=5)
+    cache, ref = svd_of(ds), _direct_svd(ds)
+    assert cache.route == "gram-certified"
+    (k_opt, risk), (k_ref, risk_ref) = oracle_stop(cache), oracle_stop(ref)
+    assert k_opt == k_ref and risk == pytest.approx(risk_ref, rel=1e-8)
+    np.testing.assert_allclose(_route_risks(cache)[-2:], _route_risks(ref)[-2:],
+                               rtol=1e-8, atol=0.0)  # PINV and PCA
+
+
 def test_ill_conditioned_tall_gram_takes_the_direct_svd(monkeypatch):
     # Only the n x n Gram is certified.  The tall N = n - 1 cell fails the
-    # conditioning check, so even read on the grid alone it takes the direct
-    # SVD, and a sweep cell scores it exactly as the direct SVD does.
+    # conditioning check, so it takes the direct SVD, and a sweep cell scores
+    # it exactly as the direct SVD does.
     params, basis, ds = _instance(n=1000, d=10, sigma=0.1, n_train=999, seed=1)
-    cache = svd_of(ds, grid_only=True)
+    cache = svd_of(ds)
     assert cache.route == "svd" and cache.rank == 999
     assert np.finfo(float).eps * (cache.s_y[0] / cache.s_y[-1]) ** 2 > 1e-8
     config = SweepConfig(params=params, train_sizes=(999,), n_seeds=1,
                          estimators=("ESGD", "PCA", "PINV"))
     records = sweep_mod._evaluate_cell(config, 999, 1)
-    monkeypatch.setattr(sweep_mod, "svd_of", lambda dataset, **kwargs: _direct_svd(dataset))
+    monkeypatch.setattr(sweep_mod, "svd_of", lambda dataset: _direct_svd(dataset))
     assert np.array_equal(records, sweep_mod._evaluate_cell(config, 999, 1), equal_nan=True)
 
 
@@ -219,7 +240,7 @@ def test_certificate_keeps_the_direct_svd_at_sigma_1e_3():
     # At n = N = 1000 and sigma = 1e-3 the bound at the argmin itself is
     # 6.8e-8 of the risk, so no settling rule saves the Gram.
     params, basis, ds = _instance(n=1000, d=10, sigma=1e-3, n_train=1000, seed=0)
-    assert svd_of(ds, grid_only=True).route == "svd"
+    assert svd_of(ds).route == "svd"
 
 
 def test_certified_risks_do_not_depend_on_an_earlier_read_of_y():
@@ -231,7 +252,7 @@ def test_certified_risks_do_not_depend_on_an_earlier_read_of_y():
         params, basis, ds = _instance(n=100, d=10, sigma=0.05, n_train=100, seed=200)
         if read_first:
             ds.noisy
-        cache = svd_of(ds, grid_only=True)
+        cache = svd_of(ds)
         assert cache.route == "gram-certified"
         risks.append((*oracle_stop(cache), pca_risk(cache), *gd_risk_profile(cache, (INFINITY,))))
     assert risks[0] == risks[1]
@@ -245,7 +266,7 @@ def test_pinv_factor_matches_least_squares(n, n_train):
     # spans several substitution blocks, and on a cell whose R is one
     # partial block.
     params, basis, ds = _instance(n=n, d=10, sigma=0.1, n_train=n_train, seed=n + n_train)
-    b = svd_of(ds, grid_only=True).pinv_factor
+    b = svd_of(ds).pinv_factor
     expected = np.linalg.lstsq(ds.noisy.T, ds.coeff.T, rcond=None)[0]
     assert np.linalg.norm(b - expected) <= 1e-12 * np.linalg.norm(expected)
 
@@ -256,7 +277,7 @@ def test_pinv_factor_memory_is_two_copies_of_the_stacked_matrix():
     # mode="r" would add a copy of R and miss the bound.
     n = n_train = 1000
     params, basis, ds = _instance(n=n, d=10, sigma=0.1, n_train=n_train, seed=2000)
-    cache = svd_of(ds, grid_only=True)
+    cache = svd_of(ds)
     assert cache.route == "gram-certified"
     tracemalloc.start()
     try:
@@ -273,7 +294,7 @@ def test_pinv_factor_refuses_a_tall_cache(spy_draws, n, n_train):
     # orientation: a cache with N < n (here the direct SVD and the N x N Gram)
     # is refused before Y is drawn.
     params, basis, ds = _instance(n=n, d=10, sigma=0.1, n_train=n_train, seed=n + n_train)
-    cache = svd_of(ds, grid_only=True)
+    cache = svd_of(ds)
     draws = spy_draws()
     with pytest.raises(InvariantError, match="N >= n"):
         cache.pinv_factor
@@ -285,7 +306,7 @@ def test_certificate_rejects_small_sigma_wide_cell():
     # a forced Gram route is off by 1e-2 at k = INFINITY, and its optimal k
     # sits at 2^16 to 2^20, where the bound exceeds the risk many times over.
     params, basis, ds = _instance(n=100, d=10, sigma=1e-7, n_train=200, seed=300)
-    assert svd_of(ds, grid_only=True).route == "svd"
+    assert svd_of(ds).route == "svd"
 
 
 @pytest.mark.parametrize("n_train", [5, 10])

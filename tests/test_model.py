@@ -40,6 +40,7 @@ def test_params_accept_valid():
         (3, 10, -0.5),
         (3, 10, float("nan")),
         (3, 10, float("inf")),
+        (3, 10, 1e51),  # above SIGMA_MAX
         (2.5, 10, 0.1),
     ],
 )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
 
@@ -52,6 +53,19 @@ def test_overlays_are_dashed_and_in_legend():
     assert len(dashed) == 1
     texts = [el.text for el in root.iter() if el.tag.endswith("text")]
     assert "slope -1.00" in texts
+
+
+def test_a_fit_with_a_floor_is_drawn_as_a_curve():
+    # A floor bends a power law on log axes, so the dashed line passes through
+    # the fit's value at the geometric middle of its range, not through the
+    # chord between its ends.  Decades 1..10^4 across and 10^-2..10^1 up.
+    overlay = FitOverlay(label="excess fit", alpha=-1.0, log_beta=0.0,
+                         size_range=(1.0, 1e4), offset=0.01)
+    root = ET.fromstring(render_scaling_plot([], (overlay,)))
+    (line,) = [el for el in root.iter() if el.tag.endswith("polyline")]
+    vertices = [tuple(map(float, p.split(","))) for p in line.attrib["points"].split()]
+    middle = (64.0 + 2 / 4 * 680.0, 494.0 - (math.log10(overlay.at(100.0)) + 2) / 3 * 460.0)
+    assert min(math.dist(v, middle) for v in vertices) <= 0.01
 
 
 def test_error_bars_clip_at_plot_floor():

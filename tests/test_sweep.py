@@ -229,9 +229,9 @@ def test_wide_cell_does_not_keep_y(monkeypatch, spy_draws, n_train, cell_seed, r
     # risks and the estimator builds read the stored U_y and C Y^T.
     datasets, draws = [], spy_draws()
 
-    def spy(dataset, **kwargs):
+    def spy(dataset):
         datasets.append(dataset)
-        return svd_of(dataset, **kwargs)
+        return svd_of(dataset)
 
     monkeypatch.setattr(sweep_mod, "svd_of", spy)
     config = _small_config(params=ModelParams(d=10, n=300, sigma_z=0.05), train_sizes=(n_train,),
@@ -239,7 +239,7 @@ def test_wide_cell_does_not_keep_y(monkeypatch, spy_draws, n_train, cell_seed, r
     sweep_mod._evaluate_cell(config, n_train, cell_seed)
     (dataset,) = datasets
     assert draws == [(10, n_train)]
-    assert svd_of(dataset, grid_only=True).route == route
+    assert svd_of(dataset).route == route
 
 
 def test_wide_cell_drops_y_before_the_eigh():
@@ -264,8 +264,8 @@ def _spy_on_routes(monkeypatch):
     """The route of every decomposition the sweep asks for, in call order."""
     routes = []
 
-    def spy(dataset, **kwargs):
-        cache = svd_of(dataset, **kwargs)
+    def spy(dataset):
+        cache = svd_of(dataset)
         routes.append(cache.route)
         return cache
 
@@ -299,7 +299,7 @@ def test_near_square_cell_keeps_certified_gram(monkeypatch, estimators):
                            n_seeds=1, estimators=estimators)
     records = sweep_mod._evaluate_cell(config, 300, 600)
     assert routes == ["gram-certified"]
-    monkeypatch.setattr(sweep_mod, "svd_of", lambda dataset, **kwargs: _direct_svd(dataset))
+    monkeypatch.setattr(sweep_mod, "svd_of", lambda dataset: _direct_svd(dataset))
     reference = sweep_mod._evaluate_cell(config, 300, 600)
     assert len(records) == len(reference) == len(estimators)
     for (risk, _, _), (expected, _, _) in zip(records, reference):
