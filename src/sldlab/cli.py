@@ -23,9 +23,8 @@ import numpy as np
 from . import __version__
 from .errors import CsvFormatError, SldlabError, UsageError
 from .model import SIGMA_MAX, ModelParams
-from .powerlaw import FIT_MODES, PowerLawFit, check_fit_mode, fit_powerlaw, fit_segmented
+from .powerlaw import FIT_MODES, PowerLawFit, SegmentedFit, check_fit_mode, fit_powerlaw, fit_segmented
 from .presets import load_preset
-from .risk import optimal_risk
 from .svgplot import FitOverlay, PlotSeries, render_scaling_plot
 from .sweep import (
     RiskCurve,
@@ -254,10 +253,7 @@ def _write_manifest(
 
 def _fit_row(
     source: str, series: str, mode: str, segment: str, fit: PowerLawFit,
-    size_span: tuple[float, float],
-    break_size: float | None = None,
-    sse_improvement: float | None = None,
-    evidence: bool | None = None,
+    size_span: tuple[float, float], seg: SegmentedFit | None = None,
 ) -> dict[str, str]:
     fmt = lambda v: format(float(v), ".17g")  # noqa: E731
     return {
@@ -276,9 +272,9 @@ def _fit_row(
         "floor": "" if fit.floor is None else fmt(fit.floor),
         "size_lo": fmt(size_span[0]),
         "size_hi": fmt(size_span[1]),
-        "break_size": "" if break_size is None else fmt(break_size),
-        "sse_improvement": "" if sse_improvement is None else fmt(sse_improvement),
-        "breakpoint_evidence": "" if evidence is None else ("true" if evidence else "false"),
+        "break_size": "" if seg is None else fmt(seg.break_size),
+        "sse_improvement": "" if seg is None else fmt(seg.sse_improvement),
+        "breakpoint_evidence": "" if seg is None else ("true" if seg.breakpoint_evidence else "false"),
     }
 
 
@@ -306,10 +302,9 @@ def _fit_rows(
     if mode != "segmented":
         return [_fit_row(source, series, mode, "all", fit_powerlaw(points, floor, region), span)]
     seg = fit_segmented(points, min_seg=min_seg, floor=floor, region=region)
-    extra = (seg.break_size, seg.sse_improvement, seg.breakpoint_evidence)
     return [
-        _fit_row(source, series, mode, "left", seg.left, (span[0], seg.break_size), *extra),
-        _fit_row(source, series, mode, "right", seg.right, (seg.break_size, span[1]), *extra),
+        _fit_row(source, series, mode, "left", seg.left, (span[0], seg.break_size), seg),
+        _fit_row(source, series, mode, "right", seg.right, (seg.break_size, span[1]), seg),
     ]
 
 
@@ -526,7 +521,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         outputs.append(csv_path)
 
         # The plot shows values minus the floor exactly when the fit subtracts it.
-        floor = optimal_risk(params) if fit is not None and fit.floor == "auto" else None
+        floor = _resolve_floor(fit.floor, params.sigma_z) if fit is not None else None
         overlays: list[FitOverlay] = []
         for name in curve.estimators() if fit is not None else ():
             points = np.column_stack([curve.train_sizes.astype(float), curve.series[name].mean])
@@ -544,7 +539,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         fits_path = out_dir / f"{preset.name}_fits.csv"
         _write_fits_csv(fits_path, fit_rows)
         outputs.append(fits_path)
-    manifest = out_dir / f"{preset.name}_manifest.json"
+    manifest = out_dir / f"{preset.name}.manifest.json"
     _write_manifest(
         manifest, "reproduce", sys.argv[1:],
         {"preset": preset.name, "version": preset.version,

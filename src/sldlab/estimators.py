@@ -75,7 +75,7 @@ class SvdCache:
                 from :attr:`pinv_factor`)
     dataset  -- the Dataset whose noisy matrix Y was decomposed
     coeff_v  -- g = C V_y (d x r), read by the GD profile and every GD estimator
-    ut_basis -- M = U_y^T U (r x d), read by the GD profile
+    ut_basis -- M = U_y^T U (r x d), read by the GD profile and the PCA frame
     """
 
     s_y: np.ndarray
@@ -153,32 +153,30 @@ class SvdCache:
         [I_d; 0].  Inner products among the columns of U and U_hat -- all a
         risk reads -- are the same in these coordinates, and only the d x k
         overlap A = U^T U_hat and the k x k Gram P^T P are needed; T is the
-        square root of P^T P.  When U_y is stored they come from U_hat.
-        Otherwise they come from the noise statistics, without Y: with
-        U_hat = Y B R^-1, B = V_y[:, :k] / S_y[:k] and R^T R = B^T Y^T Y B
-        (the orthonormalization of :meth:`leading_u`),
-            A = (C B + sigma W B) R^-1,
-            P^T P = sigma^2 R^-T (B^T Z^T Z B - (W B)^T W B) R^-1.
+        square root of P^T P.  Both come from M_k = U_y[:, :k]^T U, the first k
+        rows of the cache's M: with U_y stored, A = M_k^T and P = U_hat - U A.
+        Otherwise U_hat = Y B R^-1 (the QR of :meth:`leading_u`), B = V_y[:, :k]
+        / S_y[:k], so M_k = B^T (C + sigma W)^T, and with E = B^T (Z^T Z - W^T W) B
+        from the noise statistics (no Y),
+            R^T R = B^T Y^T Y B = M_k M_k^T + sigma^2 E,   A = M_k^T R^-1,
+            P^T P = sigma^2 R^-T E R^-1.
         The subspace error tr(P^T P) is thus never formed as k - ||A||_F^2,
         and keeps its relative accuracy when it is small.
         """
+        m_k = self.ut_basis[:k]
         if self._u_y is not None:
-            u_hat = self._u_y[:, :k]
-            basis = self.dataset.basis.matrix
-            overlap = basis.T @ u_hat
-            perp = u_hat - basis @ overlap
+            overlap = m_k.T
+            perp = self._u_y[:, :k] - self.dataset.basis.matrix @ overlap
             perp_gram = perp.T @ perp
         else:
             zz, w = self.dataset.noise_stats
             sigma = self.dataset.params.sigma_z
             b = self._v_y[:, :k] / self.s_y[:k]
-            cb, wb = self.dataset.coeff @ b, w @ b
-            bzzb = b.T @ (zz @ b)
-            cw = cb.T @ wb
-            chol = np.linalg.cholesky(cb.T @ cb + sigma * (cw + cw.T) + sigma**2 * bzzb)
-            overlap = np.linalg.solve(chol, (cb + sigma * wb).T).T
-            inner = np.linalg.solve(chol, bzzb - wb.T @ wb)
-            perp_gram = sigma**2 * np.linalg.solve(chol, inner.T)
+            wb = w @ b
+            e = b.T @ (zz @ b) - wb.T @ wb
+            chol = np.linalg.cholesky(m_k @ m_k.T + sigma**2 * e)
+            overlap = np.linalg.solve(chol, m_k).T
+            perp_gram = sigma**2 * np.linalg.solve(chol, np.linalg.solve(chol, e).T)
         lam, vec = np.linalg.eigh(perp_gram)
         return np.vstack([overlap, np.sqrt(np.clip(lam, 0.0, None))[:, None] * vec.T])
 
@@ -469,8 +467,6 @@ def _gd_filter(cache: SvdCache, k: int | float) -> np.ndarray:
     s_y = cache.s_y
     if k == INFINITY:
         return 1.0 / s_y
-    if k == 0:
-        return np.zeros_like(s_y)
     base = 1.0 - cache.eta * s_y * s_y
     return (1.0 - base ** int(k)) / s_y
 
@@ -538,7 +534,8 @@ def gd_risk_profile(cache: SvdCache, k_grid: Sequence[int | float]) -> np.ndarra
     relative accuracy when the risk sits near the sigma_z^2 floor.  On a
     "gram-certified" cache the k = INFINITY entry is
     (||B^T U - I_d||_F^2 + sigma_z^2 ||B||_F^2) / d with B =
-    :attr:`SvdCache.pinv_factor`.
+    :attr:`SvdCache.pinv_factor`.  The certificate covers only that entry and
+    the finite-k argmin: k = 2^20 was 2.6e-8 off at sigma = 1e50, n = N = 100.
     """
     params = cache.dataset.params
     misfit2, w_norm2 = _profile_terms(cache, k_grid)

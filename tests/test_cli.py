@@ -552,7 +552,7 @@ def test_reproduce_writes_full_artifact_set(tmp_path, capsys, monkeypatch):
     out_dir = tmp_path / "repro"
     assert main(["reproduce", "tiny", "--out", str(out_dir)]) == 0
     capsys.readouterr()
-    manifest = json.loads((out_dir / "tiny_manifest.json").read_text())
+    manifest = json.loads((out_dir / "tiny.manifest.json").read_text())
     outputs = [out_dir / "tiny_main.csv", out_dir / "tiny_main.svg", out_dir / "tiny_fits.csv"]
     assert manifest["outputs"] == [str(p) for p in outputs]
     for p in outputs:
@@ -561,6 +561,23 @@ def test_reproduce_writes_full_artifact_set(tmp_path, capsys, monkeypatch):
     fits_rows = (out_dir / "tiny_fits.csv").read_text().splitlines()
     assert fits_rows[0].split(",") == cli._FITS_HEADER
     assert len(fits_rows) == 3  # ESGD + PCA rows
+
+
+def test_no_command_writes_over_the_reproduce_manifest(tmp_path, capsys, monkeypatch):
+    # reproduce names its record <preset>.manifest.json, so the rule that
+    # refuses an --out named like a manifest keeps every command off it.
+    monkeypatch.setattr(cli, "load_preset", lambda name: _TINY_PRESET)
+    assert main(["reproduce", "tiny", "--out", str(tmp_path)]) == 0
+    curve, manifest = tmp_path / "tiny_main.csv", tmp_path / "tiny.manifest.json"
+    record = manifest.read_bytes()
+    capsys.readouterr()
+    assert main(["plot", "--in", str(curve), "--out", str(manifest)]) == 2
+    assert main(["fit", "--in", str(curve), "--col", "PCA_M", "--out", str(manifest)]) == 2
+    assert main(_simulate_args(manifest)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3 and all("names a manifest" in line for line in err)
+    assert manifest.read_bytes() == record
+    assert json.loads(record)["command"] == "reproduce"
 
 
 def test_reproduce_is_deterministic_per_seed(tmp_path, capsys, monkeypatch):

@@ -403,6 +403,27 @@ def test_pca_estimator_noiseless_recovery():
     assert risk_closed_form(est, basis, params) <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "n,n_train,sigma,seed,route",
+    [(200, 50, 0.1, 1, "gram"), (200, 10, 1e-6, 2, "gram"), (200, 5, 1e-7, 3, "gram"),
+     (2000, 10, 1e-6, 4, "gram"), (50, 200, 0.3, 6, "gram"), (60, 40, 0.0, 7, "svd"),
+     (200, 50, 1e-6, 5, "svd"), (100, 100, 0.05, 200, "gram-certified")],
+)
+def test_leading_u_in_frame_is_leading_u_in_the_frame(n, n_train, sigma, seed, route):
+    # The frame coordinates of U_hat = leading_u(k) are [U^T U_hat; T]: the
+    # columns stay orthonormal and the top d rows are the overlap with U, on
+    # the tall Gram route (down to sigma = 1e-7, where N <= d), the wide
+    # Gram, the direct SVD and a certified n = N Gram.
+    params, basis, ds = _instance(n=n, d=10, sigma=sigma, n_train=n_train, seed=seed)
+    cache = svd_of(ds)
+    assert cache.route == route
+    for k in sorted({1, min(params.d, cache.rank)}):
+        frame = cache.leading_u_in_frame(k)
+        assert frame.shape == (params.d + k, k)
+        assert np.max(np.abs(frame.T @ frame - np.eye(k))) <= 1e-12
+        assert np.max(np.abs(frame[:params.d] - basis.matrix.T @ cache.leading_u(k))) <= 1e-12
+
+
 # --- gradient descent: filter and closed form ---------------------------
 
 
