@@ -205,33 +205,37 @@ def build_parser() -> argparse.ArgumentParser:
 # =====================================================================
 
 
-def _make_dirs(directory: Path) -> Path:
-    """``directory``, created with any missing parents, for a command's outputs."""
-    directory.mkdir(parents=True, exist_ok=True)
-    return directory
+def _claim(out: Path, outputs: list[Path], *inputs: tuple[str, str | None],
+           record: Path | None = None) -> Path:
+    """Check that a run may write ``outputs``, create their directory, and return the run's record path.
 
-
-def _manifest_path(out: Path, *inputs: tuple[str, str | None]) -> Path:
-    """The manifest beside ``out``, refused if it records another output (curve.csv, curve.svg).
-
-    ``out`` is refused too when it names a manifest or is one of the (flag, path) ``inputs``.
+    A record owns its own name and the names of the outputs it lists in its
+    directory. The run's record is ``record``, by default the manifest beside
+    ``out``. The run exits 2, with nothing written, when ``out`` names a
+    manifest or is one of the (flag, path) ``inputs``, when an output is a
+    directory, when a record in the directory is unreadable or another record
+    lists an output, and when the run's own record lists a file the run
+    would not write.
     """
     for flag, infile in inputs:
         if infile is not None and out.resolve() == Path(infile).resolve():
             raise UsageError(f"--out {out} is the {flag} file; choose another --out")
     if out.name.endswith(".manifest.json"):
         raise UsageError(f"--out {out} names a manifest; choose another --out")
-    path = out.with_suffix(".manifest.json")
-    try:
-        listed = json.loads(path.read_text(encoding="utf-8"))["outputs"]
-        others = ", ".join(sorted({Path(p).name for p in listed} - {out.name}))
-    except FileNotFoundError:
-        return path
-    except (ValueError, KeyError, TypeError):
-        raise UsageError(f"{path} is not an sldlab manifest; choose another --out") from None
-    if others:
-        raise UsageError(f"{path} records {others}; choose an --out other than {out.name}")
-    return path
+    for path in outputs:
+        if path.is_dir():
+            raise UsageError(f"--out {path} is a directory; choose another --out")
+    own = record or out.with_suffix(".manifest.json")
+    names = {path.name for path in outputs}
+    for path in sorted(own.parent.glob("*.manifest.json")):
+        try:
+            listed = {Path(p).name for p in json.loads(path.read_text(encoding="utf-8"))["outputs"]}
+        except (ValueError, KeyError, TypeError):
+            raise UsageError(f"{path} is not an sldlab manifest; choose another --out") from None
+        if clash := ", ".join(sorted(listed - names if path.name == own.name else listed & names)):
+            raise UsageError(f"{path} records {clash}; choose an --out other than {out.name}")
+    own.parent.mkdir(parents=True, exist_ok=True)
+    return own
 
 
 def _write_manifest(
@@ -246,7 +250,7 @@ def _write_manifest(
         "base_seed": base_seed,
         "config": config,
         "outputs": [str(p) for p in outputs],
-        "duration_seconds": round(time.time() - started, 3),
+        "duration_seconds": round(time.perf_counter() - started, 3),
     }
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -360,7 +364,7 @@ def _fit_overlay(series: str, row: dict[str, str], floor_subtracted: bool = Fals
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    started = time.time()
+    started = time.perf_counter()
     base_seed = _resolve_base_seed(args.base_seed)
     try:
         config = SweepConfig(
@@ -375,9 +379,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         # Everything here came straight from command-line flags.
         raise UsageError(str(exc)) from exc
     out = Path(args.out)
-    manifest = _manifest_path(out)
+    manifest = _claim(out, [out])
     curve = run_sweep(config, workers=args.threads)
-    _make_dirs(out.parent)
     write_curve_csv(curve, out)
     _write_manifest(
         manifest, "simulate", sys.argv[1:], dataclasses.asdict(config), base_seed,
@@ -398,11 +401,11 @@ def _resolve_floor(floor_arg: str | float, sigma: float | None) -> float | None:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    started = time.time()
+    started = time.perf_counter()
     if args.min_seg < 2:
         raise UsageError(f"--min-seg must be >= 2 (a segment needs two points), got {args.min_seg}")
     out = Path(args.out) if args.out else None
-    manifest = _manifest_path(out, ("--in", args.infile)) if out else None
+    manifest = _claim(out, [out], ("--in", args.infile)) if out else None
     sizes, values, column = read_series_csv(args.infile, args.col)
     floor = _resolve_floor(args.floor, args.sigma)
     source = str(args.infile)
@@ -410,7 +413,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
                      args.min_seg)
     _report_fit(source, column, len(sizes), args.mode, rows)
     if out:
-        _make_dirs(out.parent)
         _write_fits_csv(out, rows)
         _write_manifest(
             manifest, "fit", sys.argv[1:],
@@ -483,13 +485,12 @@ def _curve_svg(
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
-    started = time.time()
+    started = time.perf_counter()
     out = Path(args.out)
-    manifest = _manifest_path(out, ("--in", args.infile), ("--fits", args.fits))
+    manifest = _claim(out, [out], ("--in", args.infile), ("--fits", args.fits))
     curve = read_curve_csv(args.infile)
     overlays = _read_fits_csv(args.fits) if args.fits else []
     svg = _curve_svg(curve, overlays, args.title)
-    _make_dirs(out.parent)
     out.write_text(svg, encoding="utf-8")
     _write_manifest(
         manifest, "plot", sys.argv[1:],
@@ -501,14 +502,17 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    started = time.time()
+    started = time.perf_counter()
     preset = load_preset(args.preset)
     fit = preset.fit
     base_seed = _resolve_base_seed(args.base_seed)
-    out_dir = _make_dirs(Path(args.out))
-    outputs: list[Path] = []
+    out_dir = Path(args.out)
+    outputs = [out_dir / f"{preset.name}_{label}{ext}"
+               for label in preset.sweeps for ext in (".csv", ".svg")]
+    outputs += [out_dir / f"{preset.name}_fits.csv"] if fit is not None else []
+    manifest = _claim(out_dir, outputs, record=out_dir / f"{preset.name}.manifest.json")
     fit_rows: list[dict[str, str]] = []
-    for label, config in preset.sweeps.items():
+    for (label, config), csv_path, svg_path in zip(preset.sweeps.items(), outputs[::2], outputs[1::2]):
         config = dataclasses.replace(config, base_seed=derive_seed(base_seed, "sweep", label))
         params = config.params
         print(
@@ -516,9 +520,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
             f"sizes={len(config.train_sizes)} seeds={config.n_seeds} ..."
         )
         curve = run_sweep(config, workers=args.threads)
-        csv_path = out_dir / f"{preset.name}_{label}.csv"
         write_curve_csv(curve, csv_path)
-        outputs.append(csv_path)
 
         # The plot shows values minus the floor exactly when the fit subtracts it.
         floor = _resolve_floor(fit.floor, params.sigma_z) if fit is not None else None
@@ -530,16 +532,11 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
             _report_fit(csv_path.name, f"{name}_M", len(points), fit.mode, rows)
             fit_rows.extend(rows)
             overlays += [_fit_overlay(name, row, floor is not None) for row in rows]
-        svg_path = out_dir / f"{preset.name}_{label}.svg"
         svg_path.write_text(
             _curve_svg(curve, overlays, f"{preset.name} {label}", floor), encoding="utf-8"
         )
-        outputs.append(svg_path)
     if fit is not None:
-        fits_path = out_dir / f"{preset.name}_fits.csv"
-        _write_fits_csv(fits_path, fit_rows)
-        outputs.append(fits_path)
-    manifest = out_dir / f"{preset.name}.manifest.json"
+        _write_fits_csv(outputs[-1], fit_rows)
     _write_manifest(
         manifest, "reproduce", sys.argv[1:],
         {"preset": preset.name, "version": preset.version,

@@ -434,6 +434,34 @@ def test_no_command_writes_over_a_manifest(tmp_path, capsys):
     assert not (tmp_path / "curve.manifest.manifest.json").exists()
 
 
+def test_an_out_that_is_a_directory_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
+    curve, taken = tmp_path / "curve.csv", tmp_path / "taken"
+    assert main(_simulate_args(curve)) == 0
+    taken.mkdir()
+    capsys.readouterr()
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("run_sweep reached")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    assert main(_simulate_args(taken)) == 2
+    assert main(["fit", "--in", str(curve), "--col", "PCA_M", "--out", str(taken)]) == 2
+    assert main(["plot", "--in", str(curve), "--out", str(taken)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3 and all("is a directory" in line for line in err)
+    assert not any(taken.iterdir()) and not (tmp_path / "taken.manifest.json").exists()
+
+
+def test_manifest_duration_ignores_a_wall_clock_step(tmp_path, capsys, monkeypatch):
+    # time.time steps back an hour on every call: the recorded duration
+    # comes from a monotonic clock and stays >= 0.
+    clock = iter(range(10**9, 0, -3600))
+    monkeypatch.setattr(cli.time, "time", lambda: float(next(clock)))
+    assert main(_simulate_args(tmp_path / "curve.csv")) == 0
+    capsys.readouterr()
+    assert json.loads((tmp_path / "curve.manifest.json").read_text())["duration_seconds"] >= 0
+
+
 def test_sigma_above_the_bound_is_a_usage_error(tmp_path, capsys):
     # sigma^2 would overflow in the fit's floor, and the Gram of a sweep:
     # both commands refuse such a --sigma as they parse it.
@@ -578,6 +606,79 @@ def test_no_command_writes_over_the_reproduce_manifest(tmp_path, capsys, monkeyp
     assert len(err) == 3 and all("names a manifest" in line for line in err)
     assert manifest.read_bytes() == record
     assert json.loads(record)["command"] == "reproduce"
+
+
+def _files(directory: Path) -> dict[Path, bytes]:
+    return {p: p.read_bytes() for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+def test_reproduce_refuses_to_replace_a_sweep_record(tmp_path, capsys, monkeypatch):
+    # tiny.manifest.json is the record of a sweep into tiny.csv, and the
+    # name reproduce gives its own: it exits 2 before the first sweep.
+    monkeypatch.setattr(cli, "load_preset", lambda name: _TINY_PRESET)
+    assert main(_simulate_args(tmp_path / "tiny.csv")) == 0
+    before = _files(tmp_path)
+    capsys.readouterr()
+    assert main(["reproduce", "tiny", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "tiny.manifest.json records tiny.csv" in err
+    assert _files(tmp_path) == before
+
+
+def test_no_command_writes_over_an_output_of_the_reproduce_record(tmp_path, capsys, monkeypatch):
+    # tiny.manifest.json lists tiny_main.csv, tiny_main.svg and tiny_fits.csv:
+    # plot, fit and simulate each exit 2 onto them and leave every file as it was.
+    monkeypatch.setattr(cli, "load_preset", lambda name: _TINY_PRESET)
+    assert main(["reproduce", "tiny", "--out", str(tmp_path)]) == 0
+    curve, svg = tmp_path / "tiny_main.csv", tmp_path / "tiny_main.svg"
+    before = _files(tmp_path)
+    capsys.readouterr()
+    assert main(["plot", "--in", str(curve), "--out", str(svg)]) == 2
+    assert main(["fit", "--in", str(curve), "--col", "PCA_M",
+                 "--out", str(tmp_path / "tiny_fits.csv")]) == 2
+    assert main(_simulate_args(curve)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3 and all("tiny.manifest.json records tiny_" in line for line in err)
+    assert _files(tmp_path) == before
+
+
+def test_reproduce_refuses_a_directory_named_like_a_manifest(tmp_path, capsys, monkeypatch):
+    # Every record in a directory is read before a write into it, so such a
+    # directory would stop every later command there.
+    monkeypatch.setattr(cli, "load_preset", lambda name: _TINY_PRESET)
+    out_dir = tmp_path / "r.manifest.json"
+    assert main(["reproduce", "tiny", "--out", str(out_dir)]) == 2
+    assert "names a manifest" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_a_rerun_into_the_same_place_is_allowed(tmp_path, capsys, monkeypatch):
+    # Beside the preset's record, a sweep into an unlisted name is fine too.
+    monkeypatch.setattr(cli, "load_preset", lambda name: _TINY_PRESET)
+    for _ in range(2):
+        assert main(["reproduce", "tiny", "--out", str(tmp_path)]) == 0
+        assert main(_simulate_args(tmp_path / "curve.csv")) == 0
+    capsys.readouterr()
+    assert json.loads((tmp_path / "tiny.manifest.json").read_text())["command"] == "reproduce"
+    assert json.loads((tmp_path / "curve.manifest.json").read_text())["command"] == "simulate"
+
+
+def test_the_benchmark_layout_runs_clean_twice(tmp_path, capsys):
+    # One sweep, two fits and a plot into one directory, as perfbench/run.py
+    # lays them out: each record lists only its own output.
+    curve = tmp_path / "curve.csv"
+    fits = {col: tmp_path / f"fits_{col}.csv" for col in ("ESGD_M", "PCA_M")}
+    for _ in range(2):
+        assert main(_simulate_args(curve, grid="3:300:3", est="esgd,pca")) == 0
+        for col, out in fits.items():
+            assert main(["fit", "--in", str(curve), "--col", col, "--mode", "excess",
+                         "--floor", "auto", "--sigma", "0.2", "--out", str(out)]) == 0
+        assert main(["plot", "--in", str(curve), "--fits", str(fits["PCA_M"]),
+                     "--out", str(tmp_path / "plot.svg")]) == 0
+    capsys.readouterr()
+    for name in ("curve.csv", "fits_ESGD_M.csv", "fits_PCA_M.csv", "plot.svg"):
+        record = json.loads((tmp_path / name).with_suffix(".manifest.json").read_text())
+        assert record["outputs"] == [str(tmp_path / name)]
 
 
 def test_reproduce_is_deterministic_per_seed(tmp_path, capsys, monkeypatch):
