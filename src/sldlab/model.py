@@ -23,10 +23,19 @@ _ORTHO_TOL = 1e-10
 #: Bytes of Z per row block in :func:`_noise_blocks` (524 rows at N = 1000).
 #: The n = 10^4, N = 1000 draw took 1.13-1.42 s with 64-row blocks, 0.55-0.60 s
 #: with 524 and 0.48-0.70 s with 2048 (2 cores, numpy 2.4.6 with OpenBLAS
-#: 0.3.31): thinner blocks starve the Z^T Z product, while a 4 MB block stays
-#: a fixed cost, half the Z^T Z of an N = 1000 cell.  Y is filled over the
+#: 0.3.31): thinner blocks starve the Z^T Z product.  Y is filled over the
 #: same blocks, so U[rows] C is the one other block-sized temporary of a draw.
 _STREAM_BYTES = 4 * 2**20
+
+#: Fewest rows per block of the Z^T Z sum in :attr:`Dataset.noise_stats`.
+#: Each block adds an N x N product to the sum, O(N^2) on top of its h N^2
+#: flops, and a 4 MB block is only 131 rows at N = 3981, so that cost grew
+#: as N^3 (_STREAM_BYTES was timed at N = 1000 only).  The n = 10^4 pass took
+#: 2.78, 9.29 and 33.0 s at N = 2512, 3981 and 6310 with 4 MB blocks, and
+#: 1.28, 2.44 and 5.38 s with 2048-row blocks (same host and build).  Such a
+#: block is at most 16 MB below N = 1024 and under two N x N arrays above it,
+#: fewer than the eigh that follows the pass holds.
+_GRAM_ROWS = 2048
 
 #: Largest sigma_z a model accepts.  An n x n Gram's certificate sums lambda^2 ~
 #: sigma^4 N^2 and squares eta = 1 / lambda_max, which over- and underflow near
@@ -119,12 +128,19 @@ class Dataset:
 
     @cached_property
     def noise_stats(self) -> tuple[np.ndarray, np.ndarray]:
-        """(Z^T Z, U^T Z), N x N and d x N, summed over :func:`_noise_blocks` on the first read."""
+        """(Z^T Z, U^T Z), N x N and d x N, summed over :func:`_noise_blocks` on the first read.
+
+        The blocks here are at least _GRAM_ROWS high, and each adds its Z^T Z
+        into the sum through one N x N product array, so the pass holds one
+        block and two N x N arrays.
+        """
         u = self.basis.matrix
         gram = np.zeros((self.n_train, self.n_train))
+        product = np.empty_like(gram)
         proj = np.zeros((u.shape[1], self.n_train))
-        for rows, z in _noise_blocks(self.params.n, self.n_train, self.seed):
-            gram += z.T @ z
+        for rows, z in _noise_blocks(self.params.n, self.n_train, self.seed, _GRAM_ROWS):
+            np.matmul(z.T, z, out=product)
+            gram += product
             proj += u[rows].T @ z
         return gram, proj
 
@@ -245,16 +261,20 @@ def sample_dataset(params: ModelParams, basis: SubspaceBasis, n_train: int, seed
     return Dataset(coeff, params, basis, seed)
 
 
-def _noise_blocks(n: int, n_cols: int, seed: int) -> Iterator[tuple[slice, np.ndarray]]:
+def _noise_blocks(
+    n: int, n_cols: int, seed: int, min_rows: int = 1
+) -> Iterator[tuple[slice, np.ndarray]]:
     """The n x n_cols noise Z of ``seed``'s "noise" stream, as (rows, Z[rows]) row blocks.
 
-    Z is drawn in C order, so consecutive row blocks from one generator are
-    bit for bit the rows of one whole draw.  The block height depends only
-    on n_cols, so sums over the blocks, and every result built on them, are
-    the same for any worker count.  Every block is drawn into one buffer,
-    valid until the next block is drawn.
+    Blocks hold _STREAM_BYTES of Z but at least ``min_rows`` rows (and at
+    most n); :attr:`Dataset.noise_stats` asks for _GRAM_ROWS, every other
+    view for the default.  Z is drawn in C order, so consecutive row blocks
+    from one generator are bit for bit the rows of one whole draw.  The block
+    height depends only on n_cols and the view, so sums over the blocks, and
+    every result built on them, are the same for any worker count.  Every
+    block is drawn into one buffer, valid until the next block is drawn.
     """
-    height = max(1, _STREAM_BYTES // (8 * n_cols))
+    height = max(min_rows, _STREAM_BYTES // (8 * n_cols))
     gen = stream(seed, "noise")
     buf = np.empty((min(height, n), n_cols))
     for lo in range(0, n, height):

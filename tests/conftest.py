@@ -18,3 +18,22 @@ def spy_draws(monkeypatch):
         return draws
 
     return start
+
+
+@pytest.fixture
+def spy_blocks(monkeypatch):
+    """Call it to start recording the height of every row block of noise drawn; it returns the list."""
+
+    def start() -> list[int]:
+        heights: list[int] = []
+        blocks = model._noise_blocks
+
+        def spy(*args):
+            for rows, z in blocks(*args):
+                heights.append(z.shape[0])
+                yield rows, z
+
+        monkeypatch.setattr(model, "_noise_blocks", spy)
+        return heights
+
+    return start

@@ -162,9 +162,9 @@ def test_sample_dataset_draws_only_the_coefficients(spy_draws, n, n_train):
 
 @pytest.mark.parametrize("n, d, n_train", [(10_000, 10, 500), (100, 3, 7), (50, 2, 1)])
 def test_streamed_draw_matches_one_whole_draw(n, d, n_train):
-    # noise_stats sums Z^T Z and W = U^T Z over row blocks of Z (ten blocks,
-    # the last one short, at n = 10^4, N = 500).  They match the products of
-    # one whole draw.  noisy fills Y over the same blocks, bit for bit
+    # noise_stats sums Z^T Z and W = U^T Z over row blocks of Z (five blocks,
+    # the last 1808 rows, at n = 10^4, N = 500).  They match the products of
+    # one whole draw.  noisy fills Y over its own 4 MB blocks, bit for bit
     # sigma Z[rows] + U[rows] C, on each read and without keeping it, so
     # reading the statistics first or Y first gives the same arrays.
     sigma = 0.3
@@ -188,6 +188,29 @@ def test_streamed_draw_matches_one_whole_draw(n, d, n_train):
         assert np.array_equal(a, b)
     assert noisy_first.noise_stats is noisy_first.noise_stats  # kept once read
     assert noisy_first.noisy is not y and "noisy" not in vars(noisy_first)  # drawn on each read
+
+
+def test_noise_stats_sum_blocks_of_at_least_2048_rows(spy_blocks):
+    # At N = 1500 a 4 MB block is only 349 rows, and every block writes and
+    # adds an N x N product.  The statistics take blocks of
+    # _GRAM_ROWS = 2048 rows instead (the last 1808 at n = 10^4), match the
+    # products of one whole draw, and hold one block and two N x N arrays.
+    n, d, n_train = 10_000, 10, 1500
+    params, basis = ModelParams(d, n, 0.1), sample_basis(n, d, seed=6)
+    ds = sample_dataset(params, basis, n_train, seed=7)
+    heights = spy_blocks()
+    tracemalloc.start()
+    try:
+        gram, proj = ds.noise_stats
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model._STREAM_BYTES // (8 * n_train) == 349
+    assert heights == [2048] * 4 + [1808]
+    assert peak <= 8 * (2048 * n_train + 2 * n_train**2) + 2**21
+    z = stream(7, "noise").standard_normal((n, n_train))
+    for kept, product in [(gram, z.T @ z), (proj, basis.matrix.T @ z)]:
+        assert np.linalg.norm(kept - product) <= 1e-14 * np.linalg.norm(product)
 
 
 def test_sample_dataset_zero_noise_copies():

@@ -124,20 +124,6 @@ def _whole_losses(est, test):
     return np.sum(err * err, axis=0) / test.params.d
 
 
-def _spy_on_blocks(monkeypatch):
-    """The height of every row block of noise drawn, in order."""
-    heights = []
-    blocks = model._noise_blocks
-
-    def spy(*args):
-        for rows, z in blocks(*args):
-            heights.append(z.shape[0])
-            yield rows, z
-
-    monkeypatch.setattr(model, "_noise_blocks", spy)
-    return heights
-
-
 @pytest.mark.parametrize("n_test", [2, 255, 256, 2000])
 def test_monte_carlo_blocks_match_unblocked(spy_draws, n_test):
     # One streamed call scores all five estimators of a cell without drawing
@@ -161,7 +147,7 @@ def test_monte_carlo_blocks_match_unblocked(spy_draws, n_test):
 
 @pytest.mark.parametrize("block_rows,heights", [(7, [7] * 5 + [5]), (1, [1] * 40)],
                          ids=["ragged", "one-row"])
-def test_monte_carlo_row_blocks_match_unblocked(monkeypatch, block_rows, heights):
+def test_monte_carlo_row_blocks_match_unblocked(monkeypatch, spy_blocks, block_rows, heights):
     # Shrinking the stream's blocks to 7 rows (a ragged last block of 5) or to
     # one row changes only the order of the B^T Z sums.
     params = ModelParams(d=3, n=40, sigma_z=0.3)
@@ -169,7 +155,7 @@ def test_monte_carlo_row_blocks_match_unblocked(monkeypatch, block_rows, heights
     estimators = _cell_estimators(params, basis)
     n_test = 256
     monkeypatch.setattr(model, "_STREAM_BYTES", 8 * n_test * block_rows)
-    drawn = _spy_on_blocks(monkeypatch)
+    drawn = spy_blocks()
     test = sample_dataset(params, basis, n_test, seed=9)
     reports = risk_monte_carlo(estimators, test)
     assert drawn == heights  # one pass over the noise for all five estimators

@@ -183,10 +183,11 @@ def test_monte_carlo_cell_memory_at_large_n():
     # One n = 10^4, N = 1000 cell scored on 500 test columns: Y takes 80 MB.
     # The estimators are built from Y V_y, streamed over row blocks of Z, and
     # the test noise is streamed too, so neither Y is formed: the cell peaks
-    # at 30.6 MB (110.6 MB when it drew the training Y for its builds, 180 MB
-    # when it also formed the 40 MB test Y).  The ESGD and PINV maps are
-    # n x d factors, so the cell holds no n x r factor (with r = N = 1000 a
-    # pair of them, and the U_y they came from, took the peak to 371 MB).
+    # at 33.4 MB in its 2048-row statistics pass (110.6 MB when it drew the
+    # training Y for its builds, 180 MB when it also formed the 40 MB test
+    # Y).  The ESGD and PINV maps are n x d factors, so the cell holds no
+    # n x r factor (with r = N = 1000 a pair of them, and the U_y they came
+    # from, took the peak to 371 MB).
     config = _small_config(params=ModelParams(d=10, n=10_000, sigma_z=0.1),
                            train_sizes=(1000,), n_seeds=1, mc_test_size=500)
     tracemalloc.start()
@@ -202,8 +203,8 @@ def test_monte_carlo_cell_memory_at_large_n():
 
 def test_streamed_cell_never_forms_y(monkeypatch):
     # One ESGD + PCA cell at n = 10^4, N = 1000 keeps C, Z^T Z, U^T Z and the
-    # Gram side of its decomposition (8 MB each at most), never Y (80 MB):
-    # it peaked at 104 MB when it held Y.
+    # Gram side of its decomposition (8 MB each at most) and reads Z in 16 MB
+    # blocks, never Y (80 MB): it peaked at 104 MB when it held Y.
     reads = []
     draw = Dataset.noisy.fget
     monkeypatch.setattr(Dataset, "noisy", property(lambda ds: reads.append(ds) or draw(ds)))
