@@ -120,20 +120,26 @@ class SvdCache:
         return _triangular_solve(h[:n, :n].T, h[n:, :n].T)
 
     def u_matmul(self, a: np.ndarray) -> np.ndarray:
-        """Return ``U_y @ a`` without forming U_y.
+        """Return ``U_y @ a`` without forming U_y: :meth:`u_matmuls` of ``[a]``."""
+        return self.u_matmuls([a])[0]
 
-        Uses Y V_y diag(1/S_y) a, O(n N k) for an r x k ``a``, through
-        :meth:`~sldlab.model.Dataset.noisy_matmul`, so Y is not formed.
+    def u_matmuls(self, factors: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Return ``U_y @ a`` for each ``a`` of ``factors``, without forming U_y.
+
+        Uses Y V_y diag(1/S_y) a, O(n N k) for an r x k ``a``, through one
+        :meth:`~sldlab.model.Dataset.noisy_matmul` pass over the training
+        noise for all the factors, so Y is not formed.
         """
         if self._u_y is not None:
-            return self._u_y @ a
-        return self.dataset.noisy_matmul(self._v_y @ (a / self.s_y[:, None]))
+            return [self._u_y @ a for a in factors]
+        return self.dataset.noisy_matmul([self._v_y @ (a / self.s_y[:, None]) for a in factors])
 
-    def leading_u(self, k: int) -> np.ndarray:
+    def leading_u(self, k: int, product: np.ndarray | None = None) -> np.ndarray:
         """The first ``k`` columns of U_y, orthonormal to working precision.
 
         Without a stored U_y they are formed by :meth:`u_matmul` as
-        Y V_y[:, :k] / S_y[:k], whose columns drift from orthonormal by up to
+        Y V_y[:, :k] / S_y[:k] (``product``, when :func:`u_products` has
+        formed it), whose columns drift from orthonormal by up to
         eps * lambda_max / lambda_k (<= _GRAM_TOL: only the N x N "gram"
         route, which passed the conditioning check, stores no U_y; reached
         when k covers the whole spectrum, as for N <= d).  One QR pass,
@@ -142,7 +148,9 @@ class SvdCache:
         """
         if self._u_y is not None:
             return self._u_y[:, :k]
-        q, r = np.linalg.qr(self.u_matmul(np.eye(self.rank, k)))
+        if product is None:
+            product = self.u_matmul(np.eye(self.rank, k))
+        q, r = np.linalg.qr(product)
         return q * np.sign(np.diagonal(r))
 
     def leading_u_in_frame(self, k: int) -> np.ndarray:
@@ -418,19 +426,60 @@ def _truncated(
 # =====================================================================
 
 
-def pca_estimator(cache: SvdCache, frame: bool = False) -> LinearEstimator:
+#: The build of :func:`pca_estimator` in :func:`u_products`; a GD build is its k.
+PCA_BUILD = "PCA"
+
+
+def u_products(cache: SvdCache, builds: Sequence[int | float | str]) -> list[np.ndarray | None]:
+    """The U_y product each build reads, all from one :meth:`SvdCache.u_matmuls`.
+
+    A build is :data:`PCA_BUILD` for :func:`pca_estimator`, whose product is
+    U_y I[:, :k] with k = min(d, rank), or an iteration count k for
+    :func:`gd_estimator_closed`, whose product is B = U_y D_k g^T.  A build
+    that needs no product gets None: PCA on a cache that stores U_y (it
+    slices it) and a k whose B is :attr:`SvdCache.pinv_factor`.  Without a
+    stored U_y every ``u_matmuls`` streams the training noise once, so a
+    cell's PCA, ESGD and PINV maps are built from one pass over Z, not
+    three.  Each product is bit for bit the one its build forms alone.
+    """
+    rights = [_right_factor(cache, build) for build in builds]
+    factors = [a for a in rights if a is not None]
+    products = iter(cache.u_matmuls(factors) if factors else ())
+    return [None if a is None else next(products) for a in rights]
+
+
+def _right_factor(cache: SvdCache, build: int | float | str) -> np.ndarray | None:
+    """The r x k factor ``a`` whose U_y a the build reads (see :func:`u_products`), or None."""
+    if build == PCA_BUILD:
+        if cache._u_y is not None:
+            return None
+        return np.eye(cache.rank, min(cache.dataset.params.d, cache.rank))
+    if _pinv_by_qr(cache, build):
+        return None
+    return _gd_filter(cache, build)[:, None] * cache.coeff_v.T
+
+
+def pca_estimator(
+    cache: SvdCache, frame: bool = False, u_product: np.ndarray | None = None
+) -> LinearEstimator:
     """Shrunken projector onto the top-d empirical singular directions.
 
     Uses min(d, rank) directions, so with fewer than d training columns the
-    projector is simply rank-deficient rather than an error.  ``frame=True``
-    gives the same map in the coordinates of
-    :meth:`SvdCache.leading_u_in_frame`, where U is [I_d; 0]: what
-    :func:`pca_risk` scores.
+    projector is simply rank-deficient rather than an error.  ``u_product``
+    is this build's product from :func:`u_products`, which is called here
+    when it is not given.  ``frame=True`` gives the same map in the
+    coordinates of :meth:`SvdCache.leading_u_in_frame`, where U is
+    [I_d; 0]: what :func:`pca_risk` scores.
     """
     params = cache.dataset.params
     r_use = min(params.d, cache.rank)
     shrink = 1.0 / (1.0 + params.sigma_z**2)
-    u_hat = cache.leading_u_in_frame(r_use) if frame else cache.leading_u(r_use)
+    if frame:
+        u_hat = cache.leading_u_in_frame(r_use)
+    else:
+        if u_product is None:
+            (u_product,) = u_products(cache, [PCA_BUILD])
+        u_hat = cache.leading_u(r_use, u_product)
     return LinearEstimator.scaled_projection(shrink, u_hat)
 
 
@@ -471,7 +520,9 @@ def _gd_filter(cache: SvdCache, k: int | float) -> np.ndarray:
     return (1.0 - base ** int(k)) / s_y
 
 
-def gd_estimator_closed(cache: SvdCache, k: int | float) -> LinearEstimator:
+def gd_estimator_closed(
+    cache: SvdCache, k: int | float, u_product: np.ndarray | None = None
+) -> LinearEstimator:
     """W^k = U C V_y D_k U_y^T, stored by its rank as the n x d pair (U R^T, Q).
 
     The regression targets the cache's clean signal X = U C, with C the
@@ -479,15 +530,16 @@ def gd_estimator_closed(cache: SvdCache, k: int | float) -> LinearEstimator:
     W^k = U B^T for the n x d matrix B = U_y D_k g^T, and its thin QR
     B = Q R gives W^k = (U R^T) Q^T.  So the factors are n x d whatever the
     rank r of Y, applying W^k costs O(n d) per column, and B is formed
-    through Y without the n x r factor U_y.  k = 0 gives the zero map
-    (R = 0) and k = INFINITY the pseudoinverse estimator, whose B on a
-    "gram-certified" cache is :attr:`SvdCache.pinv_factor`.
+    through Y without the n x r factor U_y.  ``u_product`` is B as
+    :func:`u_products` formed it, which is called here when it is not given.
+    k = 0 gives the zero map (R = 0) and k = INFINITY the pseudoinverse
+    estimator, whose B on a "gram-certified" cache is
+    :attr:`SvdCache.pinv_factor`.
     """
-    if _pinv_by_qr(cache, k):
-        b = cache.pinv_factor
-    else:
-        d_k = _gd_filter(cache, k)
-        b = cache.u_matmul(d_k[:, None] * cache.coeff_v.T)
+    _check_k(k)
+    if u_product is None:
+        (u_product,) = u_products(cache, [k])
+    b = cache.pinv_factor if _pinv_by_qr(cache, k) else u_product
     q, r = np.linalg.qr(b)
     return LinearEstimator(left=cache.dataset.basis.matrix @ r.T, basis=q)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -94,10 +94,11 @@ class Dataset:
 
     C and the seed fix the draw, so every view of it is read from the row
     blocks of Z in :func:`_noise_blocks`: :attr:`noisy` draws Y on each read,
-    :meth:`noisy_matmul` gives Y A without forming Y, :attr:`noise_stats`
-    (kept once read) sums Z^T Z and U^T Z, and :meth:`noise_projection` sums
-    B^T Z.  Y is never kept, so no read depends on an earlier one.  X lies
-    in span(U) by construction and is formed only by :attr:`clean`.
+    :meth:`noisy_matmul` gives Y A for several A in one pass without forming
+    Y, :attr:`noise_stats` (kept once read) sums Z^T Z and U^T Z, and
+    :meth:`noise_projection` sums B^T Z.  Y is never kept, so no read
+    depends on an earlier one.  X lies in span(U) by construction and is
+    formed only by :attr:`clean`.
     """
 
     coeff: np.ndarray
@@ -151,13 +152,19 @@ class Dataset:
             proj += b[rows].T @ z
         return proj
 
-    def noisy_matmul(self, a: np.ndarray) -> np.ndarray:
-        """Y A = U (C A) + sigma_z Z A (n x k) for an N x k A, summed over :func:`_noise_blocks`."""
-        out = self.basis.matrix @ (self.coeff @ a)
-        if self.params.sigma_z > 0:
+    def noisy_matmul(self, factors: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Y A = U (C A) + sigma_z Z A (n x k) for each N x k A of ``factors``.
+
+        One pass over :func:`_noise_blocks` serves every factor.  Each block
+        multiplies each A on its own, so a product does not depend on which
+        other factors share the pass.
+        """
+        outs = [self.basis.matrix @ (self.coeff @ a) for a in factors]
+        if self.params.sigma_z > 0 and outs:
             for rows, z in _noise_blocks(self.params.n, self.n_train, self.seed):
-                out[rows] += self.params.sigma_z * (z @ a)
-        return out
+                for out, a in zip(outs, factors):
+                    out[rows] += self.params.sigma_z * (z @ a)
+        return outs
 
     @property
     def clean(self) -> np.ndarray:

@@ -11,24 +11,37 @@ changing a single output bit.  A cell scores ESGD at its oracle stopping time
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
+from .blas import blas_pool
 from .errors import CsvFormatError, DimensionError, GridError, InvariantError, SweepCellError
 from .estimators import (
     INFINITY,
+    PCA_BUILD,
     gd_estimator_closed,
     gd_risk_profile,
     oracle_stop,
     pca_estimator,
     pca_risk,
     svd_of,
+    u_products,
 )
-from .model import ModelParams, optimal_estimator, optimal_risk, sample_basis, sample_dataset
-from .risk import risk_monte_carlo
+from .model import (
+    Dataset,
+    LinearEstimator,
+    ModelParams,
+    optimal_estimator,
+    optimal_risk,
+    sample_basis,
+    sample_dataset,
+)
+from .risk import RiskReport, risk_monte_carlo
 from .rng import derive_seed
 
 ESTIMATOR_NAMES = ("OPT", "PCA", "ESGD", "PINV")
@@ -142,21 +155,54 @@ def _run_cell(task: tuple[SweepConfig, int, int]) -> tuple[tuple[float, float, f
     Returns, per estimator, (closed-form risk, mc mean, mc std error); the
     Monte-Carlo slots are NaN when mc_test_size == 0.
     """
+    with _naming(task):
+        return _evaluate_cell(*_cell_inputs(task))
+
+
+def _cell_inputs(task: tuple[SweepConfig, int, int]) -> tuple[SweepConfig, int, int]:
+    """(config, train size, cell seed) of a (config, size index, seed index) task."""
     config, size_index, seed_index = task
-    n_train = config.train_sizes[size_index]
     cell_seed = derive_seed(config.base_seed, "cell", size_index, seed_index)
+    return config, config.train_sizes[size_index], cell_seed
+
+
+@contextlib.contextmanager
+def _naming(task: tuple[SweepConfig, int, int]) -> Iterator[None]:
+    """Raise a failure of the body as a SweepCellError that names the cell of ``task``."""
+    config, size_index, seed_index = task
     try:
-        return _evaluate_cell(config, n_train, cell_seed)
+        yield
     except Exception as exc:
         raise SweepCellError(
-            f"sweep cell failed at train_size={n_train} (grid index {size_index}), "
-            f"seed index {seed_index}: {type(exc).__name__}: {exc}"
+            f"sweep cell failed at train_size={config.train_sizes[size_index]} (grid index "
+            f"{size_index}), seed index {seed_index}: {type(exc).__name__}: {exc}"
         ) from exc
 
 
 def _evaluate_cell(
     config: SweepConfig, n_train: int, cell_seed: int
 ) -> tuple[tuple[float, float, float], ...]:
+    risks, estimators, test = _cell_front(config, n_train, cell_seed)
+    return _records(risks, None if test is None else risk_monte_carlo(estimators, test))
+
+
+def _records(
+    risks: list[float], reports: Sequence[RiskReport] | None
+) -> tuple[tuple[float, float, float], ...]:
+    """(risk, mc mean, mc std error) per estimator; NaN Monte-Carlo slots without ``reports``."""
+    if reports is None:
+        return tuple((risk, math.nan, math.nan) for risk in risks)
+    return tuple((risk, r.mean, r.std_err) for risk, r in zip(risks, reports))
+
+
+def _cell_front(
+    config: SweepConfig, n_train: int, cell_seed: int
+) -> tuple[list[float], list[LinearEstimator] | None, Dataset | None]:
+    """A cell up to its Monte-Carlo pass: the closed-form risks, the estimators and the test set.
+
+    The estimators and the test set (its d x M coefficients; the pass streams
+    its noise) are None when mc_test_size == 0.
+    """
     params = config.params
     basis = sample_basis(params.n, params.d, cell_seed)
     ds = sample_dataset(params, basis, n_train, cell_seed)
@@ -164,32 +210,75 @@ def _evaluate_cell(
     # Every closed-form risk comes before the Monte-Carlo block streams the test
     # noise, so the QR of Y that PINV reads on a certified cache runs first.
     risks: list[float] = []
-    stop_k: dict[str, int | float] = {"PINV": INFINITY}
+    builds: dict[str, int | float | str] = {"PCA": PCA_BUILD, "PINV": INFINITY}  # see u_products
     for name in config.estimators:
         if name == "OPT":
             risks.append(optimal_risk(params))
         elif name == "PCA":
             risks.append(pca_risk(cache))
         elif name == "ESGD":
-            stop_k[name], risk = oracle_stop(cache)
+            builds[name], risk = oracle_stop(cache)
             risks.append(risk)
         else:  # PINV
             risks.append(float(gd_risk_profile(cache, (INFINITY,))[0]))
     mc = config.mc_test_size
     if not mc:
-        return tuple((risk, math.nan, math.nan) for risk in risks)
+        return risks, None, None
 
+    # One product with U_y for all the builds: without a stored U_y, one pass over Z.
+    built = [name for name in config.estimators if name != "OPT"]
+    products = dict(zip(built, u_products(cache, [builds[name] for name in built])))
     estimators = []
     for name in config.estimators:
         if name == "OPT":
             estimators.append(optimal_estimator(basis, params))
         elif name == "PCA":
-            estimators.append(pca_estimator(cache))
+            estimators.append(pca_estimator(cache, u_product=products[name]))
         else:  # ESGD or PINV
-            estimators.append(gd_estimator_closed(cache, stop_k[name]))
-    test = sample_dataset(params, basis, mc, derive_seed(cell_seed, "mc-test"))
-    reports = risk_monte_carlo(estimators, test)
-    return tuple((risk, r.mean, r.std_err) for risk, r in zip(risks, reports))
+            estimators.append(gd_estimator_closed(cache, builds[name], u_product=products[name]))
+    return risks, estimators, sample_dataset(params, basis, mc, derive_seed(cell_seed, "mc-test"))
+
+
+def _run_overlapped(
+    tasks: list[tuple[SweepConfig, int, int]],
+) -> list[tuple[tuple[float, float, float], ...]]:
+    """The records of an MC sweep's cells, each test set scored beside the next cell's front.
+
+    The calling thread runs the fronts (:func:`_cell_front`), largest train
+    size first, and queues each cell's Monte-Carlo pass for one helper
+    thread.  After the last front it runs, last queued first, every pass the
+    helper has not started, so the two threads share the tail.  A cell's
+    estimators and test set are dropped when its pass starts.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    pending = {}  # task index -> (risks, estimators, test set) until its pass starts
+
+    def score(t: int) -> tuple[tuple[float, float, float], ...]:
+        risks, estimators, test = pending.pop(t)
+        with _naming(tasks[t]):
+            return _records(risks, risk_monte_carlo(estimators, test))
+
+    results: list = [None] * len(tasks)
+    queued = []
+    helper = ThreadPoolExecutor(max_workers=1)
+    try:
+        for t in sorted(range(len(tasks)), key=lambda t: -tasks[t][1]):
+            with _naming(tasks[t]):
+                pending[t] = _cell_front(*_cell_inputs(tasks[t]))
+            queued.append((t, helper.submit(score, t)))
+        for t, future in reversed(queued):
+            results[t] = score(t) if future.cancel() else future.result()
+    finally:
+        helper.shutdown(cancel_futures=True)
+    return results
+
+
+def _set_blas_threads(threads: int) -> None:
+    """Pool-worker initializer: run this worker's BLAS at ``threads`` threads."""
+    blas = blas_pool()
+    if blas is not None:
+        blas.set(threads)
 
 
 # =====================================================================
@@ -205,12 +294,29 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> RiskCurve:
     is byte-identical for any worker count.  A worker that dies without
     returning its cell (killed, e.g. out of memory) fails the sweep with
     :class:`~sldlab.errors.SweepCellError`; no cell is run twice.
+
+    A sweep with ``mc_test_size`` runs every cell with numpy's OpenBLAS
+    pool (:func:`~sldlab.blas.blas_pool`) one thread smaller than it found
+    it, at least one: in this process, and in each worker through its
+    initializer, so the bytes do not depend on the worker count.  The pool
+    is restored afterwards.  Serially, such a sweep splits each cell into
+    its closed-form front (sampling, ``svd_of``, risks, estimator builds)
+    and its Monte-Carlo pass (``risk_monte_carlo``), and scores each pass on
+    one helper thread while the next front runs, the largest train size
+    first (:func:`_run_overlapped`).  Without a thread setter (a numpy on
+    another BLAS), an MC sweep runs as any other.
     """
     if workers < 1:
         raise DimensionError(f"workers must be >= 1, got {workers}")
     tasks = [(config, i, j) for i in range(len(config.train_sizes)) for j in range(config.n_seeds)]
+    blas = blas_pool() if config.mc_test_size else None
+    threads = None if blas is None else max(1, blas.get() - 1)
     if workers == 1 or len(tasks) == 1:
-        results = [_run_cell(t) for t in tasks]
+        if blas is None:
+            results = [_run_cell(t) for t in tasks]
+        else:
+            with blas.threads(threads):
+                results = _run_overlapped(tasks)
     else:
         # Imported only here, so that a serial command does not pay for them.
         import multiprocessing as mp
@@ -221,8 +327,10 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> RiskCurve:
             ctx = mp.get_context("fork")  # cheap workers, no main-module re-import
         except ValueError:
             ctx = mp.get_context("spawn")
+        initializer = None if threads is None else _set_blas_threads
         try:
-            with ProcessPoolExecutor(max_workers=min(workers, len(tasks)), mp_context=ctx) as pool:
+            with ProcessPoolExecutor(max_workers=min(workers, len(tasks)), mp_context=ctx,
+                                     initializer=initializer, initargs=(threads,)) as pool:
                 results = list(pool.map(_run_cell, tasks, chunksize=1))
         except BrokenProcessPool as exc:
             raise SweepCellError("a worker process ended without returning its cell (killed, "

@@ -6,6 +6,7 @@ import dataclasses
 import functools
 import multiprocessing
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 
 import sldlab.sweep as sweep_mod
 from sldlab import model
+from sldlab.blas import BlasPool, blas_pool
 from sldlab.errors import CsvFormatError, DimensionError, GridError, InvariantError, SweepCellError
 from sldlab.estimators import SvdCache, _direct_svd, pca_estimator, svd_of
 from sldlab.model import Dataset, ModelParams, sample_basis, sample_dataset
@@ -151,6 +153,104 @@ def test_parallel_matches_serial_bitwise(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+def _mc_config():
+    """An MC sweep with train sizes on both sides of n = 100, two seeds and all four estimators."""
+    return _small_config(params=ModelParams(d=5, n=100, sigma_z=0.1), train_sizes=(20, 50, 100, 250),
+                         n_seeds=2, mc_test_size=60)
+
+
+def _fixed_pool(threads=2):
+    """A stand-in for numpy's BLAS pool that records the counts it is set to and changes nothing."""
+    counts = [threads]
+    return BlasPool(get=lambda: counts[-1], set=counts.append), counts
+
+
+def test_monte_carlo_sweep_matches_across_worker_counts(tmp_path):
+    # Serially an MC sweep scores its test sets on a helper thread, largest
+    # train size first; in workers each cell runs whole.  Both run at one BLAS
+    # thread fewer than the pool, so the bytes are the same.
+    cfg = _mc_config()
+    serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+    write_curve_csv(run_sweep(cfg, workers=1), serial)
+    write_curve_csv(run_sweep(cfg, workers=2), parallel)
+    assert serial.read_bytes() == parallel.read_bytes()
+
+
+@pytest.mark.skipif(blas_pool() is None, reason="numpy exports no OpenBLAS thread setter")
+def test_monte_carlo_sweep_restores_the_blas_pool(monkeypatch):
+    # Every cell runs one BLAS thread below the pool, which reads back its
+    # starting count afterwards, also when a Monte-Carlo pass raises.
+    blas, cfg = blas_pool(), _mc_config()
+    seen, front = [], sweep_mod._cell_front
+    monkeypatch.setattr(sweep_mod, "_cell_front", lambda *args: seen.append(blas.get()) or front(*args))
+    bad = derive_seed(derive_seed(cfg.base_seed, "cell", 1, 1), "mc-test")
+    score = sweep_mod.risk_monte_carlo
+
+    def fail_at_one_cell(estimators, test):
+        if test.seed == bad:
+            raise FloatingPointError("synthetic Monte-Carlo failure")
+        return score(estimators, test)
+
+    with blas.threads(max(2, blas.get())):
+        start = blas.get()
+        run_sweep(cfg)
+        assert blas.get() == start
+        assert seen == [start - 1] * (len(cfg.train_sizes) * cfg.n_seeds)
+        monkeypatch.setattr(sweep_mod, "risk_monte_carlo", fail_at_one_cell)
+        with pytest.raises(SweepCellError, match=r"train_size=50 \(grid index 1\), seed index 1: Floating"):
+            run_sweep(cfg)
+        assert blas.get() == start
+
+
+def test_monte_carlo_fronts_run_largest_train_size_first(monkeypatch):
+    # The calling thread runs the closed-form fronts from the largest train
+    # size down; a cell's Monte-Carlo pass is queued only after its front, so
+    # none runs beside the first.
+    monkeypatch.setattr(sweep_mod, "blas_pool", lambda: _fixed_pool()[0])
+    events, front, score = [], sweep_mod._cell_front, sweep_mod.risk_monte_carlo
+
+    def spy_front(config, n_train, cell_seed):
+        events.append(("front", n_train))
+        out = front(config, n_train, cell_seed)
+        events.append(("front done", n_train))
+        return out
+
+    monkeypatch.setattr(sweep_mod, "_cell_front", spy_front)
+    monkeypatch.setattr(sweep_mod, "risk_monte_carlo",
+                        lambda estimators, test: events.append(("pass", None)) or score(estimators, test))
+    cfg = _mc_config()
+    run_sweep(cfg)
+    assert [n for kind, n in events if kind == "front"] == [250, 250, 100, 100, 50, 50, 20, 20]
+    assert events[:2] == [("front", 250), ("front done", 250)]
+    assert events.count(("pass", None)) == 8
+
+
+def test_monte_carlo_sweep_without_a_thread_setter_starts_no_thread(monkeypatch):
+    # Without a BLAS thread setter an MC sweep runs its cells in grid order on
+    # the calling thread, as _evaluate_cell gives them.  With one (here a
+    # stand-in that leaves the threads alone) the helper-thread path starts one
+    # thread and gives the same curve bit for bit.
+    starts, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: starts.append(thread) or start(thread))
+    cfg = _mc_config()
+    monkeypatch.setattr(sweep_mod, "blas_pool", lambda: None)
+    plain = run_sweep(cfg)
+    assert starts == []
+    records = np.array([[sweep_mod._evaluate_cell(cfg, n, derive_seed(cfg.base_seed, "cell", i, j))
+                         for j in range(cfg.n_seeds)] for i, n in enumerate(cfg.train_sizes)])
+    for e, name in enumerate(cfg.estimators):
+        for series, column in ((name, 0), (f"{name}_MC", 1)):
+            assert np.array_equal(plain.series[series].mean, records[:, :, e, column].mean(axis=1))
+            assert np.array_equal(plain.series[series].std, records[:, :, e, column].std(axis=1, ddof=1))
+    pool, counts = _fixed_pool(threads=3)
+    monkeypatch.setattr(sweep_mod, "blas_pool", lambda: pool)
+    overlapped = run_sweep(cfg)
+    assert len(starts) == 1 and counts == [3, 2, 3]
+    for name, stats in plain.series.items():
+        assert np.array_equal(overlapped.series[name].mean, stats.mean)
+        assert np.array_equal(overlapped.series[name].std, stats.std)
+
+
 def test_cell_failures_carry_cell_identity(monkeypatch):
     def explode(config, n_train, cell_seed):
         raise FloatingPointError("synthetic numerical failure")
@@ -287,6 +387,21 @@ def test_tall_monte_carlo_cell_never_draws_y(monkeypatch, spy_draws):
     assert draws == []
     for risk, mc_mean, mc_err in records:
         assert abs(mc_mean - risk) <= 5 * mc_err
+
+
+def test_tall_monte_carlo_cell_builds_from_one_pass(monkeypatch):
+    # A tall cell on the Gram route streams its training noise twice: once
+    # for Z^T Z and U^T Z, once for the Y V_y products of its PCA, ESGD and
+    # PINV builds together (once per build before), then its test noise once.
+    passes, blocks = [], model._noise_blocks
+    monkeypatch.setattr(model, "_noise_blocks",
+                        lambda n, n_cols, seed, *rest: passes.append(n_cols) or blocks(n, n_cols, seed, *rest))
+    routes = _spy_on_routes(monkeypatch)
+    config = _small_config(params=ModelParams(d=10, n=300, sigma_z=0.1), train_sizes=(100,),
+                           n_seeds=1, mc_test_size=50)
+    sweep_mod._evaluate_cell(config, 100, 0)
+    assert routes == ["gram"]
+    assert passes == [100, 100, 50]
 
 
 @pytest.mark.parametrize("estimators", [("ESGD", "PCA"), ("ESGD", "PCA", "PINV")],
