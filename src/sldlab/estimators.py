@@ -61,7 +61,7 @@ class SvdCache:
     from what the route holds.  The N x N route reads the dataset's
     :attr:`~sldlab.model.Dataset.noise_stats`, Z^T Z and W = U^T Z, in
     place of Y: so do its M and :meth:`leading_u_in_frame`, and
-    its :meth:`u_matmul` and :meth:`leading_u` read Y only through
+    its :meth:`u_matmuls` reads Y only through
     :meth:`~sldlab.model.Dataset.noisy_matmul`.  The n x n route forms Y Y^T
     and the d x n product C Y^T from one draw of Y, dropped before the
     ``eigh``; g is (C Y^T) U_y / S_y, and C Y^T is not kept.
@@ -134,35 +134,34 @@ class SvdCache:
             return [self._u_y @ a for a in factors]
         return self.dataset.noisy_matmul([self._v_y @ (a / self.s_y[:, None]) for a in factors])
 
-    def leading_u(self, k: int, product: np.ndarray | None = None) -> np.ndarray:
-        """The first ``k`` columns of U_y, orthonormal to working precision.
+    def leading_u(self, product: np.ndarray) -> np.ndarray:
+        """The first k columns of U_y, orthonormal to working precision, from their ``product``.
 
-        Without a stored U_y they are formed by :meth:`u_matmul` as
-        Y V_y[:, :k] / S_y[:k] (``product``, when :func:`u_products` has
-        formed it), whose columns drift from orthonormal by up to
-        eps * lambda_max / lambda_k (<= _GRAM_TOL: only the N x N "gram"
-        route, which passed the conditioning check, stores no U_y; reached
-        when k covers the whole spectrum, as for N <= d).  One QR pass,
-        signed so that R has a positive diagonal, removes that drift while
-        moving each column by no more than it.
+        ``product`` is :meth:`u_matmul` of I[:, :k] (r x k).  With U_y stored
+        it is those columns exactly.  Otherwise it is Y V_y[:, :k] / S_y[:k],
+        whose columns drift from orthonormal by up to eps * lambda_max /
+        lambda_k (<= _GRAM_TOL: only the N x N "gram" route, which passed the
+        conditioning check, stores no U_y; reached when k covers the whole
+        spectrum, as for N <= d).  One QR pass, signed so that R has a
+        positive diagonal, removes that drift while moving each column by no
+        more than it.
         """
         if self._u_y is not None:
-            return self._u_y[:, :k]
-        if product is None:
-            product = self.u_matmul(np.eye(self.rank, k))
+            return product
         q, r = np.linalg.qr(product)
         return q * np.sign(np.diagonal(r))
 
     def leading_u_in_frame(self, k: int) -> np.ndarray:
         """:meth:`leading_u` in coordinates of span(U) + span(U_hat), a (d + k) x k array.
 
-        With U_hat = leading_u(k) = U A + P, P orthogonal to U, the frame is
-        [U, F] with P = F T, so U_hat has coordinates [A; T] and U has
-        [I_d; 0].  Inner products among the columns of U and U_hat -- all a
-        risk reads -- are the same in these coordinates, and only the d x k
-        overlap A = U^T U_hat and the k x k Gram P^T P are needed; T is the
-        square root of P^T P.  Both come from M_k = U_y[:, :k]^T U, the first k
-        rows of the cache's M: with U_y stored, A = M_k^T and P = U_hat - U A.
+        With U_hat = U A + P the leading k columns of U_y (:meth:`leading_u`),
+        P orthogonal to U, the frame is [U, F] with P = F T, so U_hat has
+        coordinates [A; T] and U has [I_d; 0].  Inner products among the
+        columns of U and U_hat -- all a risk reads -- are the same in these
+        coordinates, and only the d x k overlap A = U^T U_hat and the k x k
+        Gram P^T P are needed; T is the square root of P^T P.  Both come from
+        M_k = U_y[:, :k]^T U, the first k rows of the cache's M: with U_y
+        stored, A = M_k^T and P = U_hat - U A.
         Otherwise U_hat = Y B R^-1 (the QR of :meth:`leading_u`), B = V_y[:, :k]
         / S_y[:k], so M_k = B^T (C + sigma W)^T, and with E = B^T (Z^T Z - W^T W) B
         from the noise statistics (no Y),
@@ -426,60 +425,47 @@ def _truncated(
 # =====================================================================
 
 
-#: The build of :func:`pca_estimator` in :func:`u_products`; a GD build is its k.
-PCA_BUILD = "PCA"
+def u_products(
+    cache: SvdCache, ks: Sequence[int | float], pca: bool = False
+) -> list[np.ndarray | None]:
+    """The U_y products the GD maps at ``ks`` and, with ``pca``, the PCA map read.
 
-
-def u_products(cache: SvdCache, builds: Sequence[int | float | str]) -> list[np.ndarray | None]:
-    """The U_y product each build reads, all from one :meth:`SvdCache.u_matmuls`.
-
-    A build is :data:`PCA_BUILD` for :func:`pca_estimator`, whose product is
-    U_y I[:, :k] with k = min(d, rank), or an iteration count k for
-    :func:`gd_estimator_closed`, whose product is B = U_y D_k g^T.  A build
-    that needs no product gets None: PCA on a cache that stores U_y (it
-    slices it) and a k whose B is :attr:`SvdCache.pinv_factor`.  Without a
-    stored U_y every ``u_matmuls`` streams the training noise once, so a
-    cell's PCA, ESGD and PINV maps are built from one pass over Z, not
-    three.  Each product is bit for bit the one its build forms alone.
+    One per k, B = U_y D_k g^T for :func:`gd_estimator_closed` (None for a k
+    whose B is :attr:`SvdCache.pinv_factor`), then U_y I[:, :k] for the
+    k = min(d, rank) leading directions of :func:`pca_estimator`.  All come
+    from one :meth:`SvdCache.u_matmuls`: without a stored U_y that streams
+    the training noise once, so a cell's ESGD, PINV and PCA maps are built
+    from one pass over Z, not three.  Each product multiplies its own
+    factor, so none depends on the others formed with it.
     """
-    rights = [_right_factor(cache, build) for build in builds]
-    factors = [a for a in rights if a is not None]
-    products = iter(cache.u_matmuls(factors) if factors else ())
+    rights = [None if _pinv_by_qr(cache, k) else _gd_filter(cache, k)[:, None] * cache.coeff_v.T
+              for k in ks]
+    if pca:
+        rights.append(np.eye(cache.rank, min(cache.dataset.params.d, cache.rank)))
+    products = iter(cache.u_matmuls([a for a in rights if a is not None]))
     return [None if a is None else next(products) for a in rights]
 
 
-def _right_factor(cache: SvdCache, build: int | float | str) -> np.ndarray | None:
-    """The r x k factor ``a`` whose U_y a the build reads (see :func:`u_products`), or None."""
-    if build == PCA_BUILD:
-        if cache._u_y is not None:
-            return None
-        return np.eye(cache.rank, min(cache.dataset.params.d, cache.rank))
-    if _pinv_by_qr(cache, build):
-        return None
-    return _gd_filter(cache, build)[:, None] * cache.coeff_v.T
-
-
 def pca_estimator(
-    cache: SvdCache, frame: bool = False, u_product: np.ndarray | None = None
+    cache: SvdCache, frame: bool = False, product: np.ndarray | None = None
 ) -> LinearEstimator:
     """Shrunken projector onto the top-d empirical singular directions.
 
     Uses min(d, rank) directions, so with fewer than d training columns the
-    projector is simply rank-deficient rather than an error.  ``u_product``
-    is this build's product from :func:`u_products`, which is called here
-    when it is not given.  ``frame=True`` gives the same map in the
-    coordinates of :meth:`SvdCache.leading_u_in_frame`, where U is
-    [I_d; 0]: what :func:`pca_risk` scores.
+    projector is simply rank-deficient rather than an error.  Their
+    ``product`` U_y I[:, :k] is formed by :func:`u_products`, here when the
+    caller has not.  ``frame=True`` gives the same map in the coordinates of
+    :meth:`SvdCache.leading_u_in_frame`, where U is [I_d; 0]: what
+    :func:`pca_risk` scores.
     """
     params = cache.dataset.params
-    r_use = min(params.d, cache.rank)
     shrink = 1.0 / (1.0 + params.sigma_z**2)
     if frame:
-        u_hat = cache.leading_u_in_frame(r_use)
+        u_hat = cache.leading_u_in_frame(min(params.d, cache.rank))
     else:
-        if u_product is None:
-            (u_product,) = u_products(cache, [PCA_BUILD])
-        u_hat = cache.leading_u(r_use, u_product)
+        if product is None:
+            (product,) = u_products(cache, (), pca=True)
+        u_hat = cache.leading_u(product)
     return LinearEstimator.scaled_projection(shrink, u_hat)
 
 
@@ -521,7 +507,7 @@ def _gd_filter(cache: SvdCache, k: int | float) -> np.ndarray:
 
 
 def gd_estimator_closed(
-    cache: SvdCache, k: int | float, u_product: np.ndarray | None = None
+    cache: SvdCache, k: int | float, b: np.ndarray | None = None
 ) -> LinearEstimator:
     """W^k = U C V_y D_k U_y^T, stored by its rank as the n x d pair (U R^T, Q).
 
@@ -530,16 +516,16 @@ def gd_estimator_closed(
     W^k = U B^T for the n x d matrix B = U_y D_k g^T, and its thin QR
     B = Q R gives W^k = (U R^T) Q^T.  So the factors are n x d whatever the
     rank r of Y, applying W^k costs O(n d) per column, and B is formed
-    through Y without the n x r factor U_y.  ``u_product`` is B as
-    :func:`u_products` formed it, which is called here when it is not given.
-    k = 0 gives the zero map (R = 0) and k = INFINITY the pseudoinverse
-    estimator, whose B on a "gram-certified" cache is
-    :attr:`SvdCache.pinv_factor`.
+    through Y without the n x r factor U_y, by :func:`u_products` (here
+    when the caller passes no ``b``).  k = 0 gives the zero map (R = 0) and
+    k = INFINITY the pseudoinverse estimator, whose B on a "gram-certified"
+    cache is :attr:`SvdCache.pinv_factor`.
     """
     _check_k(k)
-    if u_product is None:
-        (u_product,) = u_products(cache, [k])
-    b = cache.pinv_factor if _pinv_by_qr(cache, k) else u_product
+    if _pinv_by_qr(cache, k):
+        b = cache.pinv_factor
+    elif b is None:
+        (b,) = u_products(cache, (k,))
     q, r = np.linalg.qr(b)
     return LinearEstimator(left=cache.dataset.basis.matrix @ r.T, basis=q)
 

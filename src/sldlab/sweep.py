@@ -13,17 +13,17 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .blas import blas_pool
+from .blas import BlasPool, blas_pool
 from .errors import CsvFormatError, DimensionError, GridError, InvariantError, SweepCellError
 from .estimators import (
     INFINITY,
-    PCA_BUILD,
     gd_estimator_closed,
     gd_risk_profile,
     oracle_stop,
@@ -149,14 +149,22 @@ def default_train_grid(lo: int = 1, hi: int = 20000, points_per_decade: int = 5)
 # =====================================================================
 
 
-def _run_cell(task: tuple[SweepConfig, int, int]) -> tuple[tuple[float, float, float], ...]:
+def _run_cell(
+    task: tuple[SweepConfig, int, int], pool: int | None = None
+) -> tuple[tuple[float, float, float], ...]:
     """Evaluate every requested estimator on one (train size, seed) cell.
 
     Returns, per estimator, (closed-form risk, mc mean, mc std error); the
-    Monte-Carlo slots are NaN when mc_test_size == 0.
+    Monte-Carlo slots are NaN when mc_test_size == 0.  With ``pool``, the
+    BLAS pool's count where the sweep started, the cell runs at
+    :func:`_mc_threads` of it.
     """
     with _naming(task):
-        return _evaluate_cell(*_cell_inputs(task))
+        config, n_train, cell_seed = _cell_inputs(task)
+        if pool is None:
+            return _evaluate_cell(config, n_train, cell_seed)
+        with blas_pool().threads(_mc_threads(config, n_train, pool)):
+            return _evaluate_cell(config, n_train, cell_seed)
 
 
 def _cell_inputs(task: tuple[SweepConfig, int, int]) -> tuple[SweepConfig, int, int]:
@@ -210,14 +218,14 @@ def _cell_front(
     # Every closed-form risk comes before the Monte-Carlo block streams the test
     # noise, so the QR of Y that PINV reads on a certified cache runs first.
     risks: list[float] = []
-    builds: dict[str, int | float | str] = {"PCA": PCA_BUILD, "PINV": INFINITY}  # see u_products
+    stop_k: dict[str, int | float] = {"PINV": INFINITY}
     for name in config.estimators:
         if name == "OPT":
             risks.append(optimal_risk(params))
         elif name == "PCA":
             risks.append(pca_risk(cache))
         elif name == "ESGD":
-            builds[name], risk = oracle_stop(cache)
+            stop_k[name], risk = oracle_stop(cache)
             risks.append(risk)
         else:  # PINV
             risks.append(float(gd_risk_profile(cache, (INFINITY,))[0]))
@@ -225,30 +233,78 @@ def _cell_front(
     if not mc:
         return risks, None, None
 
-    # One product with U_y for all the builds: without a stored U_y, one pass over Z.
-    built = [name for name in config.estimators if name != "OPT"]
-    products = dict(zip(built, u_products(cache, [builds[name] for name in built])))
+    # One u_products for all the builds: without a stored U_y, one pass over Z.
+    gd = [name for name in config.estimators if name in stop_k]
+    pca = "PCA" in config.estimators
+    products = {} if cache is None else dict(
+        zip(gd + ["PCA"] * pca, u_products(cache, [stop_k[name] for name in gd], pca)))
     estimators = []
     for name in config.estimators:
         if name == "OPT":
             estimators.append(optimal_estimator(basis, params))
         elif name == "PCA":
-            estimators.append(pca_estimator(cache, u_product=products[name]))
+            estimators.append(pca_estimator(cache, product=products[name]))
         else:  # ESGD or PINV
-            estimators.append(gd_estimator_closed(cache, builds[name], u_product=products[name]))
+            estimators.append(gd_estimator_closed(cache, stop_k[name], products[name]))
     return risks, estimators, sample_dataset(params, basis, mc, derive_seed(cell_seed, "mc-test"))
 
 
-def _run_overlapped(
-    tasks: list[tuple[SweepConfig, int, int]],
-) -> list[tuple[tuple[float, float, float], ...]]:
-    """The records of an MC sweep's cells, each test set scored beside the next cell's front.
+#: A Monte-Carlo cell whose front does more than this many multiply-adds per
+#: entry of its n x M test noise keeps the full BLAS pool (:func:`_mc_threads`).
+#: Measured on 2 cores: at n = 1000, N = 1000, M = 2000 (ratio 500) a front
+#: lost 0.06 s at one BLAS thread against a 0.05 s pass, and at n = 10^4,
+#: N = 1000, M = 500 (ratio 2000) it lost 0.24 s against a 0.14 s pass.
+_FULL_POOL_RATIO = 1000
 
-    The calling thread runs the fronts (:func:`_cell_front`), largest train
-    size first, and queues each cell's Monte-Carlo pass for one helper
-    thread.  After the last front it runs, last queued first, every pass the
-    helper has not started, so the two threads share the tail.  A cell's
-    estimators and test set are dropped when its pass starts.
+
+def _keeps_pool(config: SweepConfig, n_train: int) -> bool:
+    """Whether an MC cell's front outweighs its pass: m^2 max(n, N), m = min(n, N), against n M."""
+    n = config.params.n
+    front = min(n, n_train) ** 2 * max(n, n_train)
+    return front > _FULL_POOL_RATIO * n * config.mc_test_size
+
+
+def _mc_threads(config: SweepConfig, n_train: int, pool: int) -> int:
+    """BLAS threads of an MC cell from its shape and the pool: the pool if it keeps it, else one fewer."""
+    return pool if _keeps_pool(config, n_train) else max(1, pool - 1)
+
+
+def _run_mc_serial(
+    tasks: list[tuple[SweepConfig, int, int]], blas: BlasPool
+) -> list[tuple[tuple[float, float, float], ...]]:
+    """The records of an MC sweep's cells, run on this thread and one helper, largest train size first.
+
+    A cell that keeps the pool (:func:`_keeps_pool`) runs whole at the full
+    pool.  The other cells run at one thread fewer, with each test set
+    scored on the helper beside the next front (:func:`_run_overlapped`).
+    The cells that keep the pool all run before the others start, so no
+    pass is scored at a count other than its cell's.
+    """
+    pool = blas.get()
+    results: list = [None] * len(tasks)
+    overlapped = []
+    for t in sorted(range(len(tasks)), key=lambda t: -tasks[t][1]):
+        if _keeps_pool(*_cell_inputs(tasks[t])[:2]):
+            results[t] = _run_cell(tasks[t], pool)
+        else:
+            overlapped.append(t)
+    if overlapped:
+        with blas.threads(max(1, pool - 1)):
+            _run_overlapped(tasks, overlapped, results)
+    return results
+
+
+def _run_overlapped(tasks: list[tuple[SweepConfig, int, int]], order: list[int], results: list) -> None:
+    """Fill ``results`` of the cells ``order`` names, each test set scored beside the next front.
+
+    The calling thread runs the fronts (:func:`_cell_front`) in ``order``
+    and queues each cell's Monte-Carlo pass for one helper thread.  Before
+    each front it collects the finished passes, raising a failed one's
+    :class:`~sldlab.errors.SweepCellError`, and takes back the newest
+    waiting passes and runs them itself until at most one waits: so beside
+    a front sit at most two cells' estimators and test sets, one waiting and
+    one on the helper.  After the last front it runs, last queued first,
+    every pass the helper has not started.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -259,11 +315,20 @@ def _run_overlapped(
         with _naming(tasks[t]):
             return _records(risks, risk_monte_carlo(estimators, test))
 
-    results: list = [None] * len(tasks)
-    queued = []
+    queued = []  # (task index, future) of the passes not yet collected
     helper = ThreadPoolExecutor(max_workers=1)
     try:
-        for t in sorted(range(len(tasks)), key=lambda t: -tasks[t][1]):
+        for t in order:
+            waiting = []
+            for u, future in queued:
+                if future.done():
+                    results[u] = future.result()
+                else:
+                    waiting.append((u, future))
+            queued = waiting
+            while len(pending) > 1 and queued[-1][1].cancel():
+                u, _ = queued.pop()
+                results[u] = score(u)
             with _naming(tasks[t]):
                 pending[t] = _cell_front(*_cell_inputs(tasks[t]))
             queued.append((t, helper.submit(score, t)))
@@ -271,14 +336,6 @@ def _run_overlapped(
             results[t] = score(t) if future.cancel() else future.result()
     finally:
         helper.shutdown(cancel_futures=True)
-    return results
-
-
-def _set_blas_threads(threads: int) -> None:
-    """Pool-worker initializer: run this worker's BLAS at ``threads`` threads."""
-    blas = blas_pool()
-    if blas is not None:
-        blas.set(threads)
 
 
 # =====================================================================
@@ -295,28 +352,28 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> RiskCurve:
     returning its cell (killed, e.g. out of memory) fails the sweep with
     :class:`~sldlab.errors.SweepCellError`; no cell is run twice.
 
-    A sweep with ``mc_test_size`` runs every cell with numpy's OpenBLAS
-    pool (:func:`~sldlab.blas.blas_pool`) one thread smaller than it found
-    it, at least one: in this process, and in each worker through its
-    initializer, so the bytes do not depend on the worker count.  The pool
-    is restored afterwards.  Serially, such a sweep splits each cell into
-    its closed-form front (sampling, ``svd_of``, risks, estimator builds)
-    and its Monte-Carlo pass (``risk_monte_carlo``), and scores each pass on
-    one helper thread while the next front runs, the largest train size
-    first (:func:`_run_overlapped`).  Without a thread setter (a numpy on
-    another BLAS), an MC sweep runs as any other.
+    A sweep with ``mc_test_size`` sets numpy's OpenBLAS pool
+    (:func:`~sldlab.blas.blas_pool`) per cell from the cell's shape and the
+    pool's starting count (:func:`_mc_threads`): a cell whose front
+    outweighs its Monte-Carlo pass keeps the pool, every other runs one
+    thread below it, at least one.  That holds in this process and in each
+    worker, so the bytes do not depend on the worker count, and the pool is
+    restored afterwards.  Serially, such a sweep runs its cells largest
+    train size first.  A cell that keeps the pool runs whole.  Every other
+    splits into its closed-form front (sampling, ``svd_of``, risks,
+    estimator builds) and its Monte-Carlo pass (``risk_monte_carlo``), and
+    its pass is scored on one helper thread while the next front runs
+    (:func:`_run_overlapped`).  A failed pass is raised before the next
+    front, so the error names a cell near the first that failed, which in
+    that order need not be the first in grid order.  Without a thread setter
+    (a numpy on another BLAS), an MC sweep runs as any other.
     """
     if workers < 1:
         raise DimensionError(f"workers must be >= 1, got {workers}")
     tasks = [(config, i, j) for i in range(len(config.train_sizes)) for j in range(config.n_seeds)]
     blas = blas_pool() if config.mc_test_size else None
-    threads = None if blas is None else max(1, blas.get() - 1)
     if workers == 1 or len(tasks) == 1:
-        if blas is None:
-            results = [_run_cell(t) for t in tasks]
-        else:
-            with blas.threads(threads):
-                results = _run_overlapped(tasks)
+        results = [_run_cell(t) for t in tasks] if blas is None else _run_mc_serial(tasks, blas)
     else:
         # Imported only here, so that a serial command does not pay for them.
         import multiprocessing as mp
@@ -327,11 +384,10 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> RiskCurve:
             ctx = mp.get_context("fork")  # cheap workers, no main-module re-import
         except ValueError:
             ctx = mp.get_context("spawn")
-        initializer = None if threads is None else _set_blas_threads
+        run = _run_cell if blas is None else functools.partial(_run_cell, pool=blas.get())
         try:
-            with ProcessPoolExecutor(max_workers=min(workers, len(tasks)), mp_context=ctx,
-                                     initializer=initializer, initargs=(threads,)) as pool:
-                results = list(pool.map(_run_cell, tasks, chunksize=1))
+            with ProcessPoolExecutor(max_workers=min(workers, len(tasks)), mp_context=ctx) as executor:
+                results = list(executor.map(run, tasks, chunksize=1))
         except BrokenProcessPool as exc:
             raise SweepCellError("a worker process ended without returning its cell (killed, "
                                  "e.g. out of memory); rerun with fewer --threads") from exc

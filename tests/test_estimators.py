@@ -350,7 +350,7 @@ def test_svd_of_tall_noisy_takes_small_gram_and_defers_u():
     assert np.allclose(cache.ut_basis, u.T @ basis.matrix, atol=1e-10)
     b = np.random.default_rng(1).standard_normal((300, 3))
     assert np.allclose(cache.u_matmul(b), u @ b, atol=1e-10)
-    assert np.allclose(cache.leading_u(10), u[:, :10], atol=1e-12)
+    assert np.allclose(cache.leading_u(cache.u_matmul(np.eye(300, 10))), u[:, :10], atol=1e-12)
     assert np.allclose((u * cache.s_y) @ v.T, ds.noisy, atol=1e-10)
     assert cache._u_y is None  # forming U_y stored nothing
 
@@ -410,9 +410,9 @@ def test_pca_estimator_noiseless_recovery():
      (200, 50, 1e-6, 5, "svd"), (100, 100, 0.05, 200, "gram-certified")],
 )
 def test_leading_u_in_frame_is_leading_u_in_the_frame(n, n_train, sigma, seed, route):
-    # The frame coordinates of U_hat = leading_u(k) are [U^T U_hat; T]: the
-    # columns stay orthonormal and the top d rows are the overlap with U, on
-    # the tall Gram route (down to sigma = 1e-7, where N <= d), the wide
+    # The frame coordinates of U_hat, the leading k columns of U_y, are
+    # [U^T U_hat; T]: the columns stay orthonormal and the top d rows are the
+    # overlap with U, on the tall Gram route (down to sigma = 1e-7, where N <= d), the wide
     # Gram, the direct SVD and a certified n = N Gram.
     params, basis, ds = _instance(n=n, d=10, sigma=sigma, n_train=n_train, seed=seed)
     cache = svd_of(ds)
@@ -421,7 +421,8 @@ def test_leading_u_in_frame_is_leading_u_in_the_frame(n, n_train, sigma, seed, r
         frame = cache.leading_u_in_frame(k)
         assert frame.shape == (params.d + k, k)
         assert np.max(np.abs(frame.T @ frame - np.eye(k))) <= 1e-12
-        assert np.max(np.abs(frame[:params.d] - basis.matrix.T @ cache.leading_u(k))) <= 1e-12
+        u_hat = cache.leading_u(cache.u_matmul(np.eye(cache.rank, k)))
+        assert np.max(np.abs(frame[:params.d] - basis.matrix.T @ u_hat)) <= 1e-12
 
 
 # --- gradient descent: filter and closed form ---------------------------

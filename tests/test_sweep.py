@@ -7,6 +7,7 @@ import functools
 import multiprocessing
 import os
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -153,9 +154,13 @@ def test_parallel_matches_serial_bitwise(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
-def _mc_config():
-    """An MC sweep with train sizes on both sides of n = 100, two seeds and all four estimators."""
-    return _small_config(params=ModelParams(d=5, n=100, sigma_z=0.1), train_sizes=(20, 50, 100, 250),
+def _mc_config(train_sizes=(20, 50, 100, 250, 1000)):
+    """An MC sweep on both sides of n = 100, two seeds and all four estimators.
+
+    Its N = 1000 cells keep the BLAS pool (front 10^7 > 1000 n M = 6 * 10^6
+    multiply-adds), the others run one thread below it.
+    """
+    return _small_config(params=ModelParams(d=5, n=100, sigma_z=0.1), train_sizes=train_sizes,
                          n_seeds=2, mc_test_size=60)
 
 
@@ -166,9 +171,10 @@ def _fixed_pool(threads=2):
 
 
 def test_monte_carlo_sweep_matches_across_worker_counts(tmp_path):
-    # Serially an MC sweep scores its test sets on a helper thread, largest
-    # train size first; in workers each cell runs whole.  Both run at one BLAS
-    # thread fewer than the pool, so the bytes are the same.
+    # Serially an MC sweep runs its cells largest train size first, scoring
+    # the test sets of the cells below the pool on a helper thread; in
+    # workers each cell runs whole.  A cell's BLAS threads follow from its
+    # shape either way, so the bytes are the same.
     cfg = _mc_config()
     serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
     write_curve_csv(run_sweep(cfg, workers=1), serial)
@@ -178,8 +184,9 @@ def test_monte_carlo_sweep_matches_across_worker_counts(tmp_path):
 
 @pytest.mark.skipif(blas_pool() is None, reason="numpy exports no OpenBLAS thread setter")
 def test_monte_carlo_sweep_restores_the_blas_pool(monkeypatch):
-    # Every cell runs one BLAS thread below the pool, which reads back its
-    # starting count afterwards, also when a Monte-Carlo pass raises.
+    # The N = 1000 cells keep the pool and the others run one BLAS thread
+    # below it; the pool reads back its starting count afterwards, also when
+    # a Monte-Carlo pass raises.
     blas, cfg = blas_pool(), _mc_config()
     seen, front = [], sweep_mod._cell_front
     monkeypatch.setattr(sweep_mod, "_cell_front", lambda *args: seen.append(blas.get()) or front(*args))
@@ -195,7 +202,7 @@ def test_monte_carlo_sweep_restores_the_blas_pool(monkeypatch):
         start = blas.get()
         run_sweep(cfg)
         assert blas.get() == start
-        assert seen == [start - 1] * (len(cfg.train_sizes) * cfg.n_seeds)
+        assert seen == [start] * 2 + [start - 1] * 8
         monkeypatch.setattr(sweep_mod, "risk_monte_carlo", fail_at_one_cell)
         with pytest.raises(SweepCellError, match=r"train_size=50 \(grid index 1\), seed index 1: Floating"):
             run_sweep(cfg)
@@ -203,9 +210,10 @@ def test_monte_carlo_sweep_restores_the_blas_pool(monkeypatch):
 
 
 def test_monte_carlo_fronts_run_largest_train_size_first(monkeypatch):
-    # The calling thread runs the closed-form fronts from the largest train
-    # size down; a cell's Monte-Carlo pass is queued only after its front, so
-    # none runs beside the first.
+    # The calling thread runs the cells from the largest train size down.  A
+    # cell that keeps the pool scores its test set itself, right after its
+    # front; the others queue theirs for the helper after the front, so no
+    # pass runs beside the first front.
     monkeypatch.setattr(sweep_mod, "blas_pool", lambda: _fixed_pool()[0])
     events, front, score = [], sweep_mod._cell_front, sweep_mod.risk_monte_carlo
 
@@ -220,16 +228,74 @@ def test_monte_carlo_fronts_run_largest_train_size_first(monkeypatch):
                         lambda estimators, test: events.append(("pass", None)) or score(estimators, test))
     cfg = _mc_config()
     run_sweep(cfg)
-    assert [n for kind, n in events if kind == "front"] == [250, 250, 100, 100, 50, 50, 20, 20]
-    assert events[:2] == [("front", 250), ("front done", 250)]
-    assert events.count(("pass", None)) == 8
+    assert [n for kind, n in events if kind == "front"] == [1000, 1000, 250, 250, 100, 100, 50, 50, 20, 20]
+    assert events[:7] == [("front", 1000), ("front done", 1000), ("pass", None),
+                          ("front", 1000), ("front done", 1000), ("pass", None), ("front", 250)]
+    assert events[7] == ("front done", 250)
+    assert events.count(("pass", None)) == 10
+
+
+def test_monte_carlo_fronts_run_at_most_two_passes_ahead(monkeypatch):
+    # Cheap fronts beside slow passes: before each front the calling thread
+    # takes back waiting passes until at most one waits, so at most two cells
+    # (one waiting, one on the helper) hold their estimators and test sets.
+    monkeypatch.setattr(sweep_mod, "blas_pool", lambda: _fixed_pool()[0])
+    lock, ahead, seen = threading.Lock(), [0], []
+    front, score = sweep_mod._cell_front, sweep_mod.risk_monte_carlo
+
+    def spy_front(*args):
+        with lock:
+            seen.append(ahead[0])
+        out = front(*args)
+        with lock:
+            ahead[0] += 1
+        return out
+
+    def slow_pass(estimators, test):
+        time.sleep(0.02)
+        reports = score(estimators, test)
+        with lock:
+            ahead[0] -= 1
+        return reports
+
+    monkeypatch.setattr(sweep_mod, "_cell_front", spy_front)
+    monkeypatch.setattr(sweep_mod, "risk_monte_carlo", slow_pass)
+    cfg = _mc_config(train_sizes=(2, 3, 4, 5, 6, 8, 10, 12))
+    run_sweep(cfg)
+    assert len(seen) == 16 and max(seen) <= 2 and ahead == [0]
+
+
+def test_monte_carlo_pass_failure_is_raised_before_the_next_front(monkeypatch):
+    # The largest cell's pass fails on the helper; the sweep raises it,
+    # naming that cell, before the third front (before the second, when the
+    # helper has finished it by then).
+    monkeypatch.setattr(sweep_mod, "blas_pool", lambda: _fixed_pool()[0])
+    failed, fronts, front = threading.Event(), [], sweep_mod._cell_front
+
+    def spy_front(config, n_train, cell_seed):
+        fronts.append(n_train)
+        if len(fronts) == 2:
+            assert failed.wait(timeout=30)
+            time.sleep(0.1)  # let the helper finish the failed future
+        return front(config, n_train, cell_seed)
+
+    def fail(estimators, test):
+        failed.set()
+        raise FloatingPointError("synthetic Monte-Carlo failure")
+
+    monkeypatch.setattr(sweep_mod, "_cell_front", spy_front)
+    monkeypatch.setattr(sweep_mod, "risk_monte_carlo", fail)
+    with pytest.raises(SweepCellError, match=r"train_size=250 \(grid index 3\), seed index 0: Floating"):
+        run_sweep(_mc_config(train_sizes=(20, 50, 100, 250)))
+    assert fronts in ([250], [250, 250])
 
 
 def test_monte_carlo_sweep_without_a_thread_setter_starts_no_thread(monkeypatch):
     # Without a BLAS thread setter an MC sweep runs its cells in grid order on
     # the calling thread, as _evaluate_cell gives them.  With one (here a
-    # stand-in that leaves the threads alone) the helper-thread path starts one
-    # thread and gives the same curve bit for bit.
+    # stand-in that leaves the threads alone) the N = 1000 cells run whole at
+    # the pool, the others below it with one helper thread, and the curve is
+    # the same bit for bit.
     starts, start = [], threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start", lambda thread: starts.append(thread) or start(thread))
     cfg = _mc_config()
@@ -245,7 +311,7 @@ def test_monte_carlo_sweep_without_a_thread_setter_starts_no_thread(monkeypatch)
     pool, counts = _fixed_pool(threads=3)
     monkeypatch.setattr(sweep_mod, "blas_pool", lambda: pool)
     overlapped = run_sweep(cfg)
-    assert len(starts) == 1 and counts == [3, 2, 3]
+    assert len(starts) == 1 and counts == [3, 3, 3, 3, 3, 2, 3]
     for name, stats in plain.series.items():
         assert np.array_equal(overlapped.series[name].mean, stats.mean)
         assert np.array_equal(overlapped.series[name].std, stats.std)
