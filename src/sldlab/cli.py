@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .blas import blas_pool, lapack
 from .errors import CsvFormatError, SldlabError, UsageError
 from .model import SIGMA_MAX, ModelParams
 from .powerlaw import FIT_MODES, PowerLawFit, SegmentedFit, check_fit_mode, fit_powerlaw, fit_segmented
@@ -242,6 +243,7 @@ def _write_manifest(
     path: Path, command: str, argv: list[str], config: object, base_seed: int | None,
     outputs: list[Path], started: float,
 ) -> None:
+    pool = blas_pool()
     doc = {
         "tool": "sldlab",
         "version": __version__,
@@ -251,6 +253,12 @@ def _write_manifest(
         "config": config,
         "outputs": [str(p) for p in outputs],
         "duration_seconds": round(time.perf_counter() - started, 3),
+        "numpy": np.__version__,
+        "blas": {  # the pool's count as the run found it: an MC sweep restores it
+            "thread_setter": pool is not None,
+            "threads": None if pool is None else pool.get(),
+            "in_place_lapack": lapack() is not None,
+        },
     }
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 

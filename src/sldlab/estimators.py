@@ -28,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .blas import eigh, mapped_empty, qr_raw
 from .errors import DimensionError, DivergenceError, InvariantError
 from .model import Dataset, LinearEstimator, SubspaceBasis
 from .risk import risk_closed_form
@@ -65,7 +66,10 @@ class SvdCache:
     :meth:`~sldlab.model.Dataset.noisy_matmul`.  The n x n route forms Y Y^T
     and the d x n product C Y^T from one draw of Y, dropped before the
     ``eigh``; g is (C Y^T) U_y / S_y, and C Y^T is not kept.
-    So no sweep builds anything n x r, and no tall Gram cell forms Y.
+    So no sweep builds anything n x r, and no tall Gram cell forms Y.  Either
+    Gram is decomposed in place (:func:`~sldlab.blas.eigh`), so the
+    decomposition holds the Gram and LAPACK's workspace, 3 m^2 floats for
+    m = min(n, N), and no copy of either.
 
     s_y      -- r retained singular values, descending, all >= max(n, N) * eps * S_y[0]
     route    -- "svd" (direct), "gram" (eigendecomposition of the small Gram,
@@ -106,17 +110,24 @@ class SvdCache:
         Formed from a Householder QR Y^T = Q R, not from the spectrum, as
         B = R^-1 (Q^T C^T), without Q: in one raw QR of [Y^T | C^T] the
         reflectors past column n touch only rows past n, so R's last d columns
-        begin with (Q^T C^T)[:n] (``mode="r"`` would copy R).  R is solved by
-        :func:`_triangular_solve`, O(n^2 d).  B is then accurate to
+        begin with (Q^T C^T)[:n].  Y is drawn straight into the first n rows
+        of one C-order (n + d) x N buffer and C fills the rest; read as
+        Fortran that is [Y^T | C^T], and :func:`~sldlab.blas.qr_raw` factors
+        it in place, so the QR holds that one buffer and its workspace.  R is
+        solved by :func:`_triangular_solve`, O(n^2 d).  B is then accurate to
         eps * kappa(Y), where the filter 1 / S_y of a Gram decomposition
         carries eps * kappa(Y)^2.  Read for the k = INFINITY entries of a
         "gram-certified" cache, which always has N >= n; a cache with N < n
         raises InvariantError.
         """
-        n = self.dataset.params.n
-        if self.dataset.n_train < n:
-            raise InvariantError(f"pinv_factor needs N >= n, got N = {self.dataset.n_train} < n = {n}")
-        h, _ = np.linalg.qr(np.hstack([self.dataset.noisy.T, self.dataset.coeff.T]), mode="raw")
+        dataset = self.dataset
+        n = dataset.params.n
+        if dataset.n_train < n:
+            raise InvariantError(f"pinv_factor needs N >= n, got N = {dataset.n_train} < n = {n}")
+        h = mapped_empty((n + dataset.params.d, dataset.n_train))
+        dataset.noisy_into(h[:n])
+        h[n:] = dataset.coeff
+        h = qr_raw(h)
         return _triangular_solve(h[:n, :n].T, h[n:, :n].T)
 
     def u_matmul(self, a: np.ndarray) -> np.ndarray:
@@ -254,13 +265,17 @@ def _gram_svd(dataset: Dataset) -> SvdCache | None:
     """The Gram route of :func:`svd_of`, or None where the direct SVD must run.
 
     For N < n the Gram is Y^T Y = C^T C + sigma (C^T W + W^T C) + sigma^2 Z^T Z
-    (Y = U C + sigma Z, W = U^T Z), so Y is not drawn.  Returning None frees
-    the eigenvectors before the direct SVD allocates its own.
+    (Y = U C + sigma Z, W = U^T Z), so Y is not drawn.  The Gram is
+    decomposed in place by :func:`~sldlab.blas.eigh`, so the eigenvectors
+    overwrite it and the decomposition holds it and LAPACK's 2 m^2 workspace
+    (m = min(n, N)); :func:`_truncated` copies the kept factor out of it.
+    Returning None frees the eigenvectors before the direct SVD allocates
+    its own.
     """
     tall = dataset.n_train < dataset.params.n
     gram, coeff_yt = (_tall_gram(dataset), None) if tall else _wide_gram(dataset)
-    evals, evecs = np.linalg.eigh(gram)
-    del gram  # one N x N array fewer while the factor is copied below
+    evals, evecs = eigh(gram)  # in place, evecs is gram's buffer; numpy's would be a copy
+    del gram
     lam_min, lam_max = float(evals[0]), float(evals[-1])
     ill_conditioned = _EPS * lam_max > _GRAM_TOL * lam_min
     if not lam_min > 0.0 or (ill_conditioned and tall):

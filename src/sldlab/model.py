@@ -15,6 +15,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .blas import mapped_empty
 from .errors import DimensionError, EmptyDataError, InvariantError
 from .rng import stream
 
@@ -34,7 +35,8 @@ _STREAM_BYTES = 4 * 2**20
 #: 2.78, 9.29 and 33.0 s at N = 2512, 3981 and 6310 with 4 MB blocks, and
 #: 1.28, 2.44 and 5.38 s with 2048-row blocks (same host and build).  Such a
 #: block is at most 16 MB below N = 1024 and under two N x N arrays above it,
-#: fewer than the eigh that follows the pass holds.
+#: fewer than the three (the Gram and LAPACK's 2 N^2 workspace) that the
+#: in-place eigh after the pass holds.
 _GRAM_ROWS = 2048
 
 #: Largest sigma_z a model accepts.  An n x n Gram's certificate sums lambda^2 ~
@@ -124,8 +126,12 @@ class Dataset:
 
     @property
     def noisy(self) -> np.ndarray:
-        """Y (n x N), drawn on each read and not kept."""
+        """Y (n x N), drawn on each read into its own mapping and not kept."""
         return _draw_noisy(self.params, self.basis, self.coeff, self.seed)
+
+    def noisy_into(self, out: np.ndarray) -> np.ndarray:
+        """Y drawn into ``out`` (n x N, C-order rows), as :attr:`noisy` draws it; returns ``out``."""
+        return _draw_noisy(self.params, self.basis, self.coeff, self.seed, out)
 
     @cached_property
     def noise_stats(self) -> tuple[np.ndarray, np.ndarray]:
@@ -291,16 +297,23 @@ def _noise_blocks(
 
 
 def _draw_noisy(
-    params: ModelParams, basis: SubspaceBasis, coeff: np.ndarray, seed: int
+    params: ModelParams, basis: SubspaceBasis, coeff: np.ndarray, seed: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Y = U C + sigma_z Z, filled over :func:`_noise_blocks` as sigma_z Z[rows] + U[rows] C."""
+    """Y = U C + sigma_z Z into ``out`` (n x N), or into a :func:`~sldlab.blas.mapped_empty` array.
+
+    Filled over :func:`_noise_blocks` as U[rows] C + sigma_z Z[rows], each
+    block's product written straight into Y and the scaled noise added in
+    place, so a draw holds Y and one noise block.
+    """
     u = basis.matrix
+    noisy = mapped_empty((params.n, coeff.shape[1])) if out is None else out
     if params.sigma_z == 0:
-        return u @ coeff
-    noisy = np.empty((params.n, coeff.shape[1]))
+        return np.matmul(u, coeff, out=noisy)
     for rows, z in _noise_blocks(params.n, coeff.shape[1], seed):
-        np.multiply(z, params.sigma_z, out=noisy[rows])
-        noisy[rows] += u[rows] @ coeff
+        np.matmul(u[rows], coeff, out=noisy[rows])
+        z *= params.sigma_z
+        noisy[rows] += z
     return noisy
 
 

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import sldlab.cli as cli
+from sldlab.blas import blas_pool, lapack
 from sldlab.cli import main
 from sldlab.errors import UsageError
 from sldlab.model import SIGMA_MAX, ModelParams
@@ -138,6 +139,13 @@ def test_simulate_writes_curve_and_manifest(tmp_path, capsys):
     assert manifest["base_seed"] == 0
     assert manifest["outputs"] == [str(out)]
     assert manifest["config"]["params"] == {"d": 2, "n": 12, "sigma_z": 0.2}
+    assert manifest["numpy"] == np.__version__
+    pool = blas_pool()
+    assert manifest["blas"] == {
+        "thread_setter": pool is not None,
+        "threads": None if pool is None else pool.get(),
+        "in_place_lapack": lapack() is not None,
+    }
     assert out.exists()
 
 

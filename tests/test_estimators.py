@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import sldlab.sweep as sweep_mod
+from sldlab.blas import blas_pool, eigh, lapack, mapped_empty, qr_raw
 from sldlab.errors import DimensionError, InvariantError
 from sldlab.estimators import (
     INFINITY,
@@ -23,6 +24,9 @@ from sldlab.estimators import (
     svd_of,
     _direct_svd,
     _gram_certified,
+    _tall_gram,
+    _triangular_solve,
+    _wide_gram,
 )
 from sldlab.model import (
     SIGMA_MAX, Dataset, LinearEstimator, ModelParams, sample_basis, sample_dataset,
@@ -271,21 +275,64 @@ def test_pinv_factor_matches_least_squares(n, n_train):
     assert np.linalg.norm(b - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
-def test_pinv_factor_memory_is_two_copies_of_the_stacked_matrix():
-    # At n = N = 1000 the QR of [Y^T | C^T] peaks at the stacked N x (n + d)
-    # array and the copy LAPACK factors (2.03 times 8 N (n + d) bytes);
-    # mode="r" would add a copy of R and miss the bound.
-    n = n_train = 1000
-    params, basis, ds = _instance(n=n, d=10, sigma=0.1, n_train=n_train, seed=2000)
-    cache = svd_of(ds)
-    assert cache.route == "gram-certified"
-    tracemalloc.start()
-    try:
-        cache.pinv_factor
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.2 * 8 * n_train * (n + params.d)
+def test_pinv_factor_memory_is_one_stacked_matrix(rss_rise):
+    # At n = N = 1000 the QR of [Y^T | C^T] factors the C-order (n + d) x N
+    # buffer that Y and C are drawn into, in place: the peak RSS rises by
+    # that buffer and the draw's 4 MB noise block, 1.49 times 8 N (n + d)
+    # bytes (3.8 times when numpy's QR copied the stacked matrix twice).  The
+    # cache is built by hand, since the QR reads only its dataset, so that
+    # the decomposition's own peak does not hide the QR's.
+    n, d = 1000, 10
+    setup = f"""
+import numpy as np
+from sldlab.estimators import SvdCache
+from sldlab.model import ModelParams, sample_basis, sample_dataset
+ds = sample_dataset(ModelParams(d={d}, n={n}, sigma_z=0.1), sample_basis({n}, {d}, seed=2000), {n}, seed=2000)
+cache = SvdCache(s_y=np.ones(1), route="gram-certified", dataset=ds, coeff_v=np.zeros(({d}, 1)),
+                 ut_basis=np.zeros((1, {d})), _v_y=np.ones((1, 1)))
+"""
+    assert rss_rise(setup, "cache.pinv_factor") <= 1.6 * 8 * n * (n + d)
+
+
+@pytest.mark.skipif(lapack() is None, reason="numpy exports no 64-bit LAPACK")
+@pytest.mark.parametrize("n,n_train", [(1000, 1000), (40, 150)])
+def test_in_place_qr_matches_numpy_bit_for_bit(n, n_train):
+    # dgeqrf on the C-order buffer, read as Fortran, is numpy's raw QR of
+    # [Y^T | C^T], and pinv_factor solves the same R as it would from numpy's.
+    params, basis, ds = _instance(n=n, d=10, sigma=0.1, n_train=n_train, seed=n + n_train)
+    expected = np.linalg.qr(np.hstack([ds.noisy.T, ds.coeff.T]), mode="raw")[0]
+    h = mapped_empty((n + params.d, n_train))  # laid out as pinv_factor lays it out
+    ds.noisy_into(h[:n])
+    h[n:] = ds.coeff
+    assert qr_raw(h) is h
+    assert np.array_equal(h, expected)
+    b = _triangular_solve(expected[:n, :n].T, expected[n:, :n].T)
+    assert np.array_equal(svd_of(ds).pinv_factor, b)
+
+
+@pytest.mark.skipif(lapack() is None or blas_pool() is None,
+                    reason="numpy exports no 64-bit LAPACK or no OpenBLAS thread setter")
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("n_train", [1, 100, 464, 1000, 3981])
+def test_in_place_eigh_matches_numpy_bit_for_bit(n_train, threads):
+    # The N x N Gram of a tall cell (N < n = 1000) and the n x n Gram of a
+    # wide one, decomposed in place by dsyevd: eigenvalues and eigenvectors
+    # equal np.linalg.eigh's bit for bit, at one and two BLAS threads, and
+    # the eigenvectors overwrite the Gram.  The tall Gram is summed in
+    # parts, so it is not bit-symmetric and its lower triangle must be the
+    # one LAPACK reads.
+    n = 1000
+    params, basis, ds = _instance(n=n, d=10, sigma=0.1, n_train=n_train, seed=n_train)
+    gram = _tall_gram(ds) if n_train < n else _wide_gram(ds)[0]
+    if n_train == 464:
+        assert not np.array_equal(gram, gram.T)
+    with blas_pool().threads(threads):
+        expected = np.linalg.eigh(gram)
+        overwritten = gram.copy()
+        evals, evecs = eigh(overwritten)
+    assert np.array_equal(evals, expected[0])
+    assert np.array_equal(evecs, expected[1])
+    assert np.shares_memory(evecs, overwritten)
 
 
 @pytest.mark.parametrize("n,n_train", [(1000, 999), (150, 40)])
@@ -576,14 +623,16 @@ def test_profile_accurate_near_noise_floor(n, n_train, sigma):
     np.testing.assert_allclose(profile, formed, rtol=1e-8, atol=0.0)
 
 
-def test_gd_estimators_stay_low_rank_at_large_n():
+def test_gd_estimators_stay_low_rank_at_large_n(spy_draws):
     # At n = 10^4 a dense W would take 800 MB; the estimators keep n x d
     # factors, and building and scoring them allocates a few n x d arrays and
-    # one block of the noise stream (here all of Z, 4 MB), never Y.
+    # one block of the noise stream (here all of Z, 4 MB), never Y (a Y
+    # drawn into its own mapping would escape tracemalloc; the spy sees it).
     n, n_train = 10_000, 50
     params, basis, ds = _instance(n=n, d=5, sigma=0.1, n_train=n_train, seed=22)
     cache = svd_of(ds)
     profile = gd_risk_profile(cache, (8, INFINITY))
+    draws = spy_draws()
     tracemalloc.start()
     try:
         ests = (gd_estimator_closed(cache, 8), gd_estimator_closed(cache, INFINITY))
@@ -593,23 +642,26 @@ def test_gd_estimators_stay_low_rank_at_large_n():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert draws == []
     assert peak < 8 * n * (n_train + 10 * params.d)  # 8 MB, against 800 MB for one dense W
 
 
-def test_profile_memory_does_not_grow_with_n_train():
+def test_profile_memory_does_not_grow_with_n_train(spy_draws):
     # The profile works on the d x N coefficients: quadrupling N must not add
-    # an n x N array (8 n * 1500 bytes = 36 MB here) to its peak.
+    # an n x N array (8 n * 1500 bytes = 36 MB here) to its peak, nor draw Y.
     n = 3000
     peaks = []
     for n_train in (500, 2000):
         params, basis, ds = _instance(n=n, d=10, sigma=0.1, n_train=n_train, seed=25)
         cache = svd_of(ds)
+        draws = spy_draws()
         tracemalloc.start()
         try:
             gd_risk_profile(cache, K_GRID)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+        assert draws == []
     assert peaks[1] - peaks[0] < 0.05 * 8 * n * 1500
 
 

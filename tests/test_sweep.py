@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import sldlab.sweep as sweep_mod
+from sldlab import blas as blas_mod
 from sldlab import model
 from sldlab.blas import BlasPool, blas_pool
 from sldlab.errors import CsvFormatError, DimensionError, GridError, InvariantError, SweepCellError
@@ -168,6 +169,29 @@ def _fixed_pool(threads=2):
     """A stand-in for numpy's BLAS pool that records the counts it is set to and changes nothing."""
     counts = [threads]
     return BlasPool(get=lambda: counts[-1], set=counts.append), counts
+
+
+def test_sweep_bytes_do_not_depend_on_the_in_place_drivers(monkeypatch, tmp_path):
+    # With numpy's dsyevd and dgeqrf found, every Gram and PINV's QR is
+    # decomposed in place; without them (the lookup patched to None) numpy's
+    # eigh and qr run as they are.  A four-estimator Monte-Carlo sweep over
+    # both Gram routes and the certified N = n cells writes the same bytes.
+    routes = []
+
+    def spy(dataset):
+        cache = svd_of(dataset)
+        routes.append(cache.route)
+        return cache
+
+    monkeypatch.setattr(sweep_mod, "svd_of", spy)
+    cfg = _small_config(params=ModelParams(d=10, n=100, sigma_z=0.01),
+                        train_sizes=default_train_grid(10, 1000, 5), mc_test_size=200)
+    found, missing = tmp_path / "found.csv", tmp_path / "missing.csv"
+    write_curve_csv(run_sweep(cfg, workers=1), found)
+    monkeypatch.setattr(blas_mod, "lapack", lambda: None)
+    write_curve_csv(run_sweep(cfg, workers=1), missing)
+    assert found.read_bytes() == missing.read_bytes()
+    assert {"gram", "gram-certified"} <= set(routes)
 
 
 def test_monte_carlo_sweep_matches_across_worker_counts(tmp_path):
@@ -345,7 +369,7 @@ def test_dead_worker_fails_the_sweep(monkeypatch):
         run_sweep(_small_config(), workers=2)
 
 
-def test_monte_carlo_cell_memory_at_large_n():
+def test_monte_carlo_cell_memory_at_large_n(spy_draws):
     # One n = 10^4, N = 1000 cell scored on 500 test columns: Y takes 80 MB.
     # The estimators are built from Y V_y, streamed over row blocks of Z, and
     # the test noise is streamed too, so neither Y is formed: the cell peaks
@@ -356,12 +380,14 @@ def test_monte_carlo_cell_memory_at_large_n():
     # from, took the peak to 371 MB).
     config = _small_config(params=ModelParams(d=10, n=10_000, sigma_z=0.1),
                            train_sizes=(1000,), n_seeds=1, mc_test_size=500)
+    draws = spy_draws()  # a Y drawn into its own mapping escapes tracemalloc
     tracemalloc.start()
     try:
         records = sweep_mod._evaluate_cell(config, 1000, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert draws == []
     assert peak <= 45e6
     for risk, mc_mean, mc_err in records:
         assert abs(mc_mean - risk) <= 5 * mc_err
@@ -409,22 +435,36 @@ def test_wide_cell_does_not_keep_y(monkeypatch, spy_draws, n_train, cell_seed, r
     assert svd_of(dataset).route == route
 
 
-def test_wide_cell_drops_y_before_the_eigh():
+def _cell_rss_rise(rss_rise, n, n_train, estimators):
+    """Peak RSS rise of one sigma = 0.1 ``_evaluate_cell`` (cell seed 0) in a fresh interpreter."""
+    setup = f"""
+from sldlab import sweep
+from sldlab.model import ModelParams
+config = sweep.SweepConfig(params=ModelParams(d=10, n={n}, sigma_z=0.1), train_sizes=({n_train},),
+                           n_seeds=1, estimators={estimators!r})
+"""
+    return rss_rise(setup, f"sweep._evaluate_cell(config, {n_train}, 0)")
+
+
+def test_wide_cell_drops_y_before_the_eigh(rss_rise):
     # One ESGD + PCA cell at n = 1000, N = 4000: Y is 32 MB and Y Y^T 8 MB.
-    # Y is dropped before the eigh, so the peak is Y and the Gram while the
-    # Gram forms: 41.2 MB, against 49.1 MB when the dataset kept Y through
-    # the eigh and its two n x n outputs.
+    # Y is dropped before the Gram is decomposed in place beside its 16 MB
+    # workspace, so the peak is Y, the Gram and a noise block while the Gram
+    # forms: the RSS rose by 47.8 MB, and would pass 60 MB with Y kept
+    # through the eigh.
     n, n_train = 1000, 4000
-    config = _small_config(params=ModelParams(d=10, n=n, sigma_z=0.1), train_sizes=(n_train,),
-                           n_seeds=1, estimators=("ESGD", "PCA"))
-    tracemalloc.start()
-    try:
-        records = sweep_mod._evaluate_cell(config, n_train, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * n * n_train + 1.5 * 8 * n * n
-    assert all(0.0 < risk < 1.0 for risk, _, _ in records)
+    rise = _cell_rss_rise(rss_rise, n, n_train, ("ESGD", "PCA"))
+    assert rise <= 8 * n * n_train + 2 * 8 * n * n + model._STREAM_BYTES
+
+
+def test_square_cell_memory_follows_the_in_place_rule(rss_rise):
+    # One ESGD + PCA + PINV cell at n = N = 1500 (m = 1500), certified, so
+    # PINV takes its QR of Y: the Gram is decomposed in place beside LAPACK's
+    # 2 m^2 workspace, and the QR factors the one buffer Y is drawn into.
+    # The RSS rose by 3.60-3.68 times 8 m^2 at one to four BLAS threads;
+    # numpy's eigh and qr, which copy their input, rose by 5.54-5.62 times.
+    m = 1500
+    assert _cell_rss_rise(rss_rise, m, m, ("ESGD", "PCA", "PINV")) <= 4 * 8 * m * m
 
 
 def _spy_on_routes(monkeypatch):
