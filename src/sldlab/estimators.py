@@ -130,10 +130,6 @@ class SvdCache:
         h = qr_raw(h)
         return _triangular_solve(h[:n, :n].T, h[n:, :n].T)
 
-    def u_matmul(self, a: np.ndarray) -> np.ndarray:
-        """Return ``U_y @ a`` without forming U_y: :meth:`u_matmuls` of ``[a]``."""
-        return self.u_matmuls([a])[0]
-
     def u_matmuls(self, factors: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Return ``U_y @ a`` for each ``a`` of ``factors``, without forming U_y.
 
@@ -148,7 +144,7 @@ class SvdCache:
     def leading_u(self, product: np.ndarray) -> np.ndarray:
         """The first k columns of U_y, orthonormal to working precision, from their ``product``.
 
-        ``product`` is :meth:`u_matmul` of I[:, :k] (r x k).  With U_y stored
+        ``product`` is :meth:`u_matmuls` of ``[I[:, :k]]`` (r x k).  With U_y stored
         it is those columns exactly.  Otherwise it is Y V_y[:, :k] / S_y[:k],
         whose columns drift from orthonormal by up to eps * lambda_max /
         lambda_k (<= _GRAM_TOL: only the N x N "gram" route, which passed the

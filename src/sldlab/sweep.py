@@ -15,6 +15,7 @@ import contextlib
 import csv
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -272,70 +273,54 @@ def _mc_threads(config: SweepConfig, n_train: int, pool: int) -> int:
 def _run_mc_serial(
     tasks: list[tuple[SweepConfig, int, int]], blas: BlasPool
 ) -> list[tuple[tuple[float, float, float], ...]]:
-    """The records of an MC sweep's cells, run on this thread and one helper, largest train size first.
+    """The records of an MC sweep's cells, largest train size first, on this thread and one helper.
 
     A cell that keeps the pool (:func:`_keeps_pool`) runs whole at the full
-    pool.  The other cells run at one thread fewer, with each test set
-    scored on the helper beside the next front (:func:`_run_overlapped`).
-    The cells that keep the pool all run before the others start, so no
-    pass is scored at a count other than its cell's.
-    """
-    pool = blas.get()
-    results: list = [None] * len(tasks)
-    overlapped = []
-    for t in sorted(range(len(tasks)), key=lambda t: -tasks[t][1]):
-        if _keeps_pool(*_cell_inputs(tasks[t])[:2]):
-            results[t] = _run_cell(tasks[t], pool)
-        else:
-            overlapped.append(t)
-    if overlapped:
-        with blas.threads(max(1, pool - 1)):
-            _run_overlapped(tasks, overlapped, results)
-    return results
-
-
-def _run_overlapped(tasks: list[tuple[SweepConfig, int, int]], order: list[int], results: list) -> None:
-    """Fill ``results`` of the cells ``order`` names, each test set scored beside the next front.
-
-    The calling thread runs the fronts (:func:`_cell_front`) in ``order``
-    and queues each cell's Monte-Carlo pass for one helper thread.  Before
-    each front it collects the finished passes, raising a failed one's
-    :class:`~sldlab.errors.SweepCellError`, and takes back the newest
-    waiting passes and runs them itself until at most one waits: so beside
-    a front sit at most two cells' estimators and test sets, one waiting and
-    one on the helper.  After the last front it runs, last queued first,
-    every pass the helper has not started.
+    pool; the rule grows with N, so these cells lead.  The others run at one
+    BLAS thread fewer, on two threads that repeat one step: under a lock,
+    take the next cell and run its front (:func:`_cell_front`), then score
+    its Monte-Carlo pass outside it.  So the fronts run in order, each beside
+    at most one other cell's pass.  A failure stops both threads before
+    their next front; its error names its cell, which need not be the first
+    to fail in grid order.
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    pending = {}  # task index -> (risks, estimators, test set) until its pass starts
+    pool = blas.get()
+    results: list = [None] * len(tasks)
+    order = sorted(range(len(tasks)), key=lambda t: -tasks[t][1])
+    while order and _keeps_pool(*_cell_inputs(tasks[order[0]])[:2]):
+        t = order.pop(0)
+        results[t] = _run_cell(tasks[t], pool)
+    cells, lock, failed = iter(order), threading.Lock(), threading.Event()
 
-    def score(t: int) -> tuple[tuple[float, float, float], ...]:
-        risks, estimators, test = pending.pop(t)
-        with _naming(tasks[t]):
-            return _records(risks, risk_monte_carlo(estimators, test))
+    def work() -> None:
+        try:
+            while True:
+                with lock:
+                    t = None if failed.is_set() else next(cells, None)
+                    if t is None:
+                        return
+                    try:
+                        with _naming(tasks[t]):
+                            risks, estimators, test = _cell_front(*_cell_inputs(tasks[t]))
+                    except BaseException:
+                        failed.set()  # before the lock is released, so no other front starts
+                        raise
+                if failed.is_set():
+                    return
+                with _naming(tasks[t]):
+                    results[t] = _records(risks, risk_monte_carlo(estimators, test))
+        except BaseException:
+            failed.set()
+            raise
 
-    queued = []  # (task index, future) of the passes not yet collected
-    helper = ThreadPoolExecutor(max_workers=1)
-    try:
-        for t in order:
-            waiting = []
-            for u, future in queued:
-                if future.done():
-                    results[u] = future.result()
-                else:
-                    waiting.append((u, future))
-            queued = waiting
-            while len(pending) > 1 and queued[-1][1].cancel():
-                u, _ = queued.pop()
-                results[u] = score(u)
-            with _naming(tasks[t]):
-                pending[t] = _cell_front(*_cell_inputs(tasks[t]))
-            queued.append((t, helper.submit(score, t)))
-        for t, future in reversed(queued):
-            results[t] = score(t) if future.cancel() else future.result()
-    finally:
-        helper.shutdown(cancel_futures=True)
+    if order:
+        with blas.threads(max(1, pool - 1)), ThreadPoolExecutor(max_workers=1) as helper:
+            other = helper.submit(work)
+            work()
+            other.result()
+    return results
 
 
 # =====================================================================
@@ -358,15 +343,9 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> RiskCurve:
     outweighs its Monte-Carlo pass keeps the pool, every other runs one
     thread below it, at least one.  That holds in this process and in each
     worker, so the bytes do not depend on the worker count, and the pool is
-    restored afterwards.  Serially, such a sweep runs its cells largest
-    train size first.  A cell that keeps the pool runs whole.  Every other
-    splits into its closed-form front (sampling, ``svd_of``, risks,
-    estimator builds) and its Monte-Carlo pass (``risk_monte_carlo``), and
-    its pass is scored on one helper thread while the next front runs
-    (:func:`_run_overlapped`).  A failed pass is raised before the next
-    front, so the error names a cell near the first that failed, which in
-    that order need not be the first in grid order.  Without a thread setter
-    (a numpy on another BLAS), an MC sweep runs as any other.
+    restored afterwards.  Serially, such a sweep runs on this thread and one
+    helper (:func:`_run_mc_serial`).  Without a thread setter (a numpy on
+    another BLAS), an MC sweep runs as any other.
     """
     if workers < 1:
         raise DimensionError(f"workers must be >= 1, got {workers}")

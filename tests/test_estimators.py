@@ -49,7 +49,7 @@ def _factors(cache):
     """(U_y, V_y) of ``cache``: the factor it stores, and the other one formed through Y."""
     if cache._u_y is not None:
         return cache._u_y, (cache.dataset.noisy.T @ cache._u_y) / cache.s_y
-    return cache.u_matmul(np.eye(cache.rank)), cache._v_y
+    return cache.u_matmuls([np.eye(cache.rank)])[0], cache._v_y
 
 
 def test_svd_cache_reconstructs_input():
@@ -396,8 +396,8 @@ def test_svd_of_tall_noisy_takes_small_gram_and_defers_u():
     u, v = _factors(cache)
     assert np.allclose(cache.ut_basis, u.T @ basis.matrix, atol=1e-10)
     b = np.random.default_rng(1).standard_normal((300, 3))
-    assert np.allclose(cache.u_matmul(b), u @ b, atol=1e-10)
-    assert np.allclose(cache.leading_u(cache.u_matmul(np.eye(300, 10))), u[:, :10], atol=1e-12)
+    assert np.allclose(cache.u_matmuls([b])[0], u @ b, atol=1e-10)
+    assert np.allclose(cache.leading_u(cache.u_matmuls([np.eye(300, 10)])[0]), u[:, :10], atol=1e-12)
     assert np.allclose((u * cache.s_y) @ v.T, ds.noisy, atol=1e-10)
     assert cache._u_y is None  # forming U_y stored nothing
 
@@ -468,7 +468,7 @@ def test_leading_u_in_frame_is_leading_u_in_the_frame(n, n_train, sigma, seed, r
         frame = cache.leading_u_in_frame(k)
         assert frame.shape == (params.d + k, k)
         assert np.max(np.abs(frame.T @ frame - np.eye(k))) <= 1e-12
-        u_hat = cache.leading_u(cache.u_matmul(np.eye(cache.rank, k)))
+        u_hat = cache.leading_u(cache.u_matmuls([np.eye(cache.rank, k)])[0])
         assert np.max(np.abs(frame[:params.d] - basis.matrix.T @ u_hat)) <= 1e-12
 
 

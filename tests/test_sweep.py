@@ -195,9 +195,10 @@ def test_sweep_bytes_do_not_depend_on_the_in_place_drivers(monkeypatch, tmp_path
 
 
 def test_monte_carlo_sweep_matches_across_worker_counts(tmp_path):
-    # Serially an MC sweep runs its cells largest train size first, scoring
-    # the test sets of the cells below the pool on a helper thread; in
-    # workers each cell runs whole.  A cell's BLAS threads follow from its
+    # Serially an MC sweep runs its cells largest train size first, the cells
+    # below the pool on two threads, each taking the next front under one
+    # lock and scoring its test set outside it; in workers each cell runs
+    # whole.  A cell's BLAS threads follow from its
     # shape either way, so the bytes are the same.
     cfg = _mc_config()
     serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
@@ -210,7 +211,7 @@ def test_monte_carlo_sweep_matches_across_worker_counts(tmp_path):
 def test_monte_carlo_sweep_restores_the_blas_pool(monkeypatch):
     # The N = 1000 cells keep the pool and the others run one BLAS thread
     # below it; the pool reads back its starting count afterwards, also when
-    # a Monte-Carlo pass raises.
+    # a Monte-Carlo pass or a front below the pool raises, on either thread.
     blas, cfg = blas_pool(), _mc_config()
     seen, front = [], sweep_mod._cell_front
     monkeypatch.setattr(sweep_mod, "_cell_front", lambda *args: seen.append(blas.get()) or front(*args))
@@ -231,13 +232,25 @@ def test_monte_carlo_sweep_restores_the_blas_pool(monkeypatch):
         with pytest.raises(SweepCellError, match=r"train_size=50 \(grid index 1\), seed index 1: Floating"):
             run_sweep(cfg)
         assert blas.get() == start
+        bad_front = derive_seed(cfg.base_seed, "cell", 2, 0)
+
+        def fail_front(config, n_train, cell_seed):
+            if cell_seed == bad_front:
+                raise FloatingPointError("synthetic front failure")
+            return front(config, n_train, cell_seed)
+
+        monkeypatch.setattr(sweep_mod, "risk_monte_carlo", score)
+        monkeypatch.setattr(sweep_mod, "_cell_front", fail_front)
+        with pytest.raises(SweepCellError, match=r"train_size=100 \(grid index 2\), seed index 0: Floating"):
+            run_sweep(cfg)
+        assert blas.get() == start
 
 
 def test_monte_carlo_fronts_run_largest_train_size_first(monkeypatch):
-    # The calling thread runs the cells from the largest train size down.  A
-    # cell that keeps the pool scores its test set itself, right after its
-    # front; the others queue theirs for the helper after the front, so no
-    # pass runs beside the first front.
+    # The fronts run from the largest train size down.  A cell that keeps the
+    # pool scores its test set right after its front; below the pool a thread
+    # scores its cell's test set after releasing the front lock, so no pass
+    # runs beside the first front, and the next front waits for the lock.
     monkeypatch.setattr(sweep_mod, "blas_pool", lambda: _fixed_pool()[0])
     events, front, score = [], sweep_mod._cell_front, sweep_mod.risk_monte_carlo
 
@@ -260,19 +273,23 @@ def test_monte_carlo_fronts_run_largest_train_size_first(monkeypatch):
 
 
 def test_monte_carlo_fronts_run_at_most_two_passes_ahead(monkeypatch):
-    # Cheap fronts beside slow passes: before each front the calling thread
-    # takes back waiting passes until at most one waits, so at most two cells
-    # (one waiting, one on the helper) hold their estimators and test sets.
+    # Cheap fronts beside slow passes: each of the two threads scores its
+    # cell's test set before it takes the next front, so at most two cells
+    # hold their estimators and test sets, and the front lock lets no two
+    # fronts run at once.
     monkeypatch.setattr(sweep_mod, "blas_pool", lambda: _fixed_pool()[0])
-    lock, ahead, seen = threading.Lock(), [0], []
+    lock, ahead, seen, running, busy = threading.Lock(), [0], [], [0], []
     front, score = sweep_mod._cell_front, sweep_mod.risk_monte_carlo
 
     def spy_front(*args):
         with lock:
             seen.append(ahead[0])
+            running[0] += 1
+            busy.append(running[0])
         out = front(*args)
         with lock:
             ahead[0] += 1
+            running[0] -= 1
         return out
 
     def slow_pass(estimators, test):
@@ -287,12 +304,13 @@ def test_monte_carlo_fronts_run_at_most_two_passes_ahead(monkeypatch):
     cfg = _mc_config(train_sizes=(2, 3, 4, 5, 6, 8, 10, 12))
     run_sweep(cfg)
     assert len(seen) == 16 and max(seen) <= 2 and ahead == [0]
+    assert busy == [1] * 16
 
 
 def test_monte_carlo_pass_failure_is_raised_before_the_next_front(monkeypatch):
-    # The largest cell's pass fails on the helper; the sweep raises it,
-    # naming that cell, before the third front (before the second, when the
-    # helper has finished it by then).
+    # The largest cell's pass fails on one thread; the sweep raises it,
+    # naming that cell, and no third front starts (nor the second, when the
+    # other thread finds the failure before it takes the front lock).
     monkeypatch.setattr(sweep_mod, "blas_pool", lambda: _fixed_pool()[0])
     failed, fronts, front = threading.Event(), [], sweep_mod._cell_front
 
@@ -300,7 +318,7 @@ def test_monte_carlo_pass_failure_is_raised_before_the_next_front(monkeypatch):
         fronts.append(n_train)
         if len(fronts) == 2:
             assert failed.wait(timeout=30)
-            time.sleep(0.1)  # let the helper finish the failed future
+            time.sleep(0.1)  # let the failed thread stop the other before its pass
         return front(config, n_train, cell_seed)
 
     def fail(estimators, test):
@@ -318,8 +336,8 @@ def test_monte_carlo_sweep_without_a_thread_setter_starts_no_thread(monkeypatch)
     # Without a BLAS thread setter an MC sweep runs its cells in grid order on
     # the calling thread, as _evaluate_cell gives them.  With one (here a
     # stand-in that leaves the threads alone) the N = 1000 cells run whole at
-    # the pool, the others below it with one helper thread, and the curve is
-    # the same bit for bit.
+    # the pool, the others below it on this thread and one helper, and the
+    # curve is the same bit for bit.
     starts, start = [], threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start", lambda thread: starts.append(thread) or start(thread))
     cfg = _mc_config()
