@@ -1,4 +1,4 @@
-"""numpy's bundled OpenBLAS through ``ctypes``: its thread pool and two LAPACK drivers.
+"""numpy's bundled OpenBLAS through ``ctypes``: its thread pool and four LAPACK drivers.
 
 numpy's wheels link a private OpenBLAS whose exported names carry a prefix
 and a suffix: ``scipy_openblas_set_num_threads64_`` from numpy 2.0 on, and
@@ -9,14 +9,17 @@ another BLAS (MKL, Accelerate, a system library without these names) has no
 pool here, and callers leave its threading alone.
 
 The same library exports its LAPACK with 64-bit integers
-(``scipy_dsyevd_64_``, or ``dsyevd_64_``).  :func:`eigh` and :func:`qr_raw`
-call ``dsyevd`` and ``dgeqrf`` on the caller's own array, overwriting it,
-where ``np.linalg.eigh`` and ``np.linalg.qr(mode="raw")`` would first copy
-it into a Fortran buffer of their own.  They follow numpy's calling
-convention (same driver, triangle and workspace query), so every output bit
-is numpy's; without the drivers they call numpy.  ``ctypes`` releases the
-GIL during each call, as numpy does.  Their workspaces, like the other large
-transients of a cell, come from :func:`mapped_empty`.
+(``scipy_dsytrd_64_``, or ``dsytrd_64_``).  :func:`eigh_implicit` runs
+``dsytrd`` and ``dstedc``, the first two stages of numpy's ``dsyevd``, on
+the caller's own symmetric array, and keeps its third, the back-transform
+``dormtr``, for the columns a caller multiplies (:class:`Reflectors`): the
+eigenvalues are numpy's bit for bit, and the eigenvectors are never formed.
+:func:`qr_raw` calls ``dgeqrf`` in place as numpy's ``qr`` does, so its
+output is numpy's bit for bit.  Neither copies its input into a Fortran
+buffer of its own, as numpy would; without the drivers both call numpy.
+``ctypes`` releases the GIL during each call, as numpy does.  The
+workspaces, like the other large transients of a cell, come from
+:func:`mapped_empty`.
 """
 
 from __future__ import annotations
@@ -42,6 +45,16 @@ _LAPACK_NAMES = (("scipy_", "_64_"), ("", "_64_"))
 #: Rows per block of :func:`_mirror_lower`, so that its triangle indices and
 #: transposed copies are block-sized, not m^2 / 2 pairs at once.
 _MIRROR_ROWS = 256
+
+#: Fewest columns per ``dormtr`` call of :meth:`Reflectors.apply`.  ``dormtr``
+#: applies Q 32 reflectors at a time, by products of about 32 k m
+#: multiply-adds for k columns of m rows, and OpenBLAS spreads a product of
+#: more than 2^18 multiply-adds over its threads, which for a few columns
+#: costs more than it saves.  So a call takes at most 2^13 / m columns, and
+#: never fewer than this many: on 2 cores 20 columns took 15, 61 and 203 ms
+#: at m = 1000, 2000 and 4000 in one call, and 3.6-4.7, 28 and 112 ms in
+#: calls of 8, 4 and 4 columns; calls of 2 were slower.
+_ORMTR_COLUMNS = 4
 
 
 def _library() -> ctypes.CDLL | None:
@@ -91,32 +104,41 @@ def blas_pool() -> BlasPool | None:
 
 @dataclass(frozen=True)
 class Lapack:
-    """The ``dsyevd`` and ``dgeqrf`` drivers of numpy's bundled LAPACK (64-bit integers)."""
+    """The ``dsytrd``, ``dstedc``, ``dormtr`` and ``dgeqrf`` drivers of numpy's bundled LAPACK (64-bit integers)."""
 
-    syevd: Callable[..., None]
+    sytrd: Callable[..., None]
+    stedc: Callable[..., None]
+    ormtr: Callable[..., None]
     geqrf: Callable[..., None]
 
 
 @functools.cache
 def lapack() -> Lapack | None:
-    """numpy's ``dsyevd`` and ``dgeqrf``, or None where numpy exports no 64-bit LAPACK."""
+    """numpy's ``dsytrd``, ``dstedc``, ``dormtr`` and ``dgeqrf``, or None where numpy exports no 64-bit LAPACK."""
     lib = _library()
     if lib is None:
         return None
+    int_p, addr, char, length = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p, ctypes.c_char_p, ctypes.c_size_t
+    # dsytrd(UPLO, N, A, LDA, D, E, TAU, WORK, LWORK, INFO);
+    # dstedc(COMPZ, N, D, E, Z, LDZ, WORK, LWORK, IWORK, LIWORK, INFO);
+    # dormtr(SIDE, UPLO, TRANS, M, N, A, LDA, TAU, C, LDC, WORK, LWORK, INFO);
+    # dgeqrf(M, N, A, LDA, TAU, WORK, LWORK, INFO); each then takes gfortran's
+    # hidden lengths of its string arguments.
+    argtypes = {
+        "dsytrd": [char, int_p, addr, int_p, addr, addr, addr, addr, int_p, int_p, length],
+        "dstedc": [char, int_p, addr, addr, addr, int_p, addr, int_p, addr, int_p, int_p, length],
+        "dormtr": [char, char, char, int_p, int_p, addr, int_p, addr, addr, int_p, addr, int_p, int_p,
+                   length, length, length],
+        "dgeqrf": [int_p, int_p, addr, int_p, addr, addr, int_p, int_p],
+    }
     for prefix, suffix in _LAPACK_NAMES:
         try:
-            syevd = getattr(lib, f"{prefix}dsyevd{suffix}")
-            geqrf = getattr(lib, f"{prefix}dgeqrf{suffix}")
+            drivers = [getattr(lib, f"{prefix}{name}{suffix}") for name in argtypes]
         except AttributeError:
             continue
-        int_p, addr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
-        # dsyevd(JOBZ, UPLO, N, A, LDA, W, WORK, LWORK, IWORK, LIWORK, INFO), then
-        # gfortran's hidden lengths of the two strings; dgeqrf(M, N, A, LDA, TAU, WORK, LWORK, INFO).
-        syevd.argtypes = [ctypes.c_char_p, ctypes.c_char_p, int_p, addr, int_p, addr, addr, int_p,
-                          addr, int_p, int_p, ctypes.c_size_t, ctypes.c_size_t]
-        geqrf.argtypes = [int_p, int_p, addr, int_p, addr, addr, int_p, int_p]
-        syevd.restype = geqrf.restype = None
-        return Lapack(syevd=syevd, geqrf=geqrf)
+        for driver, types in zip(drivers, argtypes.values()):
+            driver.argtypes, driver.restype = types, None
+        return Lapack(*drivers)
     return None
 
 
@@ -142,6 +164,24 @@ def _check(info: ctypes.c_int64, driver: str) -> None:
         raise np.linalg.LinAlgError(f"{driver} failed with info = {info.value}")
 
 
+def _with_workspace(call: Callable[..., None], info: ctypes.c_int64, driver: str,
+                    iwork: bool = False, least: int = 1) -> None:
+    """Run ``call(work, lwork[, iwork, liwork])`` on workspaces sized by its own query.
+
+    The query passes LWORK (and LIWORK) = -1, as numpy does; the workspaces
+    then come from :func:`mapped_empty`, at least ``least`` floats.
+    """
+    work_query, iwork_query = ctypes.c_double(), _int()
+    queries = (ctypes.byref(iwork_query), _int(-1)) if iwork else ()
+    call(ctypes.byref(work_query), _int(-1), *queries)
+    _check(info, f"{driver} workspace query")
+    lwork = max(least, int(work_query.value))
+    work = mapped_empty((lwork,))
+    ints = mapped_empty((max(1, iwork_query.value),), np.int64) if iwork else None
+    call(work.ctypes.data, _int(lwork), *(() if ints is None else (ints.ctypes.data, _int(ints.size))))
+    _check(info, driver)
+
+
 def _mirror_lower(a: np.ndarray) -> None:
     """Copy the lower triangle of the square C-order ``a`` onto its upper one, in row blocks."""
     m = a.shape[0]
@@ -153,42 +193,76 @@ def _mirror_lower(a: np.ndarray) -> None:
         block[upper] = block.T[upper]
 
 
-def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh(a)`` bit for bit, overwriting the C-order symmetric ``a``.
+@dataclass(frozen=True, eq=False)
+class Reflectors:
+    """The orthogonal Q of a tridiagonal reduction Q^T A Q = T, as ``dsytrd`` leaves it.
 
-    Returns (eigenvalues ascending, eigenvectors as columns); the
-    eigenvectors are ``a.T``.  numpy hands LAPACK the lower triangle of
-    ``a`` in a Fortran copy and calls ``dsyevd`` with JOBZ = 'V', UPLO = 'L'
-    and the workspace sizes of a query.  Read as Fortran, ``a`` is its
-    transpose, so the lower triangle is first copied onto the upper one (a
-    Gram summed in parts need not be bit-symmetric), and the call is then
-    the same.  It holds ``a`` and the 2 m^2 workspace, where numpy adds its
-    copy and a separate output.  Without the drivers numpy runs, and ``a``
-    is left as it was.
+    ``a`` is the reduced m x m C-order array, whose Householder vectors lie
+    below the subdiagonal when it is read as Fortran, and ``tau`` holds
+    their scales.  :meth:`apply` multiplies by Q or Q^T with ``dormtr``, in
+    about 2 m^2 k flops for k columns; Q itself is never formed.
+    """
+
+    a: np.ndarray
+    tau: np.ndarray
+
+    def apply(self, c: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """Q c, or Q^T c with ``transpose``, for an m x k ``c``; a new Fortran-order array.
+
+        The columns go to ``dormtr`` in groups as wide as _ORMTR_COLUMNS says.
+        """
+        lib = lapack()
+        out = np.array(c, dtype=np.float64, order="F")
+        m, k = out.shape
+        ld, info = _int(max(m, 1)), _int()
+
+        def call(chunk, work, lwork):
+            lib.ormtr(b"L", b"L", b"T" if transpose else b"N", _int(m), _int(chunk.shape[1]), self.a.ctypes.data,
+                      ld, self.tau.ctypes.data, chunk.ctypes.data, ld, work, lwork, info, 1, 1, 1)
+
+        width = max(_ORMTR_COLUMNS, 2**13 // max(m, 1))
+        for lo in range(0, k, width):
+            _with_workspace(functools.partial(call, out[:, lo:lo + width]), info, "dormtr")
+        return out
+
+
+def eigh_implicit(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, Reflectors | None]:
+    """The eigendecomposition a = (Q W) diag(lam) (Q W)^T of the C-order symmetric ``a``, in place.
+
+    Returns (lam ascending, W, Q): the eigenvectors are Q W, and Q is kept
+    as its reflectors in ``a``.  ``dsyevd``, which ``np.linalg.eigh`` calls
+    with JOBZ = 'V', UPLO = 'L', is ``dsytrd`` (Q^T a Q = T, tridiagonal),
+    ``dstedc`` with COMPZ = 'I' (T = W diag(lam) W^T) and a ``dormtr`` that
+    forms Q W in about 2 m^3 flops.  This runs the first two on the
+    same triangle (numpy hands LAPACK the lower triangle of ``a`` in a
+    Fortran copy; read as Fortran, ``a`` is its transpose, so the lower
+    triangle is first copied onto the upper one: a Gram summed in parts need
+    not be bit-symmetric) with the workspaces of a query, so lam is numpy's
+    bit for bit, and leaves the back-transform to :meth:`Reflectors.apply`,
+    for the columns a caller reads.  ``dsyevd`` also rescales a matrix whose
+    largest entry lies outside [sqrt(smlnum), sqrt(bignum)], about [1e-146,
+    7e145]; no Gram of a dataset does, since sigma_z <= ``model.SIGMA_MAX``.
+    It holds ``a``, W and ``dstedc``'s m^2 workspace (W and the workspaces are
+    :func:`mapped_empty`).  Without the drivers numpy's ``eigh`` runs, ``a``
+    is left as it was and Q is None (Q = I).
     """
     lib = lapack()
     if lib is None:
-        return np.linalg.eigh(a)
+        return (*np.linalg.eigh(a), None)
     if not (a.ndim == 2 and a.shape[0] == a.shape[1] and a.dtype == np.float64
             and a.flags.c_contiguous and a.flags.writeable):
-        raise ValueError(f"eigh needs a writable C-order square float64 array, got {a.shape} {a.dtype}")
+        raise ValueError(f"eigh_implicit needs a writable C-order square float64 array, got {a.shape} {a.dtype}")
     m = a.shape[0]
     _mirror_lower(a)
-    w = np.empty(m)
-    n, lda, info = _int(m), _int(max(m, 1)), _int()
-
-    def call(work, lwork, iwork, liwork):
-        lib.syevd(b"V", b"L", n, a.ctypes.data, lda, w.ctypes.data,
-                  work, lwork, iwork, liwork, info, 1, 1)
-
-    work_query, iwork_query = ctypes.c_double(), _int()
-    call(ctypes.byref(work_query), _int(-1), ctypes.byref(iwork_query), _int(-1))
-    _check(info, "dsyevd workspace query")
-    lwork, liwork = int(work_query.value), iwork_query.value
-    work, iwork = mapped_empty((lwork,)), mapped_empty((liwork,), np.int64)
-    call(work.ctypes.data, _int(lwork), iwork.ctypes.data, _int(liwork))
-    _check(info, "dsyevd")
-    return w, a.T
+    lam, off, tau = np.empty(m), np.empty(max(m, 1)), np.empty(max(m, 1))
+    n, ld, info = _int(m), _int(max(m, 1)), _int()
+    _with_workspace(lambda work, lwork: lib.sytrd(b"L", n, a.ctypes.data, ld, lam.ctypes.data, off.ctypes.data,
+                                                  tau.ctypes.data, work, lwork, info, 1), info, "dsytrd")
+    z = mapped_empty((m, m))  # read as Fortran, column j (row j here) is T's j-th eigenvector
+    _with_workspace(lambda work, lwork, iwork, liwork: lib.stedc(
+        b"I", n, lam.ctypes.data, off.ctypes.data, z.ctypes.data, ld, work, lwork, iwork, liwork, info, 1),
+        info, "dstedc", iwork=True)
+    return lam, z.T, Reflectors(a, tau)
 
 
 def qr_raw(a: np.ndarray) -> np.ndarray:
@@ -209,15 +283,6 @@ def qr_raw(a: np.ndarray) -> np.ndarray:
     cols, rows = a.shape
     m, n, lda, info = _int(rows), _int(cols), _int(max(rows, 1)), _int()
     tau = np.empty(min(rows, cols))
-
-    def call(work, lwork):
-        lib.geqrf(m, n, a.ctypes.data, lda, tau.ctypes.data, work, lwork, info)
-
-    work_query = ctypes.c_double()
-    call(ctypes.byref(work_query), _int(-1))
-    _check(info, "dgeqrf workspace query")
-    lwork = max(1, cols, int(work_query.value))
-    work = mapped_empty((lwork,))
-    call(work.ctypes.data, _int(lwork))
-    _check(info, "dgeqrf")
+    _with_workspace(lambda work, lwork: lib.geqrf(m, n, a.ctypes.data, lda, tau.ctypes.data, work, lwork, info),
+                    info, "dgeqrf", least=max(1, cols))
     return a

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blas import eigh, mapped_empty, qr_raw
+from .blas import Reflectors, eigh_implicit, mapped_empty, qr_raw
 from .errors import DimensionError, DivergenceError, InvariantError
 from .model import Dataset, LinearEstimator, SubspaceBasis
 from .risk import risk_closed_form
@@ -50,26 +50,58 @@ _MAX_ITERATIVE_K = 500
 # =====================================================================
 
 
+@dataclass(frozen=True, eq=False)
+class _Factor:
+    """One singular factor F (m x r), kept as Q W J: W's columns in Q's coordinates.
+
+    Q is orthogonal: the reflectors of a Gram's tridiagonal reduction
+    (:class:`~sldlab.blas.Reflectors`), or None (Q = I) where the route holds
+    the factor itself.  W (m x r) holds F's columns in LAPACK's ascending
+    eigenvalue order, so J reverses them: no product copies W or forms F.
+    ``qt_basis`` is Q^T U, kept when F is U_y (M is W^T Q^T U reversed).
+    """
+
+    w: np.ndarray
+    q: Reflectors | None = None
+    qt_basis: np.ndarray | None = None
+
+    def apply_q(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """Q x, or Q^T x with ``transpose``."""
+        return x if self.q is None else self.q.apply(x, transpose)
+
+    def times(self, a: np.ndarray) -> np.ndarray:
+        """F a = Q (W (J a)) for an r x k ``a``."""
+        return self.apply_q(self.w @ a[::-1])
+
+    def leading(self, k: int) -> np.ndarray:
+        """F's first k columns in Q's coordinates, W J[:, :k] (m x k)."""
+        return self.w[:, self.w.shape[1] - k:][:, ::-1]
+
+
 @dataclass(eq=False)
 class SvdCache:
     """Thin SVD Y = U_y diag(S_y) V_y^T of a dataset's noisy training matrix.
 
     The cache holds the :class:`Dataset` it decomposed, and the estimator
     functions take the coefficients C, the true basis U and the model
-    parameters from it.  It stores one singular factor: U_y on the direct
-    SVD and n x n Gram routes, V_y on the N x N Gram route.  Every route
-    also hands over g = C V_y and M = U_y^T U, formed by :func:`_truncated`
-    from what the route holds.  The N x N route reads the dataset's
-    :attr:`~sldlab.model.Dataset.noise_stats`, Z^T Z and W = U^T Z, in
-    place of Y: so do its M and :meth:`leading_u_in_frame`, and
-    its :meth:`u_matmuls` reads Y only through
-    :meth:`~sldlab.model.Dataset.noisy_matmul`.  The n x n route forms Y Y^T
-    and the d x n product C Y^T from one draw of Y, dropped before the
-    ``eigh``; g is (C Y^T) U_y / S_y, and C Y^T is not kept.
-    So no sweep builds anything n x r, and no tall Gram cell forms Y.  Either
-    Gram is decomposed in place (:func:`~sldlab.blas.eigh`), so the
-    decomposition holds the Gram and LAPACK's workspace, 3 m^2 floats for
-    m = min(n, N), and no copy of either.
+    parameters from it.  It stores one singular factor, on ``_side`` "u"
+    (U_y: the direct SVD and the n x n Gram route) or "v" (V_y: the N x N
+    Gram route), and keeps it implicit (:class:`_Factor`): a Gram route
+    holds the reflectors of the Gram's tridiagonal reduction Q and the
+    tridiagonal's eigenvectors W, with the factor Q W never formed
+    (:func:`~sldlab.blas.eigh_implicit`); the direct SVD and the fallback
+    without numpy's LAPACK drivers hold the factor itself, with Q = I.
+    Every route also hands over g = C V_y and M = U_y^T U, formed by
+    :func:`_truncated` from one multiplication by Q^T of 2 d columns.  The
+    N x N route reads the dataset's :attr:`~sldlab.model.Dataset.noise_stats`,
+    Z^T Z and W = U^T Z, in place of Y: so do its M and
+    :meth:`leading_u_in_frame`, and its :meth:`u_matmuls` reads Y only
+    through :meth:`~sldlab.model.Dataset.noisy_matmul`.  The n x n route
+    forms Y Y^T and the d x n product C Y^T from one draw of Y, dropped
+    before the decomposition; C Y^T is not kept.  So no sweep builds
+    anything n x r, and no tall Gram cell forms Y.  A Gram route's factor is
+    2 m^2 floats for m = min(n, N); :meth:`drop_factor` releases it once a
+    caller has every product it needs.
 
     s_y      -- r retained singular values, descending, all >= max(n, N) * eps * S_y[0]
     route    -- "svd" (direct), "gram" (eigendecomposition of the small Gram,
@@ -87,12 +119,12 @@ class SvdCache:
     dataset: Dataset = field(repr=False)
     coeff_v: np.ndarray = field(repr=False)
     ut_basis: np.ndarray = field(repr=False)
-    _u_y: np.ndarray | None = field(default=None, repr=False)
-    _v_y: np.ndarray | None = field(default=None, repr=False)
+    _side: str = field(repr=False)
+    _factor: _Factor | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if (self._u_y is None) == (self._v_y is None):
-            raise InvariantError("SvdCache holds exactly one of U_y and V_y")
+        if self._side not in ("u", "v"):
+            raise InvariantError(f"SvdCache stores U_y (side 'u') or V_y (side 'v'), got {self._side!r}")
 
     @property
     def rank(self) -> int:
@@ -102,6 +134,21 @@ class SvdCache:
     def eta(self) -> float:
         """The gradient-descent stepsize 1 / S_y[0]^2, which saturates the stability bound."""
         return 1.0 / float(self.s_y[0]) ** 2
+
+    @property
+    def _f(self) -> _Factor:
+        if self._factor is None:
+            raise InvariantError("the cache's singular factor was dropped")
+        return self._factor
+
+    def drop_factor(self) -> None:
+        """Release the singular factor once every product a caller reads from it is formed.
+
+        The risks from g and M, :attr:`pinv_factor` and :meth:`leading_u` stay
+        readable; :meth:`u_matmuls` and :meth:`leading_u_in_frame` raise
+        InvariantError.
+        """
+        self._factor = None
 
     @cached_property
     def pinv_factor(self) -> np.ndarray:
@@ -133,27 +180,30 @@ class SvdCache:
     def u_matmuls(self, factors: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Return ``U_y @ a`` for each ``a`` of ``factors``, without forming U_y.
 
-        Uses Y V_y diag(1/S_y) a, O(n N k) for an r x k ``a``, through one
-        :meth:`~sldlab.model.Dataset.noisy_matmul` pass over the training
-        noise for all the factors, so Y is not formed.
+        On side "u" that is Q (W (J a)) for an r x k ``a``, with Q applied to
+        the k columns by ``dormtr``.  On side "v" it is Y V_y diag(1/S_y) a, O(n N k), through
+        one :meth:`~sldlab.model.Dataset.noisy_matmul` pass over the training
+        noise for all the factors, so Y is not formed.  Each product
+        multiplies its own factor, so none depends on the others formed with it.
         """
-        if self._u_y is not None:
-            return [self._u_y @ a for a in factors]
-        return self.dataset.noisy_matmul([self._v_y @ (a / self.s_y[:, None]) for a in factors])
+        f = self._f
+        if self._side == "u":
+            return [f.times(a) for a in factors]
+        return self.dataset.noisy_matmul([f.times(a / self.s_y[:, None]) for a in factors])
 
     def leading_u(self, product: np.ndarray) -> np.ndarray:
         """The first k columns of U_y, orthonormal to working precision, from their ``product``.
 
-        ``product`` is :meth:`u_matmuls` of ``[I[:, :k]]`` (r x k).  With U_y stored
-        it is those columns exactly.  Otherwise it is Y V_y[:, :k] / S_y[:k],
-        whose columns drift from orthonormal by up to eps * lambda_max /
-        lambda_k (<= _GRAM_TOL: only the N x N "gram" route, which passed the
-        conditioning check, stores no U_y; reached when k covers the whole
-        spectrum, as for N <= d).  One QR pass, signed so that R has a
-        positive diagonal, removes that drift while moving each column by no
-        more than it.
+        ``product`` is :meth:`u_matmuls` of ``[I[:, :k]]`` (r x k).  On side "u"
+        it is those columns: Q and W are orthogonal to working precision.
+        Otherwise it is Y V_y[:, :k] / S_y[:k], whose columns drift from
+        orthonormal by up to eps * lambda_max / lambda_k (<= _GRAM_TOL: only
+        the N x N "gram" route, which passed the conditioning check, stores
+        V_y; reached when k covers the whole spectrum, as for N <= d).  One QR
+        pass, signed so that R has a positive diagonal, removes that drift
+        while moving each column by no more than it.
         """
-        if self._u_y is not None:
+        if self._side == "u":
             return product
         q, r = np.linalg.qr(product)
         return q * np.sign(np.diagonal(r))
@@ -167,8 +217,10 @@ class SvdCache:
         columns of U and U_hat -- all a risk reads -- are the same in these
         coordinates, and only the d x k overlap A = U^T U_hat and the k x k
         Gram P^T P are needed; T is the square root of P^T P.  Both come from
-        M_k = U_y[:, :k]^T U, the first k rows of the cache's M: with U_y
-        stored, A = M_k^T and P = U_hat - U A.
+        M_k = U_y[:, :k]^T U, the first k rows of the cache's M.  On side "u",
+        A = M_k^T and P = U_hat - U A; Q is orthogonal, so P^T P is read in
+        Q's coordinates, Q^T P = W J[:, :k] - (Q^T U) A, and nothing is
+        multiplied by Q.
         Otherwise U_hat = Y B R^-1 (the QR of :meth:`leading_u`), B = V_y[:, :k]
         / S_y[:k], so M_k = B^T (C + sigma W)^T, and with E = B^T (Z^T Z - W^T W) B
         from the noise statistics (no Y),
@@ -177,15 +229,15 @@ class SvdCache:
         The subspace error tr(P^T P) is thus never formed as k - ||A||_F^2,
         and keeps its relative accuracy when it is small.
         """
-        m_k = self.ut_basis[:k]
-        if self._u_y is not None:
+        m_k, f = self.ut_basis[:k], self._f
+        if self._side == "u":
             overlap = m_k.T
-            perp = self._u_y[:, :k] - self.dataset.basis.matrix @ overlap
+            perp = f.leading(k) - f.qt_basis @ overlap
             perp_gram = perp.T @ perp
         else:
             zz, w = self.dataset.noise_stats
             sigma = self.dataset.params.sigma_z
-            b = self._v_y[:, :k] / self.s_y[:k]
+            b = f.apply_q(f.leading(k)) / self.s_y[:k]
             wb = w @ b
             e = b.T @ (zz @ b) - wb.T @ wb
             chol = np.linalg.cholesky(m_k @ m_k.T + sigma**2 * e)
@@ -262,24 +314,22 @@ def _gram_svd(dataset: Dataset) -> SvdCache | None:
 
     For N < n the Gram is Y^T Y = C^T C + sigma (C^T W + W^T C) + sigma^2 Z^T Z
     (Y = U C + sigma Z, W = U^T Z), so Y is not drawn.  The Gram is
-    decomposed in place by :func:`~sldlab.blas.eigh`, so the eigenvectors
-    overwrite it and the decomposition holds it and LAPACK's 2 m^2 workspace
-    (m = min(n, N)); :func:`_truncated` copies the kept factor out of it.
-    Returning None frees the eigenvectors before the direct SVD allocates
-    its own.
+    decomposed in place by :func:`~sldlab.blas.eigh_implicit`: its buffer
+    keeps the reflectors of Q, the eigenvectors Q W are never formed, and
+    the decomposition holds the Gram, W and LAPACK's m^2 workspace
+    (m = min(n, N)).  :func:`_truncated` keeps Q and W as the cache's
+    factor.  Returning None frees them before the direct SVD allocates its own.
     """
     tall = dataset.n_train < dataset.params.n
     gram, coeff_yt = (_tall_gram(dataset), None) if tall else _wide_gram(dataset)
-    evals, evecs = eigh(gram)  # in place, evecs is gram's buffer; numpy's would be a copy
+    evals, w, q = eigh_implicit(gram)  # gram's buffer now holds q's reflectors
     del gram
     lam_min, lam_max = float(evals[0]), float(evals[-1])
     ill_conditioned = _EPS * lam_max > _GRAM_TOL * lam_min
     if not lam_min > 0.0 or (ill_conditioned and tall):
         return None
-    s, factor = np.sqrt(evals[::-1]), evecs[:, ::-1]  # _truncated copies the factor
     route = "gram-certified" if ill_conditioned else "gram"
-    u, v = (None, factor) if tall else (factor, None)
-    cache = _truncated(dataset, s, route, u=u, v=v, coeff_yt=coeff_yt)
+    cache = _truncated(dataset, np.sqrt(evals[::-1]), route, "v" if tall else "u", w, q, coeff_yt=coeff_yt)
     if ill_conditioned and not _gram_certified(cache)[0]:
         return None
     return cache
@@ -402,33 +452,42 @@ def _gram_certified(cache: SvdCache) -> tuple[bool, float]:
 def _direct_svd(dataset: Dataset) -> SvdCache:
     """Direct LAPACK SVD of Y; the reference route, used whenever the Gram check fails."""
     u, s, vt = np.linalg.svd(dataset.noisy, full_matrices=False)
-    return _truncated(dataset, s, "svd", u=u, v=vt.T)
+    return _truncated(dataset, s, "svd", "u", np.ascontiguousarray(u[:, ::-1]), v=vt.T)
 
 
 def _truncated(
-    dataset: Dataset, s: np.ndarray, route: str,
-    u: np.ndarray | None = None, v: np.ndarray | None = None, coeff_yt: np.ndarray | None = None,
+    dataset: Dataset, s: np.ndarray, route: str, side: str, w: np.ndarray, q: Reflectors | None = None,
+    coeff_yt: np.ndarray | None = None, v: np.ndarray | None = None,
 ) -> SvdCache:
     """Keep the singular triples at or above the numerical-rank threshold, with g and M.
 
-    g = C V_y and M = U_y^T U come from what the route holds: V_y, or the
-    n x n route's ``coeff_yt`` = C Y^T as (C Y^T) U_y / S_y; U_y, or the noise
+    ``s`` is descending and the factor Q W (``side`` "u": U_y, "v": V_y) has
+    its columns ascending, as LAPACK's eigenvectors are; W keeps the last r.
+    g = C V_y and M = U_y^T U come from W^T Q^T applied to 2 d columns: on
+    side "u", M from Q^T U and g from the n x n route's ``coeff_yt`` = C Y^T
+    as (C Y^T) U_y / S_y; on side "v", g from Q^T C^T and M from the noise
     statistics as S_y^-1 V_y^T (Y^T U), so the N x N route draws no Y.  The
-    direct SVD's V_y is dropped once it has given g: nothing else reads it.
+    direct SVD's ``v`` gives g itself and is then dropped.
     """
     if s.size == 0 or s[0] <= 0.0:
         raise InvariantError("training matrix is identically zero; no singular directions")
     tol = max(dataset.params.n, dataset.n_train) * _EPS * float(s[0])
     r = int(np.count_nonzero(s >= tol))
-    s, coeff = s[:r].copy(), dataset.coeff
-    u = None if u is None else np.ascontiguousarray(u[:, :r])
-    v = None if v is None else np.ascontiguousarray(v[:, :r])
-    g = coeff @ v if v is not None else (coeff_yt @ u) / s
-    if u is not None:
-        m, v = u.T @ dataset.basis.matrix, None
+    s, w, coeff, d = s[:r].copy(), w[:, w.shape[1] - r:], dataset.coeff, dataset.params.d
+    if side == "u":
+        cols = [dataset.basis.matrix] + ([] if v is not None else [coeff_yt.T])
     else:  # Y^T U = C^T + sigma W^T
-        m = (v.T @ (coeff.T + dataset.params.sigma_z * dataset.noise_stats[1].T)) / s[:, None]
-    return SvdCache(s_y=s, route=route, dataset=dataset, coeff_v=g, ut_basis=m, _u_y=u, _v_y=v)
+        cols = [coeff.T, coeff.T + dataset.params.sigma_z * dataset.noise_stats[1].T]
+    qt = np.hstack(cols) if q is None else q.apply(np.hstack(cols), transpose=True)
+    p = (w.T @ qt)[::-1]  # the factor's transpose times the columns, r x (d or 2 d)
+    if side == "u":
+        factor = _Factor(w, q, qt[:, :d])
+        m = np.ascontiguousarray(p[:, :d])
+        g = coeff @ np.ascontiguousarray(v[:, :r]) if v is not None else p[:, d:].T / s
+    else:
+        factor = _Factor(w, q)
+        g, m = np.ascontiguousarray(p[:, :d].T), p[:, d:] / s[:, None]
+    return SvdCache(s_y=s, route=route, dataset=dataset, coeff_v=g, ut_basis=m, _side=side, _factor=factor)
 
 
 # =====================================================================
@@ -444,7 +503,7 @@ def u_products(
     One per k, B = U_y D_k g^T for :func:`gd_estimator_closed` (None for a k
     whose B is :attr:`SvdCache.pinv_factor`), then U_y I[:, :k] for the
     k = min(d, rank) leading directions of :func:`pca_estimator`.  All come
-    from one :meth:`SvdCache.u_matmuls`: without a stored U_y that streams
+    from one :meth:`SvdCache.u_matmuls`: on the N x N route that streams
     the training noise once, so a cell's ESGD, PINV and PCA maps are built
     from one pass over Z, not three.  Each product multiplies its own
     factor, so none depends on the others formed with it.

@@ -35,8 +35,8 @@ _STREAM_BYTES = 4 * 2**20
 #: 2.78, 9.29 and 33.0 s at N = 2512, 3981 and 6310 with 4 MB blocks, and
 #: 1.28, 2.44 and 5.38 s with 2048-row blocks (same host and build).  Such a
 #: block is at most 16 MB below N = 1024 and under two N x N arrays above it,
-#: fewer than the three (the Gram and LAPACK's 2 N^2 workspace) that the
-#: in-place eigh after the pass holds.
+#: fewer than the three (the Gram, W and LAPACK's N^2 workspace) that the
+#: in-place decomposition after the pass holds.
 _GRAM_ROWS = 2048
 
 #: Largest sigma_z a model accepts.  An n x n Gram's certificate sums lambda^2 ~

@@ -218,27 +218,30 @@ def _cell_front(
     cache = svd_of(ds) if config.estimators != ("OPT",) else None
     # Every closed-form risk comes before the Monte-Carlo block streams the test
     # noise, so the QR of Y that PINV reads on a certified cache runs first.
-    risks: list[float] = []
+    # PINV's comes last: by then the builds' products are formed and the
+    # cache's singular factor is dropped, so the QR's buffer never sits beside it.
+    risks: dict[str, float] = {}
     stop_k: dict[str, int | float] = {"PINV": INFINITY}
     for name in config.estimators:
         if name == "OPT":
-            risks.append(optimal_risk(params))
+            risks[name] = optimal_risk(params)
         elif name == "PCA":
-            risks.append(pca_risk(cache))
+            risks[name] = pca_risk(cache)
         elif name == "ESGD":
-            stop_k[name], risk = oracle_stop(cache)
-            risks.append(risk)
-        else:  # PINV
-            risks.append(float(gd_risk_profile(cache, (INFINITY,))[0]))
+            stop_k[name], risks[name] = oracle_stop(cache)
     mc = config.mc_test_size
-    if not mc:
-        return risks, None, None
-
-    # One u_products for all the builds: without a stored U_y, one pass over Z.
+    # One u_products for all the builds: on the N x N route, one pass over Z.
     gd = [name for name in config.estimators if name in stop_k]
     pca = "PCA" in config.estimators
-    products = {} if cache is None else dict(
+    products = {} if cache is None or not mc else dict(
         zip(gd + ["PCA"] * pca, u_products(cache, [stop_k[name] for name in gd], pca)))
+    if cache is not None:
+        cache.drop_factor()
+    if "PINV" in config.estimators:
+        risks["PINV"] = float(gd_risk_profile(cache, (INFINITY,))[0])
+    if not mc:
+        return [risks[name] for name in config.estimators], None, None
+
     estimators = []
     for name in config.estimators:
         if name == "OPT":
@@ -247,7 +250,8 @@ def _cell_front(
             estimators.append(pca_estimator(cache, product=products[name]))
         else:  # ESGD or PINV
             estimators.append(gd_estimator_closed(cache, stop_k[name], products[name]))
-    return risks, estimators, sample_dataset(params, basis, mc, derive_seed(cell_seed, "mc-test"))
+    test = sample_dataset(params, basis, mc, derive_seed(cell_seed, "mc-test"))
+    return [risks[name] for name in config.estimators], estimators, test
 
 
 #: A Monte-Carlo cell whose front does more than this many multiply-adds per

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import sldlab.sweep as sweep_mod
-from sldlab.blas import blas_pool, eigh, lapack, mapped_empty, qr_raw
+from sldlab.blas import blas_pool, eigh_implicit, lapack, mapped_empty, qr_raw
 from sldlab.errors import DimensionError, InvariantError
 from sldlab.estimators import (
     INFINITY,
@@ -26,6 +26,7 @@ from sldlab.estimators import (
     _gram_certified,
     _tall_gram,
     _triangular_solve,
+    _truncated,
     _wide_gram,
 )
 from sldlab.model import (
@@ -46,10 +47,9 @@ def _instance(n=20, d=3, sigma=0.2, n_train=15, seed=0):
 
 
 def _factors(cache):
-    """(U_y, V_y) of ``cache``: the factor it stores, and the other one formed through Y."""
-    if cache._u_y is not None:
-        return cache._u_y, (cache.dataset.noisy.T @ cache._u_y) / cache.s_y
-    return cache.u_matmuls([np.eye(cache.rank)])[0], cache._v_y
+    """(U_y, V_y) of ``cache`` from its public products: U_y = u_matmuls(I), V_y = Y^T U_y / S_y."""
+    u = cache.u_matmuls([np.eye(cache.rank)])[0]
+    return u, (cache.dataset.noisy.T @ u) / cache.s_y
 
 
 def test_svd_cache_reconstructs_input():
@@ -89,23 +89,24 @@ def test_svd_cache_coeff_v_and_ut_basis_agree_with_materialized():
     # g = C V_y and M = U_y^T U, formed by each route from what it holds,
     # match the products with the materialized factors on the tall Gram,
     # wide Gram and direct routes.  Each cache stores exactly one factor:
-    # V_y on the tall Gram route, U_y on the other two.
+    # V_y on the tall Gram route (its rows span the N training columns),
+    # U_y on the other two (its rows span the n ambient coordinates).
     for n, n_train, sigma, route, stores_u in [
         (200, 50, 0.1, "gram", False), (10, 30, 0.2, "gram", True), (60, 40, 0.0, "svd", True),
     ]:
         _, basis, ds = _instance(n=n, d=2, sigma=sigma, n_train=n_train, seed=4)
         cache = svd_of(ds)
-        assert cache.route == route and (cache._u_y is not None) == stores_u
-        assert (cache._v_y is None) == stores_u
+        assert cache.route == route and (cache._side == "u") == stores_u
+        assert cache._factor.w.shape == ((n if stores_u else n_train), cache.rank)
         u, v = _factors(cache)
         assert np.allclose(cache.coeff_v, ds.coeff @ v, atol=1e-10)
         assert np.allclose(cache.ut_basis, u.T @ basis.matrix, atol=1e-10)
-    # A cache with both factors, or with neither, is refused.
+    # A cache that names neither factor is refused.
     fields = dict(s_y=cache.s_y, route=cache.route, dataset=ds, coeff_v=cache.coeff_v,
                   ut_basis=cache.ut_basis)
-    for stored in ({"_u_y": u, "_v_y": v}, {}):
-        with pytest.raises(InvariantError, match="exactly one"):
-            SvdCache(**fields, **stored)
+    for side in ("uv", ""):
+        with pytest.raises(InvariantError, match="side"):
+            SvdCache(**fields, _side=side)
 
 
 def _route_risks(cache):
@@ -262,6 +263,22 @@ def test_certified_risks_do_not_depend_on_an_earlier_read_of_y():
     assert risks[0] == risks[1]
 
 
+def test_dropped_factor_keeps_the_risks_and_refuses_the_products():
+    # A sweep cell drops the cache's factor once its builds' products exist,
+    # before PINV's QR: g, M, the risks they give and pinv_factor stay as
+    # they were, and a later read of the factor is refused.
+    params, basis, ds = _instance(n=100, d=10, sigma=0.05, n_train=100, seed=200)
+    cache = svd_of(ds)
+    assert cache.route == "gram-certified"
+    profile = gd_risk_profile(cache, K_GRID[:-1])
+    cache.drop_factor()
+    assert np.array_equal(gd_risk_profile(cache, K_GRID[:-1]), profile)
+    assert np.isfinite(gd_risk_profile(cache, (INFINITY,))[0])  # from pinv_factor
+    for read in (lambda: cache.u_matmuls([np.eye(cache.rank, 1)]), lambda: pca_risk(cache)):
+        with pytest.raises(InvariantError, match="dropped"):
+            read()
+
+
 @pytest.mark.parametrize("n,n_train", [(1000, 1000), (1000, 1002), (40, 150)])
 def test_pinv_factor_matches_least_squares(n, n_train):
     # B = (C Y^+)^T solves Y^T B = C^T in the least-squares, minimum-norm
@@ -289,7 +306,7 @@ from sldlab.estimators import SvdCache
 from sldlab.model import ModelParams, sample_basis, sample_dataset
 ds = sample_dataset(ModelParams(d={d}, n={n}, sigma_z=0.1), sample_basis({n}, {d}, seed=2000), {n}, seed=2000)
 cache = SvdCache(s_y=np.ones(1), route="gram-certified", dataset=ds, coeff_v=np.zeros(({d}, 1)),
-                 ut_basis=np.zeros((1, {d})), _v_y=np.ones((1, 1)))
+                 ut_basis=np.zeros((1, {d})), _side="u")
 """
     assert rss_rise(setup, "cache.pinv_factor") <= 1.6 * 8 * n * (n + d)
 
@@ -315,24 +332,38 @@ def test_in_place_qr_matches_numpy_bit_for_bit(n, n_train):
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("n_train", [1, 100, 464, 1000, 3981])
 def test_in_place_eigh_matches_numpy_bit_for_bit(n_train, threads):
-    # The N x N Gram of a tall cell (N < n = 1000) and the n x n Gram of a
-    # wide one, decomposed in place by dsyevd: eigenvalues and eigenvectors
-    # equal np.linalg.eigh's bit for bit, at one and two BLAS threads, and
-    # the eigenvectors overwrite the Gram.  The tall Gram is summed in
-    # parts, so it is not bit-symmetric and its lower triangle must be the
-    # one LAPACK reads.
+    # The N x N Gram of a tall cell (N < n = 1000), the certified n x n Gram
+    # of the N = n cell and the n x n Gram of a wide one, reduced in place by
+    # dsytrd and solved by dstedc: the eigenvalues equal np.linalg.eigh's bit
+    # for bit, at one and two BLAS threads, and the Gram's buffer keeps the
+    # reflectors.  The tall Gram is summed in parts, so it is not
+    # bit-symmetric and its lower triangle must be the one LAPACK reads.
+    # Every product the cache hands out -- M, g S_y = (C Y^T) U_y or C V_y S_y,
+    # the PCA frame and U_y times a factor -- matches the one built from
+    # eigh's explicit eigenvectors within 1e-13 times its largest entry
+    # (1.4e-14 at most measured).
     n = 1000
     params, basis, ds = _instance(n=n, d=10, sigma=0.1, n_train=n_train, seed=n_train)
-    gram = _tall_gram(ds) if n_train < n else _wide_gram(ds)[0]
+    tall = n_train < n
+    assert svd_of(ds).route == ("gram-certified" if n_train == n else "gram")
+    gram, coeff_yt = (_tall_gram(ds), None) if tall else _wide_gram(ds)
     if n_train == 464:
         assert not np.array_equal(gram, gram.T)
     with blas_pool().threads(threads):
-        expected = np.linalg.eigh(gram)
+        expected, vectors = np.linalg.eigh(gram)
         overwritten = gram.copy()
-        evals, evecs = eigh(overwritten)
-    assert np.array_equal(evals, expected[0])
-    assert np.array_equal(evecs, expected[1])
-    assert np.shares_memory(evecs, overwritten)
+        evals, w, q = eigh_implicit(overwritten)
+        assert np.array_equal(evals, expected)
+        assert q.a is overwritten
+        side, s = ("v" if tall else "u"), np.sqrt(evals[::-1])
+        implicit = _truncated(ds, s, "gram", side, w, q, coeff_yt=coeff_yt)
+        explicit = _truncated(ds, s, "gram", side, vectors, coeff_yt=coeff_yt)
+        k = min(params.d, implicit.rank)
+        a = np.random.default_rng(n_train).standard_normal((implicit.rank, 3))
+        pairs = [(c.coeff_v * c.s_y, c.ut_basis, c.leading_u_in_frame(k),
+                  *c.u_matmuls([a, np.eye(c.rank, k)])) for c in (implicit, explicit)]
+    for got, want in zip(*pairs):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("n,n_train", [(1000, 999), (150, 40)])
@@ -392,14 +423,14 @@ def test_svd_of_tall_noisy_takes_small_gram_and_defers_u():
     pca_estimator(cache)
     for k in (64, INFINITY):  # an ESGD and the PINV estimator
         gd_estimator_closed(cache, k)
-    assert cache._u_y is None  # no consumer materialized n x r U_y
+    assert cache._side == "v" and cache._factor.w.shape == (300, 300)  # no n x r U_y is held
     u, v = _factors(cache)
     assert np.allclose(cache.ut_basis, u.T @ basis.matrix, atol=1e-10)
     b = np.random.default_rng(1).standard_normal((300, 3))
     assert np.allclose(cache.u_matmuls([b])[0], u @ b, atol=1e-10)
     assert np.allclose(cache.leading_u(cache.u_matmuls([np.eye(300, 10)])[0]), u[:, :10], atol=1e-12)
     assert np.allclose((u * cache.s_y) @ v.T, ds.noisy, atol=1e-10)
-    assert cache._u_y is None  # forming U_y stored nothing
+    assert cache._factor.w.shape == (300, 300)  # forming U_y stored nothing
 
 
 def test_gram_route_pca_basis_orthonormal_when_d_covers_spectrum():
@@ -495,7 +526,7 @@ def test_gd_closed_matches_dense_reference_on_every_route(n, n_train, sigma, rou
     # Gram, wide Gram and direct routes.
     params, basis, ds = _instance(n=n, d=4, sigma=sigma, n_train=n_train, seed=n + n_train)
     cache = svd_of(ds)
-    assert cache.route == route and (cache._u_y is not None) == stores_u
+    assert cache.route == route and (cache._side == "u") == stores_u
     ref = _direct_svd(ds)
     u_ref, v_ref = _factors(ref)
     for k in K_GRID:

@@ -172,15 +172,24 @@ def _fixed_pool(threads=2):
 
 
 def test_sweep_bytes_do_not_depend_on_the_in_place_drivers(monkeypatch, tmp_path):
-    # With numpy's dsyevd and dgeqrf found, every Gram and PINV's QR is
-    # decomposed in place; without them (the lookup patched to None) numpy's
-    # eigh and qr run as they are.  A four-estimator Monte-Carlo sweep over
-    # both Gram routes and the certified N = n cells writes the same bytes.
-    routes = []
+    # With numpy's dsytrd, dstedc, dormtr and dgeqrf found, every Gram is
+    # reduced in place and keeps its eigenvectors implicit, and PINV's QR
+    # runs in place; without them (the lookup patched to None) numpy's eigh
+    # and qr run, with an explicit factor.  A four-estimator Monte-Carlo
+    # sweep over both Gram routes and the certified N = n cells takes the
+    # same route and rank in every cell, with the same singular values bit
+    # for bit; the two factors cannot share their rounding, so the CSV agrees
+    # within 1e-12 relative (3.1e-13 at most measured, PINV_M, whose filter
+    # 1 / S_y carries eps * kappa^2).  A seed spread (_S) loses relative
+    # accuracy to cancellation (4.7e-11 relative measured), and moves by no
+    # more than the values it spreads, so it is held to 1e-11 of its mean
+    # (2.5e-12 measured, PINV_MC_S).
+    cells = {}
 
     def spy(dataset):
         cache = svd_of(dataset)
-        routes.append(cache.route)
+        cells.setdefault((dataset.n_train, dataset.seed), []).append(
+            (cache.route, cache.rank, cache.s_y.tobytes()))
         return cache
 
     monkeypatch.setattr(sweep_mod, "svd_of", spy)
@@ -190,8 +199,15 @@ def test_sweep_bytes_do_not_depend_on_the_in_place_drivers(monkeypatch, tmp_path
     write_curve_csv(run_sweep(cfg, workers=1), found)
     monkeypatch.setattr(blas_mod, "lapack", lambda: None)
     write_curve_csv(run_sweep(cfg, workers=1), missing)
-    assert found.read_bytes() == missing.read_bytes()
-    assert {"gram", "gram-certified"} <= set(routes)
+    assert all(len(runs) == 2 and runs[0] == runs[1] for runs in cells.values())
+    assert {"gram", "gram-certified"} <= {runs[0][0] for runs in cells.values()}
+    (head_found, *rows_found), (head_missing, *rows_missing) = (
+        [line.split(",") for line in path.read_text().splitlines()] for path in (found, missing))
+    assert head_found == head_missing and len(rows_found) == len(rows_missing)
+    got, want = np.array(rows_found, dtype=float), np.array(rows_missing, dtype=float)
+    assert np.array_equal(got[:, 0], want[:, 0])  # train sizes, then each _M and its _S
+    np.testing.assert_allclose(got[:, 1::2], want[:, 1::2], rtol=1e-12, atol=0.0)
+    assert np.all(np.abs(got[:, 2::2] - want[:, 2::2]) <= 1e-11 * np.abs(want[:, 1::2]))
 
 
 def test_monte_carlo_sweep_matches_across_worker_counts(tmp_path):
@@ -453,23 +469,23 @@ def test_wide_cell_does_not_keep_y(monkeypatch, spy_draws, n_train, cell_seed, r
     assert svd_of(dataset).route == route
 
 
-def _cell_rss_rise(rss_rise, n, n_train, estimators):
+def _cell_rss_rise(rss_rise, n, n_train, estimators, mc_test_size=0):
     """Peak RSS rise of one sigma = 0.1 ``_evaluate_cell`` (cell seed 0) in a fresh interpreter."""
     setup = f"""
 from sldlab import sweep
 from sldlab.model import ModelParams
 config = sweep.SweepConfig(params=ModelParams(d=10, n={n}, sigma_z=0.1), train_sizes=({n_train},),
-                           n_seeds=1, estimators={estimators!r})
+                           n_seeds=1, estimators={estimators!r}, mc_test_size={mc_test_size})
 """
     return rss_rise(setup, f"sweep._evaluate_cell(config, {n_train}, 0)")
 
 
 def test_wide_cell_drops_y_before_the_eigh(rss_rise):
     # One ESGD + PCA cell at n = 1000, N = 4000: Y is 32 MB and Y Y^T 8 MB.
-    # Y is dropped before the Gram is decomposed in place beside its 16 MB
-    # workspace, so the peak is Y, the Gram and a noise block while the Gram
-    # forms: the RSS rose by 47.8 MB, and would pass 60 MB with Y kept
-    # through the eigh.
+    # Y is dropped before the Gram is decomposed in place beside W and an
+    # 8 MB workspace, so the peak is Y, the Gram and a noise block while the
+    # Gram forms: the RSS rose by 47.8 MB, and would pass 60 MB with Y kept
+    # through the decomposition.
     n, n_train = 1000, 4000
     rise = _cell_rss_rise(rss_rise, n, n_train, ("ESGD", "PCA"))
     assert rise <= 8 * n * n_train + 2 * 8 * n * n + model._STREAM_BYTES
@@ -477,12 +493,23 @@ def test_wide_cell_drops_y_before_the_eigh(rss_rise):
 
 def test_square_cell_memory_follows_the_in_place_rule(rss_rise):
     # One ESGD + PCA + PINV cell at n = N = 1500 (m = 1500), certified, so
-    # PINV takes its QR of Y: the Gram is decomposed in place beside LAPACK's
-    # 2 m^2 workspace, and the QR factors the one buffer Y is drawn into.
-    # The RSS rose by 3.60-3.68 times 8 m^2 at one to four BLAS threads;
-    # numpy's eigh and qr, which copy their input, rose by 5.54-5.62 times.
+    # PINV takes its QR of Y: the Gram is reduced in place beside W and
+    # LAPACK's m^2 workspace, and the QR factors the one buffer Y is drawn
+    # into.  The RSS rose by 3.64 times 8 m^2 (3.60-3.68 at one to four BLAS
+    # threads with dsyevd's in-place decomposition); numpy's eigh and qr,
+    # which copy their input, rose by 5.54-5.62 times.
     m = 1500
     assert _cell_rss_rise(rss_rise, m, m, ("ESGD", "PCA", "PINV")) <= 4 * 8 * m * m
+
+
+def test_square_monte_carlo_cell_drops_the_factor_before_the_qr(rss_rise):
+    # The same cell with a Monte-Carlo pass builds its ESGD and PCA maps from
+    # the cache's factor -- the Gram's reflectors and W, 2 m^2 floats -- and
+    # drops it before PINV's risk runs the QR of Y, so the two are never
+    # held together.  The RSS rose by 3.62 times 8 m^2; with the factor kept
+    # through the QR it rose by 3.96 times, still inside the bound.
+    m = 1500
+    assert _cell_rss_rise(rss_rise, m, m, ("ESGD", "PCA", "PINV"), mc_test_size=200) <= 4 * 8 * m * m
 
 
 def _spy_on_routes(monkeypatch):
